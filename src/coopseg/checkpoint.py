@@ -3,11 +3,13 @@
 Layout: magic "FUTH", format version u32, tensor count u32, then one record
 per tensor (name length u16, utf-8 name, dtype code u8 with 0=f32 and 1=f64,
 rank u8, dims as u32s, raw little-endian payload), and a trailing CRC32 of
-everything before it. All integers little-endian.
+everything before it. All integers little-endian. Saves replace the target
+atomically.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -43,7 +45,16 @@ def save_checkpoint(path: str | Path, state: dict[str, np.ndarray]):
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
     body = b"".join(chunks)
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    # write beside the target, then rename over it: a failed write leaves the
+    # earlier checkpoint intact and no partial file under the target's name
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

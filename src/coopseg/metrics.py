@@ -78,6 +78,10 @@ class MetricReport:
 
 def evaluate_pairs(ids, preds, gts) -> MetricReport:
     """Score each (prediction, mask) pair; means are per-image averages."""
+    if not len(ids) == len(preds) == len(gts):
+        raise ValueError(
+            f"evaluate_pairs: {len(ids)} ids, {len(preds)} predictions, {len(gts)} masks"
+        )
     report = MetricReport(ids=list(ids), dice=[], iou=[], mae=[])
     for p, g in zip(preds, gts):
         report.dice.append(dice(p, g))

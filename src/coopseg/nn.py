@@ -13,6 +13,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import CheckpointError
 from .tensor import ShapeError, Tensor
 
 
@@ -61,7 +62,7 @@ class Module:
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
         if missing or extra:
-            raise KeyError(f"state mismatch: missing {missing}, unexpected {extra}")
+            raise CheckpointError(f"state mismatch: missing {missing}, unexpected {extra}")
         for name, p in self.named_parameters():
             src = state[name]
             if src.shape != p.data.shape:

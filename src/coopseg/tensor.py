@@ -48,6 +48,13 @@ class TapeNode:
         self.out = out
         self.tape = tape
 
+    def release(self):
+        """Drop the output, inputs and backward rule (and with them the saved
+        arrays); ``op`` and ``tape`` stay for inspection."""
+        self.out = None
+        self.inputs = ()
+        self.backward_fn = None
+
 
 class GradTape:
     """Ordered record of executed ops, replayed in reverse by ``backward``."""
@@ -59,6 +66,20 @@ class GradTape:
 
     def __len__(self):
         return len(self.nodes)
+
+    def release(self):
+        """Free the recorded graph by reference counting alone.
+
+        A live graph holds two reference cycles (``Tensor.node`` <->
+        ``TapeNode.out`` and ``TapeNode.tape`` <-> ``GradTape.nodes``) that
+        only the cyclic GC could reclaim. Emptying every node breaks both,
+        so saved activations go as soon as nothing else holds them. A
+        released node keeps ``op`` and ``tape``; its ``out`` is None, which
+        is how ``backward`` recognises a spent graph.
+        """
+        for node in self.nodes:
+            node.release()
+        self.nodes.clear()
 
 
 class _EngineState:
@@ -747,6 +768,10 @@ def backward(loss: Tensor, visit_log: Optional[list] = None) -> None:
     The loss must be a scalar produced by taped ops. Nodes are visited in
     exact reverse execution order; a node is skipped when no gradient has
     reached its output. ``visit_log``, when given, collects visited op names.
+
+    The graph is spent afterwards: each node is released as soon as it has
+    been visited, the rest of the tape when the replay ends, and a second
+    ``backward`` through any of it raises GradientError.
     """
     if loss.data.size != 1:
         raise GradientError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -755,6 +780,11 @@ def backward(loss: Tensor, visit_log: Optional[list] = None) -> None:
             g = np.ones_like(loss.data)
             loss.grad = g if loss.grad is None else loss.grad + g
         return
+    if loss.node.out is not loss:
+        raise GradientError(
+            f"backward: graph already released (its {loss.node.op!r} node was "
+            "replayed or reset); recompute the loss"
+        )
     tape = loss.node.tape
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holder: dict[int, Tensor] = {id(loss): loss}
@@ -775,6 +805,8 @@ def backward(loss: Tensor, visit_log: Optional[list] = None) -> None:
             else:
                 pending[key] = ig
                 holder[key] = t
+        node.release()
+    tape.release()
     for key, g in pending.items():
         leaf = holder[key]
         if leaf.requires_grad:
@@ -789,5 +821,8 @@ def active_tape() -> Optional[GradTape]:
 
 
 def reset_tape() -> None:
-    """Drop the current recording tape (used between independent steps)."""
+    """Release the current recording tape's graph and stop recording on it
+    (used between independent steps and on every exit path of one)."""
+    if _state.tape is not None:
+        _state.tape.release()
     _state.tape = None

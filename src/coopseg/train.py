@@ -177,13 +177,17 @@ def train_epoch(
     per_batch_w = []
     for images, masks in batches:
         optimizer.zero_grad()
-        _, losses = _batch_losses(model, images, masks)
-        vals = [float(lk.item()) for lk in losses]
-        w = solve_weights(vals, lam)
-        per_batch_w.append(w.w.copy())
-        # python floats keep the weighted sum in the losses' dtype
-        weighted = sum(lk * float(wk) for lk, wk in zip(losses, w.w))
-        T.backward(weighted)
+        try:
+            _, losses = _batch_losses(model, images, masks)
+            vals = [float(lk.item()) for lk in losses]
+            w = solve_weights(vals, lam)
+            per_batch_w.append(w.w.copy())
+            # python floats keep the weighted sum in the losses' dtype
+            weighted = sum(lk * float(wk) for lk, wk in zip(losses, w.w))
+            T.backward(weighted)
+        finally:
+            # an aborted step (non-finite loss) must not leave its graph behind
+            T.reset_tape()
         optimizer.step()
         sums += vals
     means = sums / len(batches)

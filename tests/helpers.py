@@ -4,7 +4,9 @@ Everything here is deliberately naive: grids, python loops, and closed
 forms that are easy to audit by eye.
 """
 
+import gc
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -82,3 +84,16 @@ def iou_count(pred_bin, gt_bin):
     if union == 0:
         return 1.0
     return inter / union
+
+
+@contextmanager
+def cyclic_gc_disabled():
+    """Run the block with the cyclic garbage collector off, so only reference
+    counting frees objects; restores the previous setting afterwards."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

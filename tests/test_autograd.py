@@ -1,10 +1,13 @@
 """Backward-pass contracts: tape order, accumulation, finite-difference checks."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from coopseg import gradcheck
 from coopseg import tensor as T
 from coopseg.tensor import GradientError, Tensor, backward, no_grad
@@ -86,6 +89,77 @@ class TestTapeSemantics:
         x = Tensor([1.0], requires_grad=True)
         backward((x * 2.0).sum())
         assert T.active_tape() is None
+
+
+class TestTapeLifetime:
+    """A spent graph frees itself by reference counting (the cyclic GC stays
+    off in these tests) and cannot be replayed."""
+
+    def test_intermediate_freed_when_backward_returns(self):
+        rng = np.random.default_rng(0)
+        with helpers.cyclic_gc_disabled():
+            x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+            w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+            h = T.gelu(x @ w)
+            ref = weakref.ref(h.data)
+            loss = (h * h).sum()
+            del h
+            assert ref() is not None  # the live graph holds it
+            backward(loss)
+            assert ref() is None
+
+    def test_visited_node_freed_before_its_inputs_are_visited(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        with helpers.cyclic_gc_disabled():
+            a = x * 2.0
+            b = T.gelu(a)
+            ref = weakref.ref(b.data)
+            loss = b.sum()
+            del b
+            seen = []
+            inner = a.node.backward_fn
+
+            def probe(g):
+                seen.append(ref())  # gelu and sum were visited before mul
+                return inner(g)
+
+            a.node.backward_fn = probe
+            backward(loss)
+        assert seen == [None]
+
+    def test_unreached_nodes_released(self):
+        x = Tensor([1.0], requires_grad=True)
+        dead_end = x * 10.0
+        loss = (x * 2.0).sum()
+        tape = T.active_tape()
+        backward(loss)
+        assert len(tape) == 0
+        assert dead_end.node.out is None and dead_end.node.backward_fn is None
+
+    def test_replay_raises_and_keeps_grads(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * 3.0).sum()
+        backward(loss)
+        with pytest.raises(GradientError, match="already released"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_second_loss_on_spent_tape_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        a = x * 2.0
+        first, second = a.sum(), (a * a).sum()
+        backward(first)
+        with pytest.raises(GradientError, match="already released"):
+            backward(second)
+
+    def test_backward_after_reset_tape_raises(self):
+        x = Tensor([1.0], requires_grad=True)
+        loss = (x * 2.0).sum()
+        T.reset_tape()
+        assert T.active_tape() is None
+        with pytest.raises(GradientError, match="already released"):
+            backward(loss)
+        assert x.grad is None
 
 
 class TestFiniteDifferenceComposites:

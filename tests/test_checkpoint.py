@@ -1,5 +1,7 @@
 """Binary snapshot format: bit-exact round trips and corruption detection."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,26 @@ class TestRoundTrip:
         p = tmp_path / "e.ckpt"
         save_checkpoint(p, {})
         assert load_checkpoint(p) == {}
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(p, {"w": np.arange(6.0)})
+        before = p.read_bytes()
+
+        def torn_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(p, {"w": np.zeros(6)})
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["model.ckpt"]
+        np.testing.assert_array_equal(load_checkpoint(p)["w"], np.arange(6.0))
 
 
 class TestCorruption:

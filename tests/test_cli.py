@@ -149,6 +149,15 @@ class TestEvalPredict:
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "nope"))
         assert main(["eval", "--config", cfg]) == 1
 
+    def test_state_mismatch_is_one_line_error(self, trained_dir, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "out"))
+        ckpt = str(trained_dir / "run" / "model_final.ckpt")
+        assert main(["eval", "--config", cfg, "--no-dfm", "--checkpoint", ckpt]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: state mismatch: missing [")
+        assert ", unexpected [" in err[0]
+
     def test_corrupt_checkpoint_is_runtime_error(self, trained_dir, tmp_path):
         blob = bytearray((trained_dir / "run" / "model_final.ckpt").read_bytes())
         blob[len(blob) // 2] ^= 0xFF

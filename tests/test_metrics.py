@@ -121,6 +121,12 @@ class TestReport:
         for d, u in zip(report.dice, report.iou):
             assert d >= u
 
+    @pytest.mark.parametrize("n_ids,n_preds,n_gts", [(3, 1, 1), (2, 2, 1), (1, 2, 2)])
+    def test_length_mismatch_rejected(self, n_ids, n_preds, n_gts):
+        g = np.ones((4, 4))
+        with pytest.raises(ValueError, match="ids"):
+            evaluate_pairs([f"s{i}" for i in range(n_ids)], [g] * n_preds, [g] * n_gts)
+
     def test_perfect_report(self):
         g = (rng_of(7).uniform(size=(8, 8)) > 0.5).astype(float)
         report = evaluate_pairs(["a"], [g.copy()], [g])

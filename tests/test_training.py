@@ -2,6 +2,7 @@
 Adam, the alternating epoch loop, and the weighted decision."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from coopseg.config import toy_config
 from coopseg.data import synth_dataset
 from coopseg.model import SegmentationModel, ViewOutputs
 from coopseg.tensor import ShapeError, Tensor
+from coopseg.transformer import MultiHeadSelfAttention
 from coopseg.train import (
     Adam,
     ViewWeights,
@@ -34,6 +36,12 @@ def tiny_cfg(**kw):
                 c4=8, c8=12, c16=16, batch_size=2, synth_samples=2)
     base.update(kw)
     return toy_config(**base)
+
+
+def walk_modules(module):
+    yield module
+    for child in module._children.values():
+        yield from walk_modules(child)
 
 
 def tiny_batch(cfg, seed=5):
@@ -294,6 +302,45 @@ class TestTrainEpoch:
         opt = Adam(model.parameters(), lr=cfg.lr)
         with pytest.raises(RuntimeError, match="transformer"):
             train_epoch(model, opt, [tiny_batch(cfg)], lam=1.0)
+
+    def test_nan_abort_releases_its_graph(self, monkeypatch):
+        # the cyclic GC stays off: the aborted forward must go by refcount
+        cfg = tiny_cfg()
+        model = SegmentationModel(cfg)
+        opt = Adam(model.parameters(), lr=cfg.lr)
+        batch = tiny_batch(cfg)
+        T.reset_tape()
+        with helpers.cyclic_gc_disabled():
+            model(batch[0])
+            step_nodes = len(T.active_tape())
+            T.reset_tape()
+
+            refs = []
+            record = T._record
+
+            def spy(op, inputs, backward_fn, out):
+                refs.append(weakref.ref(out.data))
+                record(op, inputs, backward_fn, out)
+
+            monkeypatch.setattr(T, "_record", spy)
+            bias = model.head_t.proj.bias.data
+            saved = bias.copy()
+            bias[...] = np.nan
+            with pytest.raises(RuntimeError, match="non-finite"):
+                train_epoch(model, opt, [batch], lam=1.0)
+            monkeypatch.setattr(T, "_record", record)
+            assert T.active_tape() is None
+            assert len(refs) > step_nodes
+            # attention modules keep their last map on purpose
+            kept = {id(m.last_attention) for m in walk_modules(model)
+                    if isinstance(m, MultiHeadSelfAttention)}
+            assert len(kept) == cfg.depth
+            assert [r for r in refs if r() is not None and id(r()) not in kept] == []
+
+            bias[...] = saved
+            model(batch[0])
+            assert len(T.active_tape()) == step_nodes
+            T.reset_tape()
 
     def test_empty_batches_rejected(self):
         cfg = tiny_cfg()
