@@ -149,7 +149,7 @@ class Conv2d(Module):
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.conv2d(x, self.weight, stride=1, padding=self.padding)
+        y = T.conv2d(x, self.weight, padding=self.padding)
         if self.bias is not None:
             y = y + T.reshape(self.bias, (1, -1, 1, 1))
         return y

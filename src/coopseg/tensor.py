@@ -391,43 +391,25 @@ def matmul(a, b) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def _conv_out_dim(size: int, k: int, stride: int, padding: int) -> int:
-    span = size + 2 * padding - k
-    if span < 0 or span % stride != 0:
-        raise ShapeError(
-            f"conv2d: input size {size} with kernel {k}, stride {stride}, "
-            f"padding {padding} gives a non-integral output dimension"
-        )
-    return span // stride + 1
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int):
+    """Stride-1 kh x kw windows of an NCHW array zero-padded by ph rows and pw
+    columns on each side (a negative amount crops): (B*OH*OW) x (C*KH*KW)."""
+    if ph < 0 or pw < 0:
+        x = x[:, :, max(-ph, 0) : x.shape[2] - max(-ph, 0), max(-pw, 0) : x.shape[3] - max(-pw, 0)]
+    if ph > 0 or pw > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2))
     b, c, h, w = x.shape
-    oh = _conv_out_dim(h, kh, stride, padding)
-    ow = _conv_out_dim(w, kw, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh, ow = h - kh + 1, w - kw + 1
     # windows: B x C x OH x OW x KH x KW
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * kh * kw)
     return np.ascontiguousarray(cols), oh, ow
 
 
-def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding, oh, ow) -> np.ndarray:
-    b, c, h, w = x_shape
-    dxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    g = cols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += g[:, :, :, :, i, j]
-    if padding:
-        return dxp[:, :, padding : padding + h, padding : padding + w]
-    return dxp
-
-
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation of B x Cin x H x W input with Cout x Cin x kh x kw kernel."""
+def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 2-d cross-correlation of B x Cin x H x W input with Cout x Cin x kh x kw kernel.
+    Its input gradient correlates the upstream gradient, padded by k - 1 - padding, with the flipped,
+    channel-swapped kernel; it is None when the input neither requires grad nor has a tape node."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -437,15 +419,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(f"conv2d: input has {cin} channels but kernel expects {kc}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
+    if padding < 0 or h + 2 * padding < kh or w + 2 * padding < kw:
+        raise ShapeError(f"conv2d: {kh}x{kw} kernel does not fit the {h}x{w} input with padding {padding}")
+    cols, oh, ow = _im2col(x.data, kh, kw, padding, padding)
     wmat = kernel.data.reshape(cout, cin * kh * kw)
     out = (cols @ wmat.T).reshape(b, oh, ow, cout).transpose(0, 3, 1, 2)
 
     def bw(g):
         gcols = g.transpose(0, 2, 3, 1).reshape(b * oh * ow, cout)
         gw = (gcols.T @ cols).reshape(cout, cin, kh, kw)
-        gx = _col2im(gcols @ wmat, x.shape, kh, kw, stride, padding, oh, ow)
-        return gx, gw
+        if not (x.requires_grad or x.node is not None):
+            return None, gw
+        gxcols, _, _ = _im2col(g, kh, kw, kh - 1 - padding, kw - 1 - padding)
+        w_flip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+        return (gxcols @ w_flip.T).reshape(b, h, w, cin).transpose(0, 3, 1, 2), gw
 
     return _from_op("conv2d", np.ascontiguousarray(out), (x, kernel), bw)
 
@@ -496,16 +483,20 @@ def concat_channels(xs: Sequence[Tensor]) -> Tensor:
     return concat(xs, axis=1)
 
 
+def _sum2x2(a: np.ndarray) -> np.ndarray:
+    """Sum each non-overlapping 2x2 block of the last two axes (both even)."""
+    return (a[..., 0::2, 0::2] + a[..., 0::2, 1::2]) + (a[..., 1::2, 0::2] + a[..., 1::2, 1::2])
+
+
 def upsample2x_nearest(x: Tensor) -> Tensor:
     """Replicate each pixel of a B x C x H x W map into a 2x2 block."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"upsample2x_nearest: expected 4-d map, got shape {x.shape}")
-    b, c, h, w = x.shape
     out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def bw(g):
-        return (g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),)
+        return (_sum2x2(g),)
 
     return _from_op("upsample2x_nearest", out, (x,), bw)
 
@@ -515,10 +506,10 @@ def avgpool2x(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"avgpool2x: expected 4-d map, got shape {x.shape}")
-    b, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"avgpool2x: spatial dims must be even, got {h}x{w}")
-    out = x.data.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    out = _sum2x2(x.data) * 0.25
 
     def bw(g):
         return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0,)

@@ -98,7 +98,6 @@ class MultiHeadSelfAttention(Module):
                          requires_grad=True)
         self.heads = h
         self.d_head = dh
-        self.last_attention: np.ndarray | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
         b, n, d = x.shape
@@ -108,7 +107,6 @@ class MultiHeadSelfAttention(Module):
         v = xh @ self.wv
         logits = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(self.d_head))
         att = T.softmax_lastdim(logits)
-        self.last_attention = att.data
         mixed = att @ v  # B x heads x N x d_head
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n, self.heads * self.d_head))
         return mixed @ self.wo

@@ -194,7 +194,7 @@ class TestFiniteDifferenceComposites:
             rm[:], rv[:] = 0.0, 1.0
 
         def loss():
-            y = T.conv2d(x, k, 1, 1)
+            y = T.conv2d(x, k, padding=1)
             y = T.batchnorm_channel(y, g, b, rm, rv, training=True)
             return T.gelu(y).mean()
 
@@ -237,7 +237,8 @@ class TestOpSuite:
     def test_suite_covers_expected_ops(self):
         names = {r.name for r in gradcheck.run_op_suite(seed=1, inputs_per_op=1)}
         for required in [
-            "matmul", "conv2d", "softmax", "upsample", "avgpool", "concat",
+            "matmul", "conv2d", "conv2d_valid", "conv2d_7x7", "softmax", "upsample",
+            "avgpool", "concat",
             "elementwise_add", "elementwise_mul", "relu", "gelu", "sigmoid",
             "layernorm", "batchnorm_train", "batchnorm_eval",
         ]:

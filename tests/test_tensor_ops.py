@@ -29,12 +29,12 @@ def matmul_oracle(a, b):
     return out
 
 
-def conv2d_oracle(x, kernel, stride, padding):
+def conv2d_oracle(x, kernel, padding):
     b, cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh = h + 2 * padding - kh + 1
+    ow = w + 2 * padding - kw + 1
     out = np.zeros((b, cout, oh, ow))
     for bi in range(b):
         for co in range(cout):
@@ -44,9 +44,30 @@ def conv2d_oracle(x, kernel, stride, padding):
                     for ci in range(cin):
                         for u in range(kh):
                             for v in range(kw):
-                                acc += xp[bi, ci, i * stride + u, j * stride + v] * kernel[co, ci, u, v]
+                                acc += xp[bi, ci, i + u, j + v] * kernel[co, ci, u, v]
                     out[bi, co, i, j] = acc
     return out
+
+
+def conv2d_grad_oracle(x, kernel, padding, g):
+    """Input and kernel gradients of sum(conv2d(x, kernel) * g), one
+    multiply-add per (output pixel, input channel, kernel tap)."""
+    b, cin, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+    _, _, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(kernel)
+    for bi in range(b):
+        for co in range(cout):
+            for i in range(oh):
+                for j in range(ow):
+                    for ci in range(cin):
+                        for u in range(kh):
+                            for v in range(kw):
+                                gxp[bi, ci, i + u, j + v] += g[bi, co, i, j] * kernel[co, ci, u, v]
+                                gk[co, ci, u, v] += g[bi, co, i, j] * xp[bi, ci, i + u, j + v]
+    return gxp[:, :, padding : padding + h, padding : padding + w], gk
 
 
 def softmax_oracle(row):
@@ -105,13 +126,13 @@ class TestConv2d:
     def test_1x1_scaling(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.full((1, 1, 1, 1), 2.0))
-        out = T.conv2d(x, k, stride=1, padding=0)
+        out = T.conv2d(x, k, padding=0)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
 
     def test_padded_count_symmetry(self):
         x = Tensor(np.ones((1, 1, 4, 4)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        out = T.conv2d(x, k, stride=1, padding=1).data[0, 0]
+        out = T.conv2d(x, k, padding=1).data[0, 0]
         assert out.shape == (4, 4)
         for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
             assert out[i, j] == 4.0
@@ -123,27 +144,54 @@ class TestConv2d:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, 5, 5))
         k = rng.standard_normal((4, 3, 3, 3))
-        out = T.conv2d(Tensor(x), Tensor(k), stride=1, padding=0)
-        np.testing.assert_allclose(out.data, conv2d_oracle(x, k, 1, 0), rtol=1e-12, atol=1e-12)
+        out = T.conv2d(Tensor(x), Tensor(k), padding=0)
+        np.testing.assert_allclose(out.data, conv2d_oracle(x, k, 0), rtol=1e-12, atol=1e-12)
 
-    @given(st.integers(1, 2), st.integers(0, 1), st.integers(0, 2**31 - 1))
+    @given(st.integers(0, 1), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_stride_padding_combos_match_oracle(self, stride, padding, seed):
+    def test_padding_combos_match_oracle(self, padding, seed):
         rng = np.random.default_rng(seed)
-        h = 5 if stride == 1 else 7  # odd size keeps (H+2P-3)/2 integral
-        x = rng.standard_normal((1, 2, h, h))
+        x = rng.standard_normal((1, 2, 5, 5))
         k = rng.standard_normal((3, 2, 3, 3))
-        out = T.conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
-        np.testing.assert_allclose(out.data, conv2d_oracle(x, k, stride, padding), rtol=1e-12, atol=1e-12)
+        out = T.conv2d(Tensor(x), Tensor(k), padding=padding)
+        np.testing.assert_allclose(out.data, conv2d_oracle(x, k, padding), rtol=1e-12, atol=1e-12)
+
+    # (1, 1): padding beyond k - 1, so the upstream gradient is cropped, not padded
+    @pytest.mark.parametrize("ksize,padding", [(1, 0), (3, 0), (3, 1), (7, 3), (1, 1)])
+    def test_gradients_match_nested_loop_oracle(self, ksize, padding):
+        rng = np.random.default_rng(100 + ksize + padding)
+        x = rng.standard_normal((2, 3, 7, 6))
+        k = rng.standard_normal((2, 3, ksize, ksize))
+        tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        out = T.conv2d(tx, tk, padding=padding)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        gx, gk = conv2d_grad_oracle(x, k, padding, g)
+        np.testing.assert_allclose(tx.grad, gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tk.grad, gk, rtol=1e-12, atol=1e-12)
+
+    def test_input_without_grad_gets_no_input_gradient(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 3, 5, 5))
+        k = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        g = rng.standard_normal((2, 4, 5, 5))
+        gx, gk = T.conv2d(Tensor(x), k, padding=1).node.backward_fn(g)
+        assert gx is None
+        gx_live, gk_live = T.conv2d(Tensor(x, requires_grad=True), k, padding=1).node.backward_fn(g)
+        assert gx_live.shape == x.shape
+        np.testing.assert_array_equal(gk, gk_live)
+        T.reset_tape()
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
-            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), 1, 0)
+            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), padding=0)
 
-    def test_non_integral_output_rejected(self):
-        # (4 + 0 - 3) / 2 is not integral
-        with pytest.raises(ShapeError, match="non-integral"):
-            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), stride=2, padding=0)
+    def test_kernel_larger_than_padded_input_rejected(self):
+        # a 5x5 kernel does not fit a 2x2 input padded by 1 (4x4)
+        with pytest.raises(ShapeError, match="does not fit"):
+            T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))), padding=1)
+        with pytest.raises(ShapeError, match="does not fit"):
+            T.conv2d(Tensor(np.ones((1, 1, 6, 2))), Tensor(np.ones((1, 1, 3, 3))), padding=0)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +410,8 @@ class TestEngineInvariants:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 4, 4))
         k = rng.standard_normal((5, 3, 3, 3))
-        a = T.conv2d(Tensor(x), Tensor(k), 1, 1).data
-        b = T.conv2d(Tensor(x), Tensor(k), 1, 1).data
+        a = T.conv2d(Tensor(x), Tensor(k), padding=1).data
+        b = T.conv2d(Tensor(x), Tensor(k), padding=1).data
         np.testing.assert_array_equal(a, b)
 
     @given(st.integers(0, 2**31 - 1))
@@ -372,6 +420,6 @@ class TestEngineInvariants:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         k = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5)
-        y = T.relu(T.conv2d(x, k, 1, 1))
+        y = T.relu(T.conv2d(x, k, padding=1))
         y = T.sigmoid(T.upsample2x_nearest(y))
         assert np.isfinite(y.data).all()

@@ -108,10 +108,20 @@ class TestAttention:
         expected = np.concatenate(heads, axis=-1) @ msa.wo.data
         np.testing.assert_allclose(out, expected, atol=1e-10, rtol=0)
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, monkeypatch):
+        maps = []
+        softmax = T.softmax_lastdim
+
+        def spy(logits):
+            out = softmax(logits)
+            maps.append(out.data)
+            return out
+
+        monkeypatch.setattr(T, "softmax_lastdim", spy)
         msa = MultiHeadSelfAttention(small_cfg(), rng_of(8), dtype=np.float64)
         msa(Tensor(rng_of(9).standard_normal((2, 5, 8))))
-        sums = msa.last_attention.sum(axis=-1)
+        assert len(maps) == 1 and maps[0].shape == (2, 2, 5, 5)
+        sums = maps[0].sum(axis=-1)
         np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-10, rtol=0)
 
     def test_permutation_equivariance(self):
