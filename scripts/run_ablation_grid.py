@@ -14,10 +14,10 @@ import numpy as np
 
 from coopseg.config import toy_config
 from coopseg.data import synth_dataset
-from coopseg.metrics import dice
 from coopseg.model import SegmentationModel
-from coopseg.tensor import Tensor, no_grad
-from coopseg.train import Adam, ViewWeights, fuse_decision, train_epoch
+from coopseg.tensor import Tensor
+from coopseg.train import Adam, train_epoch
+from run_toy_overfit import fused_mdice
 
 COMBOS = [(True, True), (True, False), (False, True), (False, False)]
 
@@ -30,17 +30,8 @@ def run_combo(glff: bool, dfm: bool, images, masks, steps: int, lr: float, lam: 
     batches = [(images, masks)]
     for _ in range(steps):
         train_epoch(model, opt, batches, lam=cfg.lam)
-    model.eval()
-    with no_grad():
-        outs = model(images)
-        fused = fuse_decision(ViewWeights(model.view_weights.copy(), cfg.lam), outs)
-    n = images.shape[0]
-    scores = [
-        float(np.mean([dice(o.data[i, 0], masks.data[i, 0]) for i in range(n)]))
-        for o in outs.as_tuple()
-    ]
-    scores.append(float(np.mean([dice(fused.data[i, 0], masks.data[i, 0]) for i in range(n)])))
-    return scores
+    fused, per_view = fused_mdice(model, images, masks, cfg.lam)
+    return per_view + [fused]
 
 
 def main():

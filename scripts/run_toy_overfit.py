@@ -13,25 +13,24 @@ import numpy as np
 
 from coopseg.config import toy_config
 from coopseg.data import synth_dataset
-from coopseg.metrics import dice
+from coopseg.metrics import evaluate_pairs
 from coopseg.model import SegmentationModel
 from coopseg.tensor import Tensor, no_grad
 from coopseg.train import Adam, ViewWeights, fuse_decision, train_epoch
 
 
 def fused_mdice(model, images, masks, lam):
+    """Eval-mode training mDice of the fused decision and of each view."""
     model.eval()
     with no_grad():
         outs = model(images)
         fused = fuse_decision(ViewWeights(model.view_weights.copy(), lam), outs)
     model.train()
-    n = images.shape[0]
-    per_view = [
-        float(np.mean([dice(o.data[i, 0], masks.data[i, 0]) for i in range(n)]))
-        for o in outs.as_tuple()
-    ]
-    md = float(np.mean([dice(fused.data[i, 0], masks.data[i, 0]) for i in range(n)]))
-    return md, per_view
+
+    def mdice(pred):
+        return evaluate_pairs(range(len(pred.data)), pred.data[:, 0], masks.data[:, 0]).mean_dice
+
+    return mdice(fused), [mdice(o) for o in outs.as_tuple()]
 
 
 def main():

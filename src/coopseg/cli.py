@@ -121,7 +121,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / CONFIG_ECHO).write_text("\n".join(config_lines(cfg)) + "\n")
     samples = _get_samples(cfg)
-    dtype = np.float32 if cfg.dtype == "float32" else np.float64
+    dtype = np.dtype(cfg.dtype)
     batches = _batches(samples, cfg.batch_size, dtype)
     model = SegmentationModel(cfg)
     optimizer = Adam(model.parameters(), lr=cfg.lr)
@@ -171,7 +171,7 @@ def cmd_eval(args) -> int:
     cfg = _config_from_args(args, reuse_run_config=True)
     samples = _get_samples(cfg)
     model = _load_model(cfg, args.checkpoint)
-    dtype = np.float32 if cfg.dtype == "float32" else np.float64
+    dtype = np.dtype(cfg.dtype)
     preds, ids, gts = [], [], []
     with T.no_grad():
         for images, masks in _batches(samples, cfg.batch_size, dtype):
@@ -193,7 +193,7 @@ def cmd_predict(args) -> int:
     cfg = _config_from_args(args, reuse_run_config=True)
     samples = _get_samples(cfg)
     model = _load_model(cfg, args.checkpoint)
-    dtype = np.float32 if cfg.dtype == "float32" else np.float64
+    dtype = np.dtype(cfg.dtype)
     pred_dir = Path(cfg.out_dir) / "predictions"
     pred_dir.mkdir(parents=True, exist_ok=True)
     idx = 0

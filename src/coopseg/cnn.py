@@ -4,8 +4,6 @@ intra-stage concatenation, tapping maps at 1/4, 1/8, and 1/16 scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -13,23 +11,18 @@ from .nn import Conv2d, ConvUnit, Module, ModuleList, MultiScaleFeatures
 from .tensor import ShapeError, Tensor
 
 
-@dataclass
-class CnnStageSpec:
-    channels: int
-    units: int
-
-
 class DenseStage(Module):
     """k conv units where unit j consumes the concat of the stage input and
     all previous unit outputs; the last unit's map is the stage output."""
 
-    def __init__(self, c_in: int, spec: CnnStageSpec, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, c_in: int, channels: int, units: int, rng: np.random.Generator,
+                 dtype=np.float32):
         super().__init__()
         self.units = ModuleList()
         width = c_in
-        for _ in range(spec.units):
-            self.units.append(ConvUnit(width, spec.channels, rng, dtype=dtype))
-            width += spec.channels
+        for _ in range(units):
+            self.units.append(ConvUnit(width, channels, rng, dtype=dtype))
+            width += channels
 
     def __call__(self, x: Tensor) -> Tensor:
         grown = [x]
@@ -46,12 +39,12 @@ class CnnBranch(Module):
 
     def __init__(self, rng: np.random.Generator, stem_channels: int = 32,
                  c4: int = 64, c8: int = 128, c16: int = 256,
-                 stage_units: int = 3, in_channels: int = 3, dtype=np.float32):
+                 stage_units: int = 3, dtype=np.float32):
         super().__init__()
-        self.stem = ConvUnit(in_channels, stem_channels, rng, dtype=dtype)
-        self.stage4 = DenseStage(stem_channels, CnnStageSpec(c4, stage_units), rng, dtype=dtype)
-        self.stage8 = DenseStage(c4, CnnStageSpec(c8, stage_units), rng, dtype=dtype)
-        self.stage16 = DenseStage(c8, CnnStageSpec(c16, stage_units), rng, dtype=dtype)
+        self.stem = ConvUnit(3, stem_channels, rng, dtype=dtype)
+        self.stage4 = DenseStage(stem_channels, c4, stage_units, rng, dtype=dtype)
+        self.stage8 = DenseStage(c4, c8, stage_units, rng, dtype=dtype)
+        self.stage16 = DenseStage(c8, c16, stage_units, rng, dtype=dtype)
 
     def __call__(self, image: Tensor) -> MultiScaleFeatures:
         _, _, h, w = image.shape
@@ -70,12 +63,13 @@ class CnnViewHead(Module):
     upsampling, then one-channel projection, 4x upsampling, sigmoid."""
 
     def __init__(self, rng: np.random.Generator, c4: int = 64, c8: int = 128,
-                 c16: int = 256, merge_channels: int = 64, dtype=np.float32):
+                 c16: int = 256, dtype=np.float32):
         super().__init__()
-        self.proj16 = Conv2d(c16, merge_channels, 1, rng, dtype=dtype)
-        self.proj8 = Conv2d(c8, merge_channels, 1, rng, dtype=dtype)
-        self.proj4 = Conv2d(c4, merge_channels, 1, rng, dtype=dtype)
-        self.out = Conv2d(merge_channels, 1, 1, rng, dtype=dtype)
+        merge = 64  # the common width
+        self.proj16 = Conv2d(c16, merge, 1, rng, dtype=dtype)
+        self.proj8 = Conv2d(c8, merge, 1, rng, dtype=dtype)
+        self.proj4 = Conv2d(c4, merge, 1, rng, dtype=dtype)
+        self.out = Conv2d(merge, 1, 1, rng, dtype=dtype)
 
     def __call__(self, feats: MultiScaleFeatures) -> Tensor:
         m8 = T.elementwise(T.upsample2x_nearest(self.proj16(feats.s16)), self.proj8(feats.s8), "add")

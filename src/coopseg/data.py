@@ -1,6 +1,6 @@
-"""Dataset plumbing: PPM/PGM raster I/O (PNG via Pillow when present),
-resizing, mask binarization, directory loading, and the synthetic ellipse
-dataset used for desk-scale training runs.
+"""Dataset plumbing: PPM/PGM raster I/O (PNG reading via Pillow when
+present), resizing, mask binarization, directory loading, and the
+synthetic ellipse dataset used for desk-scale training runs.
 """
 
 from __future__ import annotations
@@ -100,11 +100,8 @@ def read_raster(path: Path) -> np.ndarray:
 
 
 def write_gray(path: Path, arr: np.ndarray):
-    """8-bit grayscale output; PGM always, PNG when Pillow handles the suffix."""
-    if path.suffix.lower() == ".pgm" or _PILImage is None:
-        _write_pnm(path.with_suffix(".pgm"), arr)
-    else:
-        _PILImage.fromarray(np.asarray(arr, dtype=np.uint8), mode="L").save(path)
+    """8-bit grayscale output as binary PGM, whatever the suffix of ``path``."""
+    _write_pnm(path.with_suffix(".pgm"), arr)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +204,7 @@ def _textured_background(rng: np.random.Generator, size: int) -> np.ndarray:
 SMALL_TARGET_RATE = 0.125
 
 
-def synth_dataset(n: int, size: int, seed: int,
-                  small_target_rate: float = SMALL_TARGET_RATE) -> list[SegmentationSample]:
+def synth_dataset(n: int, size: int, seed: int) -> list[SegmentationSample]:
     """n images with one filled, rotated ellipse of a distinct mean color.
 
     Deterministic per (n, size, seed). Most targets are large so that
@@ -222,7 +218,7 @@ def synth_dataset(n: int, size: int, seed: int,
     for i in range(n):
         rng = np.random.default_rng([seed, i])
         img = _textured_background(rng, size)
-        if rng.uniform() < small_target_rate:
+        if rng.uniform() < SMALL_TARGET_RATE:
             r_a, r_b = rng.uniform(3.0, 6.0, size=2)
         else:
             lo, hi = 0.30 * size, 0.45 * size

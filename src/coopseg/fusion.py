@@ -5,12 +5,10 @@ the fusion view's prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .nn import Conv2d, ConvUnit, Linear, Module, MultiScaleFeatures
+from .nn import Conv2d, ConvUnit, Linear, Module
 from .tensor import ShapeError, Tensor
 
 FUSED_CHANNELS = (256, 128, 64)  # at scales 1/16, 1/8, 1/4
@@ -40,9 +38,9 @@ class ChannelGate(Module):
 class SpatialGate(Module):
     """Spatial attention: 7x7 conv over the channelwise avg/max pair."""
 
-    def __init__(self, rng: np.random.Generator, kernel_size: int = 7, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        self.conv = Conv2d(2, 1, kernel_size, rng, padding=kernel_size // 2, dtype=dtype)
+        self.conv = Conv2d(2, 1, 7, rng, padding=3, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         avg = x.mean(axis=1, keepdims=True)
@@ -86,33 +84,16 @@ class GlffBlock(Module):
             self.mix = Conv2d(t_channels + c_channels, out_channels, 1, rng, dtype=dtype)
 
     def __call__(self, t: Tensor, c: Tensor) -> Tensor:
-        if t.shape[2:] != c.shape[2:] or t.shape[0] != c.shape[0]:
-            raise ShapeError(f"branch maps disagree: {t.shape} vs {c.shape}")
+        # concat_channels rejects branch maps whose batch or spatial dims differ
         if not self.attention:
             return self.mix(T.concat_channels([t, c]))
         mixed = self.fuse(T.concat_channels([self.proj_t(t), self.proj_c(c)]))
         return self.cbam(mixed)
 
 
-@dataclass
-class DfmIntermediates:
-    """Stage maps of the dense decoder, kept for inspection in tests."""
-
-    lifted8: Tensor  # coarse map brought to 1/8
-    sum8: Tensor
-    fused8: Tensor
-    sum4: Tensor
-    fused4: Tensor
-
-
 def _check_stage(stage: str, a: Tensor, b: Tensor):
     if a.shape != b.shape:
         raise ShapeError(f"dfm stage {stage}: shapes {a.shape} vs {b.shape}")
-
-
-def _check_spatial(stage: str, a: Tensor, b: Tensor):
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"dfm stage {stage}: spatial dims {a.shape} vs {b.shape}")
 
 
 class DenseFusionDecoder(Module):
@@ -137,21 +118,15 @@ class DenseFusionDecoder(Module):
         self.head2 = ConvUnit(c4, c4, rng, dtype=dtype)
         self.out = Conv2d(c4, 1, 1, rng, dtype=dtype)
 
-    def stages(self, f16: Tensor, f8: Tensor, f4: Tensor) -> DfmIntermediates:
+    def __call__(self, f16: Tensor, f8: Tensor, f4: Tensor) -> Tensor:
         lifted8 = T.upsample2x_nearest(self.unit16(f16))
         adapted8 = self.adapt8(lifted8)
         _check_stage("sum8", adapted8, f8)
         sum8 = T.elementwise(adapted8, f8, "add")
-        _check_spatial("cat8", lifted8, sum8)
         fused8 = self.refuse8(T.concat_channels([lifted8, sum8]))
         lifted4 = self.adapt4(T.upsample2x_nearest(fused8))
         _check_stage("sum4", lifted4, f4)
         sum4 = T.elementwise(lifted4, f4, "add")
-        _check_spatial("cat4", lifted4, sum4)
         fused4 = self.refuse4(T.concat_channels([lifted4, sum4]))
-        return DfmIntermediates(lifted8, sum8, fused8, sum4, fused4)
-
-    def __call__(self, f16: Tensor, f8: Tensor, f4: Tensor) -> Tensor:
-        inter = self.stages(f16, f8, f4)
-        logits = self.out(self.head2(self.head1(inter.fused4)))
+        logits = self.out(self.head2(self.head1(fused4)))
         return T.sigmoid(T.upsample2x_nearest(T.upsample2x_nearest(logits)))

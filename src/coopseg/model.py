@@ -14,7 +14,7 @@ import numpy as np
 from .cnn import CnnBranch, CnnViewHead
 from .config import RunConfig
 from .fusion import FUSED_CHANNELS, DenseFusionDecoder, GlffBlock
-from .nn import Module, ModuleList, MultiScaleFeatures
+from .nn import Module, MultiScaleFeatures
 from .tensor import Tensor
 from .transformer import EncoderConfig, TransformerBranch, ViewHead
 
@@ -38,7 +38,7 @@ class SegmentationModel(Module):
     def __init__(self, cfg: RunConfig):
         super().__init__()
         self.cfg = cfg
-        dtype = np.float32 if cfg.dtype == "float32" else np.float64
+        dtype = np.dtype(cfg.dtype)
         # independent init streams: toggling fusion switches must not shift
         # the branches' initial weights
         rng_t, rng_c, rng_f = (

@@ -8,7 +8,7 @@ dotted names, which fixes the serialization order of checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -116,10 +116,10 @@ class Linear(Module):
     """y = x @ W + b with W of shape (in, out)."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True, init_std: float = 0.02, dtype=np.float32):
+                 bias: bool = True, dtype=np.float32):
         super().__init__()
         self.weight = Tensor(
-            (rng.standard_normal((d_in, d_out)) * init_std).astype(dtype), requires_grad=True
+            (rng.standard_normal((d_in, d_out)) * 0.02).astype(dtype), requires_grad=True
         )
         self.bias = (
             Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
@@ -156,31 +156,26 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, dtype=np.float32, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float64))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float64))
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.batchnorm_channel(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training=self.training, momentum=self.momentum, eps=self.eps,
-        )
+        return T.batchnorm_channel(x, self.gamma, self.beta, self.running_mean,
+                                   self.running_var, training=self.training)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-5):
+    def __init__(self, dim: int, dtype=np.float32):
         super().__init__()
         self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layernorm_lastdim(x, self.gamma, self.beta, eps=self.eps)
+        return T.layernorm_lastdim(x, self.gamma, self.beta)
 
 
 class ConvUnit(Module):

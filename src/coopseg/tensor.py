@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import special
@@ -215,29 +215,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def gelu(self):
-        return gelu(self)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def backward(self, visit_log: Optional[list] = None):
         backward(self, visit_log=visit_log)
@@ -512,7 +494,8 @@ def avgpool2x(x: Tensor) -> Tensor:
     out = _sum2x2(x.data) * 0.25
 
     def bw(g):
-        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0,)
+        # scaling the quarter-size gradient first rounds exactly as dividing the full one
+        return (np.repeat(np.repeat(g * 0.25, 2, axis=2), 2, axis=3),)
 
     return _from_op("avgpool2x", out, (x,), bw)
 
@@ -619,16 +602,6 @@ def gelu(a: Tensor) -> Tensor:
     return _from_op("gelu", out, (a,), bw)
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(x)
-    if kind == "gelu":
-        return gelu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ValueError(f"activation: unknown kind {kind!r}")
-
-
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Row-stable softmax along the last dimension."""
     a = as_tensor(a)
@@ -719,14 +692,6 @@ def batchnorm_channel(
         return gx, gg, gb
 
     return _from_op("batchnorm_channel", out, (x, gamma, beta), bw)
-
-
-def norm(x: Tensor, kind: str, gamma: Tensor, beta: Tensor, eps: float = 1e-5, **kwargs) -> Tensor:
-    if kind == "layernorm_lastdim":
-        return layernorm_lastdim(x, gamma, beta, eps=eps)
-    if kind == "batchnorm_channel":
-        return batchnorm_channel(x, gamma, beta, eps=eps, **kwargs)
-    raise ValueError(f"norm: unknown kind {kind!r}")
 
 
 # --------------------------------------------------------------------------

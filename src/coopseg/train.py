@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,30 +39,20 @@ class ViewWeights:
             raise ValueError(f"lambda must be positive, got {self.lam}")
 
 
-def view_loss(pre: Tensor, gt: Tensor, pixel_weights: Optional[np.ndarray] = None) -> Tensor:
+def view_loss(pre: Tensor, gt: Tensor) -> Tensor:
     """Aggregated soft-IoU loss plus pixel-mean binary cross-entropy.
 
     The prediction is clipped to [1e-7, 1-1e-7] before the logarithms. The
-    ground truth must be strictly binary. ``pixel_weights`` is an optional
-    importance map applied to both terms (uniform by default).
+    ground truth must be strictly binary.
     """
     if pre.shape != gt.shape:
         raise ShapeError(f"prediction {pre.shape} vs ground truth {gt.shape}")
-    g = gt.data
-    if not np.isin(g, (0.0, 1.0)).all():
+    if not np.isin(gt.data, (0.0, 1.0)).all():
         raise ValueError("ground truth must be binary (0/1)")
-    if pixel_weights is None:
-        inter = (gt * pre).sum()
-        union = (gt + pre - gt * pre).sum()
-        pc = T.clip(pre, CLIP_LO, CLIP_HI)
-        bce = -(gt * T.log(pc) + (1.0 - gt) * T.log(1.0 - pc)).mean()
-    else:
-        pw = np.asarray(pixel_weights)
-        inter = (gt * pre * pw).sum()
-        union = ((gt + pre - gt * pre) * pw).sum()
-        pc = T.clip(pre, CLIP_LO, CLIP_HI)
-        bce_map = -(gt * T.log(pc) + (1.0 - gt) * T.log(1.0 - pc)) * pw
-        bce = bce_map.sum() / float(pw.sum() * (g.size / pw.size))
+    inter = (gt * pre).sum()
+    union = (gt + pre - gt * pre).sum()
+    pc = T.clip(pre, CLIP_LO, CLIP_HI)
+    bce = -(gt * T.log(pc) + (1.0 - gt) * T.log(1.0 - pc)).mean()
     iou_term = 1.0 - inter / union
     return iou_term + bce
 

@@ -33,26 +33,11 @@ class EncoderConfig:
         return self.d_model // self.heads
 
 
-@dataclass
-class TokenSequence:
-    """Patch tokens plus the spatial grid they came from."""
-
-    tokens: Tensor  # B x N x d_model
-    grid: tuple[int, int]
-
-    def __post_init__(self):
-        rows, cols = self.grid
-        if self.tokens.shape[-2] != rows * cols:
-            raise ShapeError(
-                f"token count {self.tokens.shape[-2]} != grid {rows}x{cols}"
-            )
-
-
 class PatchEmbed(Module):
-    """Split the image into P x P patches, project each to d_model, add a
+    """Split the RGB image into P x P patches, project each to d_model, add a
     learned positional embedding."""
 
-    def __init__(self, in_channels: int, cfg: EncoderConfig, image_hw: tuple[int, int],
+    def __init__(self, cfg: EncoderConfig, image_hw: tuple[int, int],
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         h, w = image_hw
@@ -61,23 +46,22 @@ class PatchEmbed(Module):
             raise ShapeError(f"image {h}x{w} not divisible by patch size {p}")
         self.grid = (h // p, w // p)
         self.patch_size = p
-        self.in_channels = in_channels
         n = self.grid[0] * self.grid[1]
-        self.proj = Linear(p * p * in_channels, cfg.d_model, rng, dtype=dtype)
+        self.proj = Linear(p * p * 3, cfg.d_model, rng, dtype=dtype)
         self.pos = Tensor((rng.standard_normal((n, cfg.d_model)) * 0.02).astype(dtype),
                           requires_grad=True)
 
-    def __call__(self, image: Tensor) -> TokenSequence:
+    def __call__(self, image: Tensor) -> Tensor:
+        """B x N x d_model tokens, row-major over ``self.grid``."""
         b, c, h, w = image.shape
         p = self.patch_size
         gh, gw = self.grid
-        if c != self.in_channels or (h // p, w // p) != self.grid:
-            raise ShapeError(f"expected {self.in_channels}x{gh * p}x{gw * p} image, got {c}x{h}x{w}")
+        if (c, h, w) != (3, gh * p, gw * p):
+            raise ShapeError(f"expected 3x{gh * p}x{gw * p} image, got {c}x{h}x{w}")
         x = T.reshape(image, (b, c, gh, p, gw, p))
         x = T.transpose(x, (0, 2, 4, 1, 3, 5))  # B, gh, gw, C, p, p
         x = T.reshape(x, (b, gh * gw, c * p * p))
-        tokens = self.proj(x) + self.pos
-        return TokenSequence(tokens, self.grid)
+        return self.proj(x) + self.pos
 
 
 class MultiHeadSelfAttention(Module):
@@ -146,25 +130,23 @@ class TransformerBranch(Module):
     T2_CHANNELS = 64
 
     def __init__(self, cfg: EncoderConfig, image_hw: tuple[int, int],
-                 rng: np.random.Generator, in_channels: int = 3, dtype=np.float32):
+                 rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         self.cfg = cfg
-        self.embed = PatchEmbed(in_channels, cfg, image_hw, rng, dtype=dtype)
+        self.embed = PatchEmbed(cfg, image_hw, rng, dtype=dtype)
         self.blocks = ModuleList(EncoderBlock(cfg, rng, dtype=dtype) for _ in range(cfg.depth))
         self.conv_t1 = Conv2d(cfg.d_model, self.T1_CHANNELS, 3, rng, padding=1, dtype=dtype)
         self.conv_t2 = Conv2d(self.T1_CHANNELS, self.T2_CHANNELS, 3, rng, padding=1, dtype=dtype)
 
-    def encode(self, image: Tensor) -> TokenSequence:
-        seq = self.embed(image)
-        x = seq.tokens
+    def encode(self, image: Tensor) -> Tensor:
+        x = self.embed(image)
         for block in self.blocks:
             x = block(x)
-        return TokenSequence(x, seq.grid)
+        return x
 
-    def postprocess(self, seq: TokenSequence) -> MultiScaleFeatures:
-        b = seq.tokens.shape[0]
-        gh, gw = seq.grid
-        t0 = T.transpose(T.reshape(seq.tokens, (b, gh, gw, self.cfg.d_model)), (0, 3, 1, 2))
+    def postprocess(self, tokens: Tensor) -> MultiScaleFeatures:
+        gh, gw = self.embed.grid
+        t0 = T.transpose(T.reshape(tokens, (tokens.shape[0], gh, gw, self.cfg.d_model)), (0, 3, 1, 2))
         t1 = T.upsample2x_nearest(self.conv_t1(t0))
         t2 = T.upsample2x_nearest(self.conv_t2(t1))
         return MultiScaleFeatures(s16=t0, s8=t1, s4=t2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coopseg import gradcheck
-from coopseg.cnn import CnnBranch, CnnStageSpec, CnnViewHead, DenseStage
+from coopseg.cnn import CnnBranch, CnnViewHead, DenseStage
 from coopseg.config import toy_config
 from coopseg.data import synth_dataset
 from coopseg.metrics import dice
@@ -61,13 +61,13 @@ class TestTapGeometry:
 
 class TestDenseGrowth:
     def test_unit_inputs_grow_by_stage_width(self):
-        stage = DenseStage(10, CnnStageSpec(channels=6, units=3), rng_of(2), np.float64)
+        stage = DenseStage(10, 6, 3, rng_of(2), np.float64)
         widths = [u.conv.weight.shape[1] for u in stage.units]
         assert widths == [10, 16, 22]
 
     def test_every_unit_output_reaches_the_last_unit(self):
         # zeroing unit 1's output must change unit 3's input, hence the tap
-        stage = DenseStage(4, CnnStageSpec(channels=3, units=3), rng_of(3), np.float64)
+        stage = DenseStage(4, 3, 3, rng_of(3), np.float64)
         x = Tensor(rng_of(4).standard_normal((1, 4, 8, 8)))
         stage.train()
         base = stage(x).data.copy()

@@ -112,11 +112,13 @@ class TestGlff:
         assert diff > 1e-6
 
     def test_spatial_mismatch_rejected(self):
-        glff = GlffBlock(8, 8, 4, rng_of(15), dtype=np.float64)
+        # both paths, spatial and batch mismatch: concat_channels raises
         t = Tensor(np.zeros((1, 8, 6, 6)))
-        c = Tensor(np.zeros((1, 8, 4, 4)))
-        with pytest.raises(ShapeError):
-            glff(t, c)
+        for attention in (True, False):
+            glff = GlffBlock(8, 8, 4, rng_of(15), attention=attention, dtype=np.float64)
+            for c_shape in ((1, 8, 4, 4), (2, 8, 6, 6)):
+                with pytest.raises(ShapeError, match="concat_channels"):
+                    glff(t, Tensor(np.zeros(c_shape)))
 
     def test_reduced_path_is_one_projection(self):
         glff = GlffBlock(5, 3, 4, rng_of(16), attention=False, dtype=np.float64)
@@ -134,12 +136,6 @@ class TestDenseFusionDecoder:
         dec = DenseFusionDecoder(rng_of(19), dtype=np.float64)
         dec.train()
         f16, f8, f4 = toy_maps(20)
-        inter = dec.stages(f16, f8, f4)
-        assert inter.lifted8.shape == (1, 128, 8, 8)
-        assert inter.sum8.shape == (1, 128, 8, 8)
-        assert inter.fused8.shape == (1, 128, 8, 8)
-        assert inter.sum4.shape == (1, 64, 16, 16)
-        assert inter.fused4.shape == (1, 64, 16, 16)
         out = dec(f16, f8, f4)
         assert out.shape == (1, 1, 64, 64)
         assert (out.data > 0).all() and (out.data < 1).all()

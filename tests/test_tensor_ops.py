@@ -311,9 +311,9 @@ class TestConcatElementwise:
 
 class TestActivations:
     def test_fixed_points(self):
-        assert T.activation(Tensor([0.0]), "gelu").data[0] == 0.0
-        assert T.activation(Tensor([0.0]), "sigmoid").data[0] == 0.5
-        assert T.activation(Tensor([-1.0]), "relu").data[0] == 0.0
+        assert T.gelu(Tensor([0.0])).data[0] == 0.0
+        assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
+        assert T.relu(Tensor([-1.0])).data[0] == 0.0
 
     def test_gelu_saturates(self):
         assert abs(T.gelu(Tensor([10.0])).data[0] - 10.0) < 1e-6
@@ -329,10 +329,6 @@ class TestActivations:
         out = T.sigmoid(Tensor([-1000.0, 1000.0])).data
         assert np.isfinite(out).all()
         assert out[0] == 0.0 and out[1] == 1.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            T.activation(Tensor([1.0]), "tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +384,6 @@ class TestNorms:
         out = T.batchnorm_channel(Tensor(x), Tensor(g), Tensor(b), rm, rv, training=False).data
         expected = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv.reshape(1, 2, 1, 1) + 1e-5)
         np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_norm_dispatcher(self):
-        x = np.random.default_rng(10).standard_normal((2, 5))
-        a = T.norm(Tensor(x), "layernorm_lastdim", Tensor(np.ones(5)), Tensor(np.zeros(5)))
-        b = T.layernorm_lastdim(Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(5)))
-        np.testing.assert_array_equal(a.data, b.data)
 
     def test_gamma_length_checked(self):
         with pytest.raises(ShapeError):

@@ -89,19 +89,6 @@ class TestViewLoss:
             gt = Tensor((rng.uniform(size=(1, 1, 4, 4)) > 0.5).astype(np.float64))
             assert float(view_loss(pre, gt).item()) >= 0.0
 
-    def test_pixel_weight_map_reweights_both_terms(self):
-        rng = rng_of(2)
-        pre = rng.uniform(0.05, 0.95, size=(1, 1, 4, 4))
-        gt = (rng.uniform(size=(1, 1, 4, 4)) > 0.5).astype(np.float64)
-        pw = rng.uniform(0.5, 2.0, size=(1, 1, 4, 4))
-        val = float(view_loss(Tensor(pre.copy()), Tensor(gt), pixel_weights=pw).item())
-
-        inter = (gt * pre * pw).sum()
-        union = ((gt + pre - gt * pre) * pw).sum()
-        pc = np.clip(pre, 1e-7, 1 - 1e-7)
-        bce = (-(gt * np.log(pc) + (1 - gt) * np.log(1 - pc)) * pw).sum() / pw.sum()
-        assert abs(val - (1.0 - inter / union + bce)) < 1e-10
-
 
 class TestSolveWeights:
     def test_equal_losses_give_uniform(self):

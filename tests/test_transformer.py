@@ -15,7 +15,6 @@ from coopseg.transformer import (
     EncoderConfig,
     MultiHeadSelfAttention,
     PatchEmbed,
-    TokenSequence,
     TransformerBranch,
     ViewHead,
 )
@@ -33,34 +32,37 @@ def rng_of(seed):
 
 class TestPatchEmbed:
     def test_token_count_352(self):
-        pe = PatchEmbed(3, small_cfg(), (352, 352), rng_of(0), dtype=np.float64)
-        seq = pe(Tensor(np.zeros((1, 3, 352, 352))))
-        assert seq.tokens.shape == (1, 484, 8)
-        assert seq.grid == (22, 22)
+        pe = PatchEmbed(small_cfg(), (352, 352), rng_of(0), dtype=np.float64)
+        tokens = pe(Tensor(np.zeros((1, 3, 352, 352))))
+        assert tokens.shape == (1, 484, 8)
+        assert pe.grid == (22, 22)
 
     def test_token_count_64(self):
-        pe = PatchEmbed(3, small_cfg(), (64, 64), rng_of(0), dtype=np.float64)
-        seq = pe(Tensor(np.zeros((2, 3, 64, 64))))
-        assert seq.tokens.shape == (2, 16, 8)
+        pe = PatchEmbed(small_cfg(), (64, 64), rng_of(0), dtype=np.float64)
+        tokens = pe(Tensor(np.zeros((2, 3, 64, 64))))
+        assert tokens.shape == (2, 16, 8)
 
     def test_indivisible_size_rejected(self):
         with pytest.raises(ShapeError):
-            PatchEmbed(3, small_cfg(), (50, 50), rng_of(0))
+            PatchEmbed(small_cfg(), (50, 50), rng_of(0))
+
+    def test_wrong_image_rejected(self):
+        # sizes that floor to the same grid, and a gray image, are rejected too
+        pe = PatchEmbed(small_cfg(), (64, 64), rng_of(0), dtype=np.float64)
+        for shape in ((1, 3, 70, 64), (1, 3, 64, 79), (1, 1, 64, 64)):
+            with pytest.raises(ShapeError, match="expected 3x64x64 image"):
+                pe(Tensor(np.zeros(shape)))
 
     def test_patch_flatten_matches_manual_slice(self):
         # token j must be proj(flatten(patch_j)) + pos_j
         rng = rng_of(1)
-        pe = PatchEmbed(3, small_cfg(patch_size=2), (4, 4), rng, dtype=np.float64)
+        pe = PatchEmbed(small_cfg(patch_size=2), (4, 4), rng, dtype=np.float64)
         img = rng.standard_normal((1, 3, 4, 4))
-        seq = pe(Tensor(img))
+        tokens = pe(Tensor(img))
         w, b = pe.proj.weight.data, pe.proj.bias.data
         patch01 = img[0, :, 0:2, 2:4].reshape(-1)  # row 0, col 1 of the grid
         expected = patch01 @ w + b + pe.pos.data[1]
-        np.testing.assert_allclose(seq.tokens.data[0, 1], expected, atol=1e-12)
-
-    def test_grid_invariant(self):
-        with pytest.raises(ShapeError):
-            TokenSequence(Tensor(np.zeros((1, 5, 8))), grid=(2, 3))
+        np.testing.assert_allclose(tokens.data[0, 1], expected, atol=1e-12)
 
 
 class TestAttention:
@@ -163,7 +165,7 @@ class TestPostprocess:
         cfg = EncoderConfig(depth=1, d_model=384, heads=6)
         branch = TransformerBranch(cfg, (352, 352), rng_of(19))
         tokens = Tensor(np.random.default_rng(20).standard_normal((1, 484, 384)).astype(np.float32))
-        feats = branch.postprocess(TokenSequence(tokens, (22, 22)))
+        feats = branch.postprocess(tokens)
         assert feats.s16.shape == (1, 384, 22, 22)
         assert feats.s8.shape == (1, 128, 44, 44)
         assert feats.s4.shape == (1, 64, 88, 88)
