@@ -172,7 +172,7 @@ def cmd_eval(args) -> int:
     samples = _get_samples(cfg)
     model = _load_model(cfg, args.checkpoint)
     dtype = np.dtype(cfg.dtype)
-    preds, ids, gts = [], [], []
+    preds, gts = [], []
     with T.no_grad():
         for images, masks in _batches(samples, cfg.batch_size, dtype):
             out = _decide(cfg, model, model(images))

@@ -15,13 +15,12 @@ class DenseStage(Module):
     """k conv units where unit j consumes the concat of the stage input and
     all previous unit outputs; the last unit's map is the stage output."""
 
-    def __init__(self, c_in: int, channels: int, units: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, c_in: int, channels: int, units: int, rng: np.random.Generator):
         super().__init__()
         self.units = ModuleList()
         width = c_in
         for _ in range(units):
-            self.units.append(ConvUnit(width, channels, rng, dtype=dtype))
+            self.units.append(ConvUnit(width, channels, rng))
             width += channels
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -38,13 +37,12 @@ class CnnBranch(Module):
     output, yielding maps at 1/4 (c4), 1/8 (c8), and 1/16 (c16)."""
 
     def __init__(self, rng: np.random.Generator, stem_channels: int = 32,
-                 c4: int = 64, c8: int = 128, c16: int = 256,
-                 stage_units: int = 3, dtype=np.float32):
+                 c4: int = 64, c8: int = 128, c16: int = 256, stage_units: int = 3):
         super().__init__()
-        self.stem = ConvUnit(3, stem_channels, rng, dtype=dtype)
-        self.stage4 = DenseStage(stem_channels, c4, stage_units, rng, dtype=dtype)
-        self.stage8 = DenseStage(c4, c8, stage_units, rng, dtype=dtype)
-        self.stage16 = DenseStage(c8, c16, stage_units, rng, dtype=dtype)
+        self.stem = ConvUnit(3, stem_channels, rng)
+        self.stage4 = DenseStage(stem_channels, c4, stage_units, rng)
+        self.stage8 = DenseStage(c4, c8, stage_units, rng)
+        self.stage16 = DenseStage(c8, c16, stage_units, rng)
 
     def __call__(self, image: Tensor) -> MultiScaleFeatures:
         _, _, h, w = image.shape
@@ -62,14 +60,13 @@ class CnnViewHead(Module):
     map: project each tap to a common width, add coarse into fine with 2x
     upsampling, then one-channel projection, 4x upsampling, sigmoid."""
 
-    def __init__(self, rng: np.random.Generator, c4: int = 64, c8: int = 128,
-                 c16: int = 256, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator, c4: int = 64, c8: int = 128, c16: int = 256):
         super().__init__()
         merge = 64  # the common width
-        self.proj16 = Conv2d(c16, merge, 1, rng, dtype=dtype)
-        self.proj8 = Conv2d(c8, merge, 1, rng, dtype=dtype)
-        self.proj4 = Conv2d(c4, merge, 1, rng, dtype=dtype)
-        self.out = Conv2d(merge, 1, 1, rng, dtype=dtype)
+        self.proj16 = Conv2d(c16, merge, 1, rng)
+        self.proj8 = Conv2d(c8, merge, 1, rng)
+        self.proj4 = Conv2d(c4, merge, 1, rng)
+        self.out = Conv2d(merge, 1, 1, rng)
 
     def __call__(self, feats: MultiScaleFeatures) -> Tensor:
         m8 = T.elementwise(T.upsample2x_nearest(self.proj16(feats.s16)), self.proj8(feats.s8), "add")

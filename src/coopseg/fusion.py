@@ -18,11 +18,11 @@ class ChannelGate(Module):
     """Channel attention: shared bias-free 2-layer MLP over spatial avg- and
     max-pooled descriptors, summed, squashed."""
 
-    def __init__(self, channels: int, reduction: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, channels: int, reduction: int, rng: np.random.Generator):
         super().__init__()
         hidden = max(channels // max(min(reduction, channels), 1), 1)
-        self.fc1 = Linear(channels, hidden, rng, bias=False, dtype=dtype)
-        self.fc2 = Linear(hidden, channels, rng, bias=False, dtype=dtype)
+        self.fc1 = Linear(channels, hidden, rng, bias=False)
+        self.fc2 = Linear(hidden, channels, rng, bias=False)
 
     def _mlp(self, pooled: Tensor) -> Tensor:
         return self.fc2(T.relu(self.fc1(pooled)))
@@ -38,9 +38,9 @@ class ChannelGate(Module):
 class SpatialGate(Module):
     """Spatial attention: 7x7 conv over the channelwise avg/max pair."""
 
-    def __init__(self, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(2, 1, 7, rng, padding=3, dtype=dtype)
+        self.conv = Conv2d(2, 1, 7, rng, padding=3)
 
     def __call__(self, x: Tensor) -> Tensor:
         avg = x.mean(axis=1, keepdims=True)
@@ -52,11 +52,10 @@ class SpatialGate(Module):
 class Cbam(Module):
     """Sequential channel-then-spatial attention refinement."""
 
-    def __init__(self, channels: int, rng: np.random.Generator,
-                 reduction: int = 16, dtype=np.float32):
+    def __init__(self, channels: int, rng: np.random.Generator, reduction: int = 16):
         super().__init__()
-        self.channel = ChannelGate(channels, reduction, rng, dtype=dtype)
-        self.spatial = SpatialGate(rng, dtype=dtype)
+        self.channel = ChannelGate(channels, reduction, rng)
+        self.spatial = SpatialGate(rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.spatial(self.channel(x))
@@ -72,16 +71,16 @@ class GlffBlock(Module):
 
     def __init__(self, t_channels: int, c_channels: int, out_channels: int,
                  rng: np.random.Generator, attention: bool = True,
-                 reduction: int = 16, dtype=np.float32):
+                 reduction: int = 16):
         super().__init__()
         self.attention = attention
         if attention:
-            self.proj_t = Conv2d(t_channels, out_channels, 1, rng, dtype=dtype)
-            self.proj_c = Conv2d(c_channels, out_channels, 1, rng, dtype=dtype)
-            self.fuse = ConvUnit(2 * out_channels, out_channels, rng, dtype=dtype)
-            self.cbam = Cbam(out_channels, rng, reduction=reduction, dtype=dtype)
+            self.proj_t = Conv2d(t_channels, out_channels, 1, rng)
+            self.proj_c = Conv2d(c_channels, out_channels, 1, rng)
+            self.fuse = ConvUnit(2 * out_channels, out_channels, rng)
+            self.cbam = Cbam(out_channels, rng, reduction=reduction)
         else:
-            self.mix = Conv2d(t_channels + c_channels, out_channels, 1, rng, dtype=dtype)
+            self.mix = Conv2d(t_channels + c_channels, out_channels, 1, rng)
 
     def __call__(self, t: Tensor, c: Tensor) -> Tensor:
         # concat_channels rejects branch maps whose batch or spatial dims differ
@@ -105,18 +104,17 @@ class DenseFusionDecoder(Module):
     upsamplings produces the full-resolution probability map.
     """
 
-    def __init__(self, rng: np.random.Generator,
-                 channels: tuple[int, int, int] = FUSED_CHANNELS, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator, channels: tuple[int, int, int] = FUSED_CHANNELS):
         super().__init__()
         c16, c8, c4 = channels
-        self.unit16 = ConvUnit(c16, c8, rng, dtype=dtype)
-        self.adapt8 = Conv2d(c8, c8, 1, rng, dtype=dtype)
-        self.refuse8 = ConvUnit(2 * c8, c8, rng, dtype=dtype)
-        self.adapt4 = Conv2d(c8, c4, 1, rng, dtype=dtype)
-        self.refuse4 = ConvUnit(2 * c4, c4, rng, dtype=dtype)
-        self.head1 = ConvUnit(c4, c4, rng, dtype=dtype)
-        self.head2 = ConvUnit(c4, c4, rng, dtype=dtype)
-        self.out = Conv2d(c4, 1, 1, rng, dtype=dtype)
+        self.unit16 = ConvUnit(c16, c8, rng)
+        self.adapt8 = Conv2d(c8, c8, 1, rng)
+        self.refuse8 = ConvUnit(2 * c8, c8, rng)
+        self.adapt4 = Conv2d(c8, c4, 1, rng)
+        self.refuse4 = ConvUnit(2 * c4, c4, rng)
+        self.head1 = ConvUnit(c4, c4, rng)
+        self.head2 = ConvUnit(c4, c4, rng)
+        self.out = Conv2d(c4, 1, 1, rng)
 
     def __call__(self, f16: Tensor, f8: Tensor, f4: Tensor) -> Tensor:
         lifted8 = T.upsample2x_nearest(self.unit16(f16))

@@ -49,7 +49,6 @@ def check_function(
     params: Sequence[Tensor],
     rng: np.random.Generator,
     n_samples: Optional[int] = None,
-    h: float = H_DEFAULT,
     reset: Optional[Callable[[], None]] = None,
     skip_kinks: bool = False,
 ) -> float:
@@ -87,7 +86,7 @@ def check_function(
         idx = np.unravel_index(fi, p.shape)
         orig = p.data[idx]
         vals, patterns = [], []
-        for delta in (h, -h):
+        for delta in (H_DEFAULT, -H_DEFAULT):
             p.data[idx] = orig + delta
             if reset is not None:
                 reset()
@@ -101,7 +100,7 @@ def check_function(
             patterns.append(pat)
         p.data[idx] = orig
         smooth = (not skip_kinks) or patterns[0] == patterns[1] == base_pattern
-        return (vals[0] - vals[1]) / (2.0 * h), smooth
+        return (vals[0] - vals[1]) / (2.0 * H_DEFAULT), smooth
 
     entries = list(_sample_entries(params, n_samples, rng))
     bounds = np.cumsum([p.size for p in params])
@@ -311,12 +310,7 @@ def _op_cases():
     return [(f.__name__[2:], f) for f in fns]
 
 
-def run_op_suite(
-    seed: int = 0,
-    inputs_per_op: int = 5,
-    tol: float = TOL_DEFAULT,
-    h: float = H_DEFAULT,
-) -> list[OpCheckResult]:
+def run_op_suite(seed: int = 0, inputs_per_op: int = 5) -> list[OpCheckResult]:
     """Check every differentiable op on seeded random inputs."""
     results = []
     for ci, (name, build) in enumerate(_op_cases()):
@@ -324,13 +318,13 @@ def run_op_suite(
         for trial in range(inputs_per_op):
             rng = np.random.default_rng([seed, ci, trial])
             params, loss_fn, reset = build(rng, _Scalarizer(rng))
-            err = check_function(loss_fn, params, rng, h=h, reset=reset)
+            err = check_function(loss_fn, params, rng, reset=reset)
             worst = max(worst, err)
-        results.append(OpCheckResult(name, worst, tol))
+        results.append(OpCheckResult(name, worst, TOL_DEFAULT))
     return results
 
 
-def check_model_end_to_end(seed: int = 0, n_samples: int = 50, h: float = H_DEFAULT) -> float:
+def check_model_end_to_end(seed: int = 0, n_samples: int = 50) -> float:
     """Gradient-check the full three-view model at 64px, depth 2, 64-bit.
 
     The loss is the mean of the three view losses on one synthetic batch,
@@ -371,6 +365,6 @@ def check_model_end_to_end(seed: int = 0, n_samples: int = 50, h: float = H_DEFA
 
     rng = np.random.default_rng(seed)
     return check_function(
-        loss, model.parameters(), rng, n_samples=n_samples, h=h, reset=reset,
+        loss, model.parameters(), rng, n_samples=n_samples, reset=reset,
         skip_kinks=True,
     )

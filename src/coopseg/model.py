@@ -16,7 +16,7 @@ from .config import RunConfig
 from .fusion import FUSED_CHANNELS, DenseFusionDecoder, GlffBlock
 from .nn import Module, MultiScaleFeatures
 from .tensor import Tensor
-from .transformer import EncoderConfig, TransformerBranch, ViewHead
+from .transformer import TransformerBranch, ViewHead
 
 
 @dataclass
@@ -37,40 +37,40 @@ VIEW_NAMES = ("transformer", "cnn", "fusion")
 class SegmentationModel(Module):
     def __init__(self, cfg: RunConfig):
         super().__init__()
-        self.cfg = cfg
-        dtype = np.dtype(cfg.dtype)
+        self.cfg = cfg.validate()
         # independent init streams: toggling fusion switches must not shift
         # the branches' initial weights
         rng_t, rng_c, rng_f = (
             np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
         )
-        enc = EncoderConfig(
-            depth=cfg.depth, d_model=cfg.d_model, heads=cfg.heads,
-            mlp_ratio=cfg.mlp_ratio, patch_size=cfg.patch_size,
-        )
-        hw = (cfg.image_size, cfg.image_size)
-        self.transformer = TransformerBranch(enc, hw, rng_t, dtype=dtype)
-        self.head_t = ViewHead(TransformerBranch.T2_CHANNELS, rng_t, dtype=dtype)
+        dtype = np.dtype(cfg.dtype)
+        # layers draw float64 parameters and the model casts them to the run's
+        # precision. The transformer holds four fifths of them, so it is cast
+        # before the rest is drawn: the whole float64 draw (226 MB at paper
+        # geometry) is never resident at once.
+        self.transformer = TransformerBranch(cfg, rng_t).cast(dtype)
+        self.head_t = ViewHead(TransformerBranch.T2_CHANNELS, rng_t)
         self.cnn = CnnBranch(
             rng_c, stem_channels=cfg.stem_channels, c4=cfg.c4, c8=cfg.c8,
-            c16=cfg.c16, stage_units=cfg.stage_units, dtype=dtype,
+            c16=cfg.c16, stage_units=cfg.stage_units,
         )
-        self.head_c = CnnViewHead(rng_c, c4=cfg.c4, c8=cfg.c8, c16=cfg.c16, dtype=dtype)
+        self.head_c = CnnViewHead(rng_c, c4=cfg.c4, c8=cfg.c8, c16=cfg.c16)
 
         cf16, cf8, cf4 = FUSED_CHANNELS
         t_ch = (cfg.d_model, TransformerBranch.T1_CHANNELS, TransformerBranch.T2_CHANNELS)
         c_ch = (cfg.c16, cfg.c8, cfg.c4)
         self.glff16 = GlffBlock(t_ch[0], c_ch[0], cf16, rng_f, attention=cfg.glff_on,
-                                reduction=cfg.cbam_reduction, dtype=dtype)
+                                reduction=cfg.cbam_reduction)
         self.glff8 = GlffBlock(t_ch[1], c_ch[1], cf8, rng_f, attention=cfg.glff_on,
-                               reduction=cfg.cbam_reduction, dtype=dtype)
+                               reduction=cfg.cbam_reduction)
         self.glff4 = GlffBlock(t_ch[2], c_ch[2], cf4, rng_f, attention=cfg.glff_on,
-                               reduction=cfg.cbam_reduction, dtype=dtype)
+                               reduction=cfg.cbam_reduction)
         if cfg.dfm_on:
-            self.decoder = DenseFusionDecoder(rng_f, dtype=dtype)
+            self.decoder = DenseFusionDecoder(rng_f)
         else:
-            self.head_f = ViewHead(cf4, rng_f, dtype=dtype)
+            self.head_f = ViewHead(cf4, rng_f)
         self.register_buffer("view_weights", np.full(3, 1.0 / 3.0))
+        self.cast(dtype)
 
     def fused_maps(self, t: MultiScaleFeatures, c: MultiScaleFeatures):
         return (

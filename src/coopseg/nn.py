@@ -90,6 +90,12 @@ class Module:
         for p in self.parameters():
             p.grad = None
 
+    def cast(self, dtype):
+        """Give every parameter's data ``dtype``; buffers keep theirs."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
+        return self
+
 
 class ModuleList(Module):
     def __init__(self, modules=()):
@@ -115,15 +121,10 @@ class ModuleList(Module):
 class Linear(Module):
     """y = x @ W + b with W of shape (in, out)."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
-                 bias: bool = True, dtype=np.float32):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True):
         super().__init__()
-        self.weight = Tensor(
-            (rng.standard_normal((d_in, d_out)) * 0.02).astype(dtype), requires_grad=True
-        )
-        self.bias = (
-            Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True) if bias else None
-        )
+        self.weight = Tensor(rng.standard_normal((d_in, d_out)) * 0.02, requires_grad=True)
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         y = x @ self.weight
@@ -136,16 +137,12 @@ class Conv2d(Module):
     """Odd-kernel 2-d convolution, He-normal init, optional bias."""
 
     def __init__(self, c_in: int, c_out: int, kernel_size: int, rng: np.random.Generator,
-                 padding: int = 0, bias: bool = True, dtype=np.float32):
+                 padding: int = 0, bias: bool = True):
         super().__init__()
         k = kernel_size
         std = np.sqrt(2.0 / (c_in * k * k))
-        self.weight = Tensor(
-            (rng.standard_normal((c_out, c_in, k, k)) * std).astype(dtype), requires_grad=True
-        )
-        self.bias = (
-            Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True) if bias else None
-        )
+        self.weight = Tensor(rng.standard_normal((c_out, c_in, k, k)) * std, requires_grad=True)
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -156,10 +153,10 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, dtype=np.float32):
+    def __init__(self, channels: int):
         super().__init__()
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float64))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float64))
 
@@ -169,10 +166,10 @@ class BatchNorm2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32):
+    def __init__(self, dim: int):
         super().__init__()
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+        self.gamma = Tensor(np.ones(dim), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layernorm_lastdim(x, self.gamma, self.beta)
@@ -181,10 +178,10 @@ class LayerNorm(Module):
 class ConvUnit(Module):
     """3x3 conv (pad 1) + BatchNorm + ReLU, the decoder's unit block."""
 
-    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(c_in, c_out, 3, rng, padding=1, bias=False, dtype=dtype)
-        self.bn = BatchNorm2d(c_out, dtype=dtype)
+        self.conv = Conv2d(c_in, c_out, 3, rng, padding=1, bias=False)
+        self.bn = BatchNorm2d(c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.relu(self.bn(self.conv(x)))

@@ -266,11 +266,17 @@ def _raw(x):
     return x if isinstance(x, (int, float)) else np.asarray(x)
 
 
-def add(a, b) -> Tensor:
+def _operands(a, b):
+    """A binary op's inputs as tensors (None for raw values) and their arrays."""
     ta = a if isinstance(a, Tensor) else None
     tb = b if isinstance(b, Tensor) else None
     da = ta.data if ta is not None else _raw(a)
     db = tb.data if tb is not None else _raw(b)
+    return ta, tb, da, db
+
+
+def add(a, b) -> Tensor:
+    ta, tb, da, db = _operands(a, b)
     out = da + db
 
     def bw(g):
@@ -283,10 +289,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    ta = a if isinstance(a, Tensor) else None
-    tb = b if isinstance(b, Tensor) else None
-    da = ta.data if ta is not None else _raw(a)
-    db = tb.data if tb is not None else _raw(b)
+    ta, tb, da, db = _operands(a, b)
     out = da - db
 
     def bw(g):
@@ -299,10 +302,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    ta = a if isinstance(a, Tensor) else None
-    tb = b if isinstance(b, Tensor) else None
-    da = ta.data if ta is not None else _raw(a)
-    db = tb.data if tb is not None else _raw(b)
+    ta, tb, da, db = _operands(a, b)
     out = da * db
 
     def bw(g):
@@ -315,10 +315,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    ta = a if isinstance(a, Tensor) else None
-    tb = b if isinstance(b, Tensor) else None
-    da = ta.data if ta is not None else _raw(a)
-    db = tb.data if tb is not None else _raw(b)
+    ta, tb, da, db = _operands(a, b)
     out = da / db
 
     def bw(g):

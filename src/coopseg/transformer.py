@@ -5,51 +5,29 @@ post-processing of the token sequence back into multi-scale feature maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import RunConfig
 from .nn import Conv2d, LayerNorm, Linear, Module, ModuleList, MultiScaleFeatures
 from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class EncoderConfig:
-    depth: int = 12
-    d_model: int = 384
-    heads: int = 6
-    mlp_ratio: float = 4.0
-    patch_size: int = 16
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"encoder depth must be >= 1, got {self.depth}")
-        if self.d_model % self.heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.heads
 
 
 class PatchEmbed(Module):
     """Split the RGB image into P x P patches, project each to d_model, add a
     learned positional embedding."""
 
-    def __init__(self, cfg: EncoderConfig, image_hw: tuple[int, int],
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
-        h, w = image_hw
-        p = cfg.patch_size
-        if h % p or w % p:
-            raise ShapeError(f"image {h}x{w} not divisible by patch size {p}")
-        self.grid = (h // p, w // p)
+        s, p = cfg.image_size, cfg.patch_size
+        if s % p:
+            raise ShapeError(f"image {s}x{s} not divisible by patch size {p}")
+        g = s // p
+        self.grid = (g, g)
         self.patch_size = p
-        n = self.grid[0] * self.grid[1]
-        self.proj = Linear(p * p * 3, cfg.d_model, rng, dtype=dtype)
-        self.pos = Tensor((rng.standard_normal((n, cfg.d_model)) * 0.02).astype(dtype),
-                          requires_grad=True)
+        self.proj = Linear(p * p * 3, cfg.d_model, rng)
+        self.pos = Tensor(rng.standard_normal((g * g, cfg.d_model)) * 0.02, requires_grad=True)
 
     def __call__(self, image: Tensor) -> Tensor:
         """B x N x d_model tokens, row-major over ``self.grid``."""
@@ -71,15 +49,14 @@ class MultiHeadSelfAttention(Module):
     slicing along the first axis recovers each head's projection.
     """
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
-        h, d, dh = cfg.heads, cfg.d_model, cfg.d_head
+        h, d = cfg.heads, cfg.d_model
+        dh = d // h
         def proj():
-            return Tensor((rng.standard_normal((h, d, dh)) * 0.02).astype(dtype),
-                          requires_grad=True)
+            return Tensor(rng.standard_normal((h, d, dh)) * 0.02, requires_grad=True)
         self.wq, self.wk, self.wv = proj(), proj(), proj()
-        self.wo = Tensor((rng.standard_normal((h * dh, d)) * 0.02).astype(dtype),
-                         requires_grad=True)
+        self.wo = Tensor(rng.standard_normal((h * dh, d)) * 0.02, requires_grad=True)
         self.heads = h
         self.d_head = dh
 
@@ -97,11 +74,11 @@ class MultiHeadSelfAttention(Module):
 
 
 class MlpBlock(Module):
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
         hidden = int(cfg.d_model * cfg.mlp_ratio)
-        self.fc1 = Linear(cfg.d_model, hidden, rng, dtype=dtype)
-        self.fc2 = Linear(hidden, cfg.d_model, rng, dtype=dtype)
+        self.fc1 = Linear(cfg.d_model, hidden, rng)
+        self.fc2 = Linear(hidden, cfg.d_model, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))
@@ -110,12 +87,12 @@ class MlpBlock(Module):
 class EncoderBlock(Module):
     """Pre-norm residual block: x + MSA(LN(x)), then + MLP(LN(.))."""
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
-        self.norm1 = LayerNorm(cfg.d_model, dtype=dtype)
-        self.attn = MultiHeadSelfAttention(cfg, rng, dtype=dtype)
-        self.norm2 = LayerNorm(cfg.d_model, dtype=dtype)
-        self.mlp = MlpBlock(cfg, rng, dtype=dtype)
+        self.norm1 = LayerNorm(cfg.d_model)
+        self.attn = MultiHeadSelfAttention(cfg, rng)
+        self.norm2 = LayerNorm(cfg.d_model)
+        self.mlp = MlpBlock(cfg, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.norm1(x))
@@ -129,14 +106,13 @@ class TransformerBranch(Module):
     T1_CHANNELS = 128
     T2_CHANNELS = 64
 
-    def __init__(self, cfg: EncoderConfig, image_hw: tuple[int, int],
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
         self.cfg = cfg
-        self.embed = PatchEmbed(cfg, image_hw, rng, dtype=dtype)
-        self.blocks = ModuleList(EncoderBlock(cfg, rng, dtype=dtype) for _ in range(cfg.depth))
-        self.conv_t1 = Conv2d(cfg.d_model, self.T1_CHANNELS, 3, rng, padding=1, dtype=dtype)
-        self.conv_t2 = Conv2d(self.T1_CHANNELS, self.T2_CHANNELS, 3, rng, padding=1, dtype=dtype)
+        self.embed = PatchEmbed(cfg, rng)
+        self.blocks = ModuleList(EncoderBlock(cfg, rng) for _ in range(cfg.depth))
+        self.conv_t1 = Conv2d(cfg.d_model, self.T1_CHANNELS, 3, rng, padding=1)
+        self.conv_t2 = Conv2d(self.T1_CHANNELS, self.T2_CHANNELS, 3, rng, padding=1)
 
     def encode(self, image: Tensor) -> Tensor:
         x = self.embed(image)
@@ -159,9 +135,9 @@ class ViewHead(Module):
     """Project a 1/4-scale map to one channel, upsample twice to full
     resolution, squash to (0,1)."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        self.proj = Conv2d(channels, 1, 1, rng, padding=0, dtype=dtype)
+        self.proj = Conv2d(channels, 1, 1, rng, padding=0)
 
     def __call__(self, s4: Tensor) -> Tensor:
         logits = T.upsample2x_nearest(T.upsample2x_nearest(self.proj(s4)))

@@ -17,7 +17,7 @@ def rng_of(seed):
     return np.random.default_rng(seed)
 
 
-def small_branch(dtype=np.float64, units=1, stem=4, chans=(8, 12, 16)):
+def small_branch(units=1, stem=4, chans=(8, 12, 16)):
     return CnnBranch(
         rng_of(0),
         stem_channels=stem,
@@ -25,7 +25,6 @@ def small_branch(dtype=np.float64, units=1, stem=4, chans=(8, 12, 16)):
         c8=chans[1],
         c16=chans[2],
         stage_units=units,
-        dtype=dtype,
     )
 
 
@@ -61,13 +60,13 @@ class TestTapGeometry:
 
 class TestDenseGrowth:
     def test_unit_inputs_grow_by_stage_width(self):
-        stage = DenseStage(10, 6, 3, rng_of(2), np.float64)
+        stage = DenseStage(10, 6, 3, rng_of(2))
         widths = [u.conv.weight.shape[1] for u in stage.units]
         assert widths == [10, 16, 22]
 
     def test_every_unit_output_reaches_the_last_unit(self):
         # zeroing unit 1's output must change unit 3's input, hence the tap
-        stage = DenseStage(4, 3, 3, rng_of(3), np.float64)
+        stage = DenseStage(4, 3, 3, rng_of(3))
         x = Tensor(rng_of(4).standard_normal((1, 4, 8, 8)))
         stage.train()
         base = stage(x).data.copy()
@@ -81,7 +80,7 @@ class TestDenseGrowth:
 class TestViewHead:
     def test_shapes_and_range(self):
         branch = small_branch()
-        head = CnnViewHead(rng_of(5), c4=8, c8=12, c16=16, dtype=np.float64)
+        head = CnnViewHead(rng_of(5), c4=8, c8=12, c16=16)
         img = Tensor(rng_of(6).standard_normal((2, 3, 64, 64)) * 0.2)
         out = head(branch(img))
         assert out.shape == (2, 1, 64, 64)
@@ -89,7 +88,7 @@ class TestViewHead:
 
     def test_zeroed_head_gives_half(self):
         branch = small_branch()
-        head = CnnViewHead(rng_of(7), c4=8, c8=12, c16=16, dtype=np.float64)
+        head = CnnViewHead(rng_of(7), c4=8, c8=12, c16=16)
         head.out.weight.data[...] = 0.0
         head.out.bias.data[...] = 0.0
         out = head(branch(Tensor(rng_of(8).standard_normal((1, 3, 64, 64)))))
@@ -97,7 +96,7 @@ class TestViewHead:
 
     def test_gradient_vs_finite_differences(self):
         branch = small_branch(units=1, stem=3, chans=(4, 5, 6))
-        head = CnnViewHead(rng_of(9), c4=4, c8=5, c16=6, dtype=np.float64)
+        head = CnnViewHead(rng_of(9), c4=4, c8=5, c16=6)
         branch.train()
         img = Tensor(rng_of(10).standard_normal((2, 3, 32, 32)) * 0.3)
 
@@ -130,9 +129,8 @@ class TestFitCapacity:
             c8=cfg.c8,
             c16=cfg.c16,
             stage_units=cfg.stage_units,
-            dtype=np.float32,
-        )
-        head = CnnViewHead(rng_of(13), c4=cfg.c4, c8=cfg.c8, c16=cfg.c16, dtype=np.float32)
+        ).cast(np.float32)
+        head = CnnViewHead(rng_of(13), c4=cfg.c4, c8=cfg.c8, c16=cfg.c16).cast(np.float32)
         branch.train()
         params = branch.parameters() + head.parameters()
         opt = Adam(params, lr=2e-3)

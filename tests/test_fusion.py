@@ -31,7 +31,7 @@ def toy_maps(seed, b=1, dtype=np.float64):
 class TestCbam:
     def test_saturated_gates_pass_input_through(self):
         # positive input and weight choices that drive every gate to sigma~1
-        cbam = Cbam(8, rng_of(0), reduction=16, dtype=np.float64)
+        cbam = Cbam(8, rng_of(0), reduction=16)
         cbam.channel.fc1.weight.data[...] = 1.0
         cbam.channel.fc2.weight.data[...] = 20.0
         cbam.spatial.conv.weight.data[...] = 0.0
@@ -41,7 +41,7 @@ class TestCbam:
         np.testing.assert_allclose(out, x, atol=1e-12, rtol=0)
 
     def test_matches_straight_line_oracle(self):
-        cbam = Cbam(6, rng_of(2), reduction=2, dtype=np.float64)
+        cbam = Cbam(6, rng_of(2), reduction=2)
         x = rng_of(3).standard_normal((2, 6, 4, 4))
         out = cbam(Tensor(x)).data
 
@@ -69,7 +69,7 @@ class TestCbam:
 
     def test_identical_channels_stay_identical(self):
         # equal treatment of equal content: symmetrize the MLP for channels 0,1
-        cbam = Cbam(5, rng_of(4), reduction=1, dtype=np.float64)
+        cbam = Cbam(5, rng_of(4), reduction=1)
         fc1 = cbam.channel.fc1.weight.data
         fc2 = cbam.channel.fc2.weight.data
         fc1[1, :] = fc1[0, :]
@@ -80,7 +80,7 @@ class TestCbam:
         np.testing.assert_array_equal(out[0, 0], out[0, 1])
 
     def test_gates_only_shrink(self):
-        cbam = Cbam(4, rng_of(6), dtype=np.float64)
+        cbam = Cbam(4, rng_of(6))
         x = rng_of(7).standard_normal((1, 4, 8, 8))
         out = cbam(Tensor(x)).data
         assert (np.abs(out) <= np.abs(x) + 1e-15).all()
@@ -97,14 +97,14 @@ class TestGlff:
 
     def test_zero_inputs_give_zero_at_init(self):
         for attention in (True, False):
-            glff = GlffBlock(12, 10, 8, rng_of(11), attention=attention, dtype=np.float64)
+            glff = GlffBlock(12, 10, 8, rng_of(11), attention=attention)
             glff.train()
             t = Tensor(np.zeros((2, 12, 6, 6)))
             c = Tensor(np.zeros((2, 10, 6, 6)))
             np.testing.assert_array_equal(glff(t, c).data, np.zeros((2, 8, 6, 6)))
 
     def test_argument_order_matters(self):
-        glff = GlffBlock(16, 16, 8, rng_of(12), dtype=np.float64)
+        glff = GlffBlock(16, 16, 8, rng_of(12))
         glff.train()
         t = Tensor(rng_of(13).standard_normal((1, 16, 6, 6)))
         c = Tensor(rng_of(14).standard_normal((1, 16, 6, 6)))
@@ -115,13 +115,13 @@ class TestGlff:
         # both paths, spatial and batch mismatch: concat_channels raises
         t = Tensor(np.zeros((1, 8, 6, 6)))
         for attention in (True, False):
-            glff = GlffBlock(8, 8, 4, rng_of(15), attention=attention, dtype=np.float64)
+            glff = GlffBlock(8, 8, 4, rng_of(15), attention=attention)
             for c_shape in ((1, 8, 4, 4), (2, 8, 6, 6)):
                 with pytest.raises(ShapeError, match="concat_channels"):
                     glff(t, Tensor(np.zeros(c_shape)))
 
     def test_reduced_path_is_one_projection(self):
-        glff = GlffBlock(5, 3, 4, rng_of(16), attention=False, dtype=np.float64)
+        glff = GlffBlock(5, 3, 4, rng_of(16), attention=False)
         t = rng_of(17).standard_normal((2, 5, 3, 3))
         c = rng_of(18).standard_normal((2, 3, 3, 3))
         out = glff(Tensor(t), Tensor(c)).data
@@ -133,7 +133,7 @@ class TestGlff:
 
 class TestDenseFusionDecoder:
     def test_toy_shape_chain(self):
-        dec = DenseFusionDecoder(rng_of(19), dtype=np.float64)
+        dec = DenseFusionDecoder(rng_of(19))
         dec.train()
         f16, f8, f4 = toy_maps(20)
         out = dec(f16, f8, f4)
@@ -141,7 +141,7 @@ class TestDenseFusionDecoder:
         assert (out.data > 0).all() and (out.data < 1).all()
 
     def test_zero_features_give_half(self):
-        dec = DenseFusionDecoder(rng_of(21), channels=(8, 6, 4), dtype=np.float64)
+        dec = DenseFusionDecoder(rng_of(21), channels=(8, 6, 4))
         z16 = Tensor(np.zeros((1, 8, 4, 4)))
         z8 = Tensor(np.zeros((1, 6, 8, 8)))
         z4 = Tensor(np.zeros((1, 4, 16, 16)))
@@ -151,7 +151,7 @@ class TestDenseFusionDecoder:
             np.testing.assert_array_equal(out, np.full((1, 1, 64, 64), 0.5))
 
     def test_stage_named_shape_errors(self):
-        dec = DenseFusionDecoder(rng_of(22), channels=(8, 6, 4), dtype=np.float64)
+        dec = DenseFusionDecoder(rng_of(22), channels=(8, 6, 4))
         dec.train()
         f16 = Tensor(np.zeros((1, 8, 4, 4)))
         good8 = Tensor(np.zeros((1, 6, 8, 8)))
@@ -164,9 +164,9 @@ class TestDenseFusionDecoder:
             dec(f16, good8, bad4)
 
     def test_differs_from_plain_head_on_finest_map(self):
-        dec = DenseFusionDecoder(rng_of(23), dtype=np.float64)
+        dec = DenseFusionDecoder(rng_of(23))
         dec.train()
-        head = ViewHead(64, rng_of(23), dtype=np.float64)
+        head = ViewHead(64, rng_of(23))
         f16, f8, f4 = toy_maps(24)
         diff = np.abs(dec(f16, f8, f4).data - head(f4).data).max()
         assert diff > 1e-6
@@ -178,10 +178,10 @@ class TestDenseFusionDecoder:
 class TestFusionGradient:
     def test_glff_dfm_chain_finite_differences(self):
         rng = rng_of(25)
-        glff16 = GlffBlock(6, 5, 8, rng, dtype=np.float64)
-        glff8 = GlffBlock(4, 4, 6, rng, dtype=np.float64)
-        glff4 = GlffBlock(3, 3, 4, rng, dtype=np.float64)
-        dec = DenseFusionDecoder(rng, channels=(8, 6, 4), dtype=np.float64)
+        glff16 = GlffBlock(6, 5, 8, rng)
+        glff8 = GlffBlock(4, 4, 6, rng)
+        glff4 = GlffBlock(3, 3, 4, rng)
+        dec = DenseFusionDecoder(rng, channels=(8, 6, 4))
         mods = [glff16, glff8, glff4, dec]
         for m in mods:
             m.train()

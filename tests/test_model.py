@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coopseg.config import toy_config
+from coopseg.config import ConfigError, RunConfig, toy_config
 from coopseg.model import VIEW_NAMES, SegmentationModel
 from coopseg.tensor import Tensor
 
@@ -66,6 +66,12 @@ class TestForwardContract:
         for u, v in zip(a.as_tuple(), b.as_tuple()):
             assert np.abs(u.data - v.data).max() > 1e-6
 
+    def test_config_divisibility(self):
+        # the model validates its config, so a config built without validation
+        # still cannot reach the attention heads
+        with pytest.raises(ConfigError, match="divisible"):
+            SegmentationModel(RunConfig(d_model=10, heads=3))
+
     def test_view_weights_buffer_starts_uniform(self):
         model = SegmentationModel(tiny_cfg())
         buffers = dict(model.named_buffers())
@@ -118,6 +124,18 @@ class TestInitIsolation:
             for name, p in model.named_parameters():
                 if name.startswith(("transformer.", "head_t.", "cnn.", "head_c.")):
                     assert np.array_equal(p.data, base[name].data), (combo, name)
+
+    def test_float32_params_are_the_float64_draw_cast_once(self):
+        m32 = SegmentationModel(tiny_cfg(dtype="float32"))
+        m64 = SegmentationModel(tiny_cfg(dtype="float64"))
+        p64 = dict(m64.named_parameters())
+        assert list(p64) == [name for name, _ in m32.named_parameters()]
+        for name, p in m32.named_parameters():
+            assert p.data.dtype == np.float32 and p64[name].data.dtype == np.float64, name
+            assert p.data.tobytes() == p64[name].data.astype(np.float32).tobytes(), name
+        for model in (m32, m64):
+            assert all(b.dtype == np.float64 for _, b in model.named_buffers())
+            assert model.cast(model.cfg.dtype) is model
 
     def test_dfm_toggle_swaps_decoder_for_plain_head(self):
         on = SegmentationModel(tiny_cfg(dfm_on=True))

@@ -8,11 +8,11 @@ import pytest
 
 from coopseg import gradcheck
 from coopseg import tensor as T
+from coopseg.config import RunConfig
 from coopseg.nn import MultiScaleFeatures
 from coopseg.tensor import ShapeError, Tensor
 from coopseg.transformer import (
     EncoderBlock,
-    EncoderConfig,
     MultiHeadSelfAttention,
     PatchEmbed,
     TransformerBranch,
@@ -23,7 +23,7 @@ from coopseg.transformer import (
 def small_cfg(**kw):
     base = dict(depth=2, d_model=8, heads=2, mlp_ratio=2.0, patch_size=16)
     base.update(kw)
-    return EncoderConfig(**base)
+    return RunConfig(**base)
 
 
 def rng_of(seed):
@@ -32,23 +32,23 @@ def rng_of(seed):
 
 class TestPatchEmbed:
     def test_token_count_352(self):
-        pe = PatchEmbed(small_cfg(), (352, 352), rng_of(0), dtype=np.float64)
+        pe = PatchEmbed(small_cfg(image_size=352), rng_of(0))
         tokens = pe(Tensor(np.zeros((1, 3, 352, 352))))
         assert tokens.shape == (1, 484, 8)
         assert pe.grid == (22, 22)
 
     def test_token_count_64(self):
-        pe = PatchEmbed(small_cfg(), (64, 64), rng_of(0), dtype=np.float64)
+        pe = PatchEmbed(small_cfg(image_size=64), rng_of(0))
         tokens = pe(Tensor(np.zeros((2, 3, 64, 64))))
         assert tokens.shape == (2, 16, 8)
 
     def test_indivisible_size_rejected(self):
         with pytest.raises(ShapeError):
-            PatchEmbed(small_cfg(), (50, 50), rng_of(0))
+            PatchEmbed(small_cfg(image_size=50), rng_of(0))
 
     def test_wrong_image_rejected(self):
         # sizes that floor to the same grid, and a gray image, are rejected too
-        pe = PatchEmbed(small_cfg(), (64, 64), rng_of(0), dtype=np.float64)
+        pe = PatchEmbed(small_cfg(image_size=64), rng_of(0))
         for shape in ((1, 3, 70, 64), (1, 3, 64, 79), (1, 1, 64, 64)):
             with pytest.raises(ShapeError, match="expected 3x64x64 image"):
                 pe(Tensor(np.zeros(shape)))
@@ -56,7 +56,7 @@ class TestPatchEmbed:
     def test_patch_flatten_matches_manual_slice(self):
         # token j must be proj(flatten(patch_j)) + pos_j
         rng = rng_of(1)
-        pe = PatchEmbed(small_cfg(patch_size=2), (4, 4), rng, dtype=np.float64)
+        pe = PatchEmbed(small_cfg(patch_size=2, image_size=4), rng)
         img = rng.standard_normal((1, 3, 4, 4))
         tokens = pe(Tensor(img))
         w, b = pe.proj.weight.data, pe.proj.bias.data
@@ -66,14 +66,10 @@ class TestPatchEmbed:
 
 
 class TestAttention:
-    def test_config_divisibility(self):
-        with pytest.raises(ValueError, match="divisible"):
-            EncoderConfig(depth=1, d_model=10, heads=3)
-
     def test_single_token_ignores_qk(self):
         # one token: the softmax is 1 regardless of logits, so only V and Wo act
         cfg = small_cfg()
-        msa = MultiHeadSelfAttention(cfg, rng_of(2), dtype=np.float64)
+        msa = MultiHeadSelfAttention(cfg, rng_of(2))
         x = rng_of(3).standard_normal((1, 1, 8))
         out = msa(Tensor(x)).data
         v = np.einsum("nd,hde->hne", x[0], msa.wv.data)  # heads x 1 x d_head
@@ -85,7 +81,7 @@ class TestAttention:
         np.testing.assert_allclose(msa(Tensor(x)).data[0], expected, atol=1e-12)
 
     def test_identical_tokens_identical_rows(self):
-        msa = MultiHeadSelfAttention(small_cfg(), rng_of(4), dtype=np.float64)
+        msa = MultiHeadSelfAttention(small_cfg(), rng_of(4))
         row = rng_of(5).standard_normal(8)
         x = Tensor(np.tile(row, (1, 6, 1)))
         out = msa(x).data[0]
@@ -93,7 +89,7 @@ class TestAttention:
 
     def test_matches_per_head_loop_oracle(self):
         cfg = small_cfg(d_model=8, heads=2)
-        msa = MultiHeadSelfAttention(cfg, rng_of(6), dtype=np.float64)
+        msa = MultiHeadSelfAttention(cfg, rng_of(6))
         x = rng_of(7).standard_normal((1, 4, 8))
         out = msa(Tensor(x)).data[0]
 
@@ -103,7 +99,7 @@ class TestAttention:
             q = x[0] @ msa.wq.data[i]
             k = x[0] @ msa.wk.data[i]
             v = x[0] @ msa.wv.data[i]
-            logits = q @ k.T / math.sqrt(cfg.d_head)
+            logits = q @ k.T / math.sqrt(cfg.d_model // cfg.heads)
             att = np.exp(logits - logits.max(axis=-1, keepdims=True))
             att /= att.sum(axis=-1, keepdims=True)
             heads.append(att @ v)
@@ -120,14 +116,14 @@ class TestAttention:
             return out
 
         monkeypatch.setattr(T, "softmax_lastdim", spy)
-        msa = MultiHeadSelfAttention(small_cfg(), rng_of(8), dtype=np.float64)
+        msa = MultiHeadSelfAttention(small_cfg(), rng_of(8))
         msa(Tensor(rng_of(9).standard_normal((2, 5, 8))))
         assert len(maps) == 1 and maps[0].shape == (2, 2, 5, 5)
         sums = maps[0].sum(axis=-1)
         np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-10, rtol=0)
 
     def test_permutation_equivariance(self):
-        msa = MultiHeadSelfAttention(small_cfg(), rng_of(10), dtype=np.float64)
+        msa = MultiHeadSelfAttention(small_cfg(), rng_of(10))
         x = rng_of(11).standard_normal((1, 7, 8))
         perm = rng_of(12).permutation(7)
         out = msa(Tensor(x)).data[0]
@@ -137,7 +133,7 @@ class TestAttention:
 
 class TestEncoderBlock:
     def test_zeroed_projections_identity(self):
-        block = EncoderBlock(small_cfg(), rng_of(13), dtype=np.float64)
+        block = EncoderBlock(small_cfg(), rng_of(13))
         block.attn.wo.data[...] = 0.0
         block.mlp.fc2.weight.data[...] = 0.0
         block.mlp.fc2.bias.data[...] = 0.0
@@ -146,14 +142,14 @@ class TestEncoderBlock:
 
     def test_shape_preserved_when_stacked(self):
         cfg = small_cfg()
-        blocks = [EncoderBlock(cfg, rng_of(s), dtype=np.float64) for s in (1, 2, 3)]
+        blocks = [EncoderBlock(cfg, rng_of(s)) for s in (1, 2, 3)]
         x = Tensor(rng_of(15).standard_normal((2, 4, 8)))
         for b in blocks:
             x = b(x)
             assert x.shape == (2, 4, 8)
 
     def test_gradient_vs_finite_differences(self):
-        block = EncoderBlock(small_cfg(), rng_of(16), dtype=np.float64)
+        block = EncoderBlock(small_cfg(), rng_of(16))
         x = Tensor(rng_of(17).standard_normal((1, 3, 8)), requires_grad=True)
         rng = rng_of(18)
         err = gradcheck.check_function(lambda: block(x).sum(), [x], rng)
@@ -162,8 +158,8 @@ class TestEncoderBlock:
 
 class TestPostprocess:
     def test_full_size_shapes(self):
-        cfg = EncoderConfig(depth=1, d_model=384, heads=6)
-        branch = TransformerBranch(cfg, (352, 352), rng_of(19))
+        cfg = RunConfig(depth=1, d_model=384, heads=6)
+        branch = TransformerBranch(cfg, rng_of(19))
         tokens = Tensor(np.random.default_rng(20).standard_normal((1, 484, 384)).astype(np.float32))
         feats = branch.postprocess(tokens)
         assert feats.s16.shape == (1, 384, 22, 22)
@@ -171,8 +167,8 @@ class TestPostprocess:
         assert feats.s4.shape == (1, 64, 88, 88)
 
     def test_toy_shapes(self):
-        cfg = small_cfg(d_model=48, heads=6)
-        branch = TransformerBranch(cfg, (64, 64), rng_of(21), dtype=np.float64)
+        cfg = small_cfg(d_model=48, heads=6, image_size=64)
+        branch = TransformerBranch(cfg, rng_of(21))
         feats = branch(Tensor(np.zeros((1, 3, 64, 64))))
         assert feats.s16.shape == (1, 48, 4, 4)
         assert feats.s8.shape == (1, 128, 8, 8)
@@ -187,7 +183,7 @@ class TestPostprocess:
 
 class TestViewHead:
     def test_zero_logits_give_half(self):
-        head = ViewHead(16, rng_of(23), dtype=np.float64)
+        head = ViewHead(16, rng_of(23))
         head.proj.weight.data[...] = 0.0
         head.proj.bias.data[...] = 0.0
         out = head(Tensor(np.random.default_rng(24).standard_normal((1, 16, 4, 4))))
@@ -195,13 +191,13 @@ class TestViewHead:
         np.testing.assert_array_equal(out.data, np.full((1, 1, 16, 16), 0.5))
 
     def test_output_in_unit_interval(self):
-        head = ViewHead(16, rng_of(25), dtype=np.float64)
+        head = ViewHead(16, rng_of(25))
         out = head(Tensor(np.random.default_rng(26).standard_normal((2, 16, 4, 4)) * 5)).data
         assert (out > 0).all() and (out < 1).all()
 
     def test_monotone_in_logits(self):
         # raising one pre-upsample logit never lowers any output pixel
-        head = ViewHead(8, rng_of(27), dtype=np.float64)
+        head = ViewHead(8, rng_of(27))
         x = Tensor(np.random.default_rng(28).standard_normal((1, 8, 3, 3)))
         logits = head.proj(x)
         base = T.sigmoid(T.upsample2x_nearest(T.upsample2x_nearest(logits))).data
@@ -216,9 +212,9 @@ class TestViewHead:
 
 class TestBranchGradient:
     def test_end_to_end_sampled_params(self):
-        cfg = small_cfg(d_model=16, heads=2, depth=2, patch_size=16)
-        branch = TransformerBranch(cfg, (32, 32), rng_of(29), dtype=np.float64)
-        head = ViewHead(64, rng_of(30), dtype=np.float64)
+        cfg = small_cfg(d_model=16, heads=2, depth=2, patch_size=16, image_size=32)
+        branch = TransformerBranch(cfg, rng_of(29))
+        head = ViewHead(64, rng_of(30))
         img = Tensor(np.random.default_rng(31).standard_normal((1, 3, 32, 32)) * 0.3)
 
         def loss():
