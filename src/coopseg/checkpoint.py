@@ -28,29 +28,34 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path: str | Path, state: dict[str, np.ndarray]):
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(state))]
-    for name, arr in state.items():
-        arr = np.asarray(arr)
-        code = _CODES_BY_KIND.get(arr.dtype.newbyteorder("="))
-        if code is None:
-            raise CheckpointError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise CheckpointError(f"tensor name too long: {name[:40]!r}...")
-        if arr.ndim > 0xFF:
-            raise CheckpointError(f"tensor {name!r}: rank {arr.ndim} too large")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<BB", code, arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
-    body = b"".join(chunks)
     # write beside the target, then rename over it: a failed write leaves the
     # earlier checkpoint intact and no partial file under the target's name
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with tmp.open("wb") as fh:
+            crc = 0
+
+            def write(chunk):
+                nonlocal crc
+                crc = zlib.crc32(chunk, crc)
+                fh.write(chunk)
+
+            write(MAGIC + struct.pack("<II", VERSION, len(state)))
+            for name, arr in state.items():
+                arr = np.asarray(arr)
+                code = _CODES_BY_KIND.get(arr.dtype.newbyteorder("="))
+                if code is None:
+                    raise CheckpointError(f"tensor {name!r}: unsupported dtype {arr.dtype}")
+                encoded = name.encode("utf-8")
+                if len(encoded) > 0xFFFF:
+                    raise CheckpointError(f"tensor name too long: {name[:40]!r}...")
+                if arr.ndim > 0xFF:
+                    raise CheckpointError(f"tensor {name!r}: rank {arr.ndim} too large")
+                write(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded,
+                                  code, arr.ndim, *arr.shape))
+                write(memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])).cast("B"))
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -61,36 +66,36 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 12:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    body, crc_stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) != crc_stored:
+    end = len(blob) - 4
+    if zlib.crc32(memoryview(blob)[:end]) != struct.unpack_from("<I", blob, end)[0]:
         raise CheckpointError(f"{path}: CRC mismatch, file corrupted")
-    if body[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {body[:4]!r}")
-    version, count = struct.unpack_from("<II", body, 4)
+    if blob[:4] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
+    version, count = struct.unpack_from("<II", blob, 4)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     pos = 12
     state: dict[str, np.ndarray] = {}
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> int:  # claim the next n bytes of the body, return their offset
         nonlocal pos
-        if pos + n > len(body):
+        if pos + n > end:
             raise CheckpointError(f"{path}: truncated record at byte {pos}")
-        out = body[pos : pos + n]
         pos += n
-        return out
+        return pos - n
 
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
-        code, rank = struct.unpack("<BB", take(2))
+        (name_len,) = struct.unpack_from("<H", blob, take(2))
+        (name,) = struct.unpack_from(f"<{name_len}s", blob, take(name_len))
+        name = name.decode("utf-8")
+        code, rank = struct.unpack_from("<BB", blob, take(2))
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype code {code}")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank))
         dtype = _DTYPE_CODES[code]
         n_items = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = take(n_items * dtype.itemsize)
-        state[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-    if pos != len(body):
-        raise CheckpointError(f"{path}: {len(body) - pos} trailing bytes after records")
+        offset = take(n_items * dtype.itemsize)
+        state[name] = np.frombuffer(blob, dtype, n_items, offset).reshape(dims).copy()
+    if pos != end:
+        raise CheckpointError(f"{path}: {end - pos} trailing bytes after records")
     return state

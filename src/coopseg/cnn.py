@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .config import RunConfig
 from .nn import Conv2d, ConvUnit, Module, ModuleList, MultiScaleFeatures
 from .tensor import ShapeError, Tensor
 
@@ -36,13 +37,12 @@ class CnnBranch(Module):
     """Stem halves the input; each of three stages halves again and taps its
     output, yielding maps at 1/4 (c4), 1/8 (c8), and 1/16 (c16)."""
 
-    def __init__(self, rng: np.random.Generator, stem_channels: int = 32,
-                 c4: int = 64, c8: int = 128, c16: int = 256, stage_units: int = 3):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
-        self.stem = ConvUnit(3, stem_channels, rng)
-        self.stage4 = DenseStage(stem_channels, c4, stage_units, rng)
-        self.stage8 = DenseStage(c4, c8, stage_units, rng)
-        self.stage16 = DenseStage(c8, c16, stage_units, rng)
+        self.stem = ConvUnit(3, cfg.stem_channels, rng)
+        self.stage4 = DenseStage(cfg.stem_channels, cfg.c4, cfg.stage_units, rng)
+        self.stage8 = DenseStage(cfg.c4, cfg.c8, cfg.stage_units, rng)
+        self.stage16 = DenseStage(cfg.c8, cfg.c16, cfg.stage_units, rng)
 
     def __call__(self, image: Tensor) -> MultiScaleFeatures:
         _, _, h, w = image.shape
@@ -60,12 +60,12 @@ class CnnViewHead(Module):
     map: project each tap to a common width, add coarse into fine with 2x
     upsampling, then one-channel projection, 4x upsampling, sigmoid."""
 
-    def __init__(self, rng: np.random.Generator, c4: int = 64, c8: int = 128, c16: int = 256):
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
         merge = 64  # the common width
-        self.proj16 = Conv2d(c16, merge, 1, rng)
-        self.proj8 = Conv2d(c8, merge, 1, rng)
-        self.proj4 = Conv2d(c4, merge, 1, rng)
+        self.proj16 = Conv2d(cfg.c16, merge, 1, rng)
+        self.proj8 = Conv2d(cfg.c8, merge, 1, rng)
+        self.proj4 = Conv2d(cfg.c4, merge, 1, rng)
         self.out = Conv2d(merge, 1, 1, rng)
 
     def __call__(self, feats: MultiScaleFeatures) -> Tensor:

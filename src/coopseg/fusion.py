@@ -40,7 +40,7 @@ class SpatialGate(Module):
 
     def __init__(self, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(2, 1, 7, rng, padding=3)
+        self.conv = Conv2d(2, 1, 7, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         avg = x.mean(axis=1, keepdims=True)

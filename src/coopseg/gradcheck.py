@@ -200,19 +200,19 @@ def _op_cases():
 
     def c_conv2d(rng, s):
         x, k = _rand(rng, 2, 3, 5, 5), _rand(rng, 4, 3, 3, 3)
-        return [x, k], lambda: s(T.conv2d(x, k, padding=1)), None
+        return [x, k], lambda: s(T.conv2d(x, k)), None
 
     def c_conv2d_1x1(rng, s):
         x, k = _rand(rng, 2, 4, 3, 3), _rand(rng, 2, 4, 1, 1)
-        return [x, k], lambda: s(T.conv2d(x, k, padding=0)), None
+        return [x, k], lambda: s(T.conv2d(x, k)), None
 
-    def c_conv2d_valid(rng, s):  # padding 0: the input gradient pads by k - 1 = 2
-        x, k = _rand(rng, 2, 3, 6, 5), _rand(rng, 2, 3, 3, 3)
-        return [x, k], lambda: s(T.conv2d(x, k, padding=0)), None
+    def c_conv2d_bias(rng, s):
+        x, k, b = _rand(rng, 2, 3, 6, 5), _rand(rng, 2, 3, 3, 3), _rand(rng, 2)
+        return [x, k, b], lambda: s(T.conv2d(x, k, b)), None
 
-    def c_conv2d_7x7(rng, s):  # the SpatialGate geometry: 2 -> 1 channels, padding 3
+    def c_conv2d_7x7(rng, s):  # the SpatialGate geometry: 2 -> 1 channels
         x, k = _rand(rng, 2, 2, 8, 8), _rand(rng, 1, 2, 7, 7)
-        return [x, k], lambda: s(T.conv2d(x, k, padding=3)), None
+        return [x, k], lambda: s(T.conv2d(x, k)), None
 
     def c_softmax(rng, s):
         x = _rand(rng, 3, 6)
@@ -305,7 +305,7 @@ def _op_cases():
         c_elementwise_add, c_elementwise_mul, c_relu, c_gelu, c_sigmoid,
         c_layernorm, c_batchnorm_train, c_batchnorm_eval, c_sum_axis,
         c_mean_axis, c_amax, c_reshape, c_transpose, c_clip, c_log,
-        c_conv2d_valid, c_conv2d_7x7,
+        c_conv2d_bias, c_conv2d_7x7,
     ]
     return [(f.__name__[2:], f) for f in fns]
 

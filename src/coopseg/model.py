@@ -50,11 +50,8 @@ class SegmentationModel(Module):
         # geometry) is never resident at once.
         self.transformer = TransformerBranch(cfg, rng_t).cast(dtype)
         self.head_t = ViewHead(TransformerBranch.T2_CHANNELS, rng_t)
-        self.cnn = CnnBranch(
-            rng_c, stem_channels=cfg.stem_channels, c4=cfg.c4, c8=cfg.c8,
-            c16=cfg.c16, stage_units=cfg.stage_units,
-        )
-        self.head_c = CnnViewHead(rng_c, c4=cfg.c4, c8=cfg.c8, c16=cfg.c16)
+        self.cnn = CnnBranch(cfg, rng_c)
+        self.head_c = CnnViewHead(cfg, rng_c)
 
         cf16, cf8, cf4 = FUSED_CHANNELS
         t_ch = (cfg.d_model, TransformerBranch.T1_CHANNELS, TransformerBranch.T2_CHANNELS)

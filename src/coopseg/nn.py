@@ -134,22 +134,18 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """Odd-kernel 2-d convolution, He-normal init, optional bias."""
+    """Odd-kernel, size-preserving 2-d convolution, He-normal init, optional bias."""
 
     def __init__(self, c_in: int, c_out: int, kernel_size: int, rng: np.random.Generator,
-                 padding: int = 0, bias: bool = True):
+                 bias: bool = True):
         super().__init__()
         k = kernel_size
         std = np.sqrt(2.0 / (c_in * k * k))
         self.weight = Tensor(rng.standard_normal((c_out, c_in, k, k)) * std, requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
-        self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.conv2d(x, self.weight, padding=self.padding)
-        if self.bias is not None:
-            y = y + T.reshape(self.bias, (1, -1, 1, 1))
-        return y
+        return T.conv2d(x, self.weight, self.bias)
 
 
 class BatchNorm2d(Module):
@@ -176,11 +172,11 @@ class LayerNorm(Module):
 
 
 class ConvUnit(Module):
-    """3x3 conv (pad 1) + BatchNorm + ReLU, the decoder's unit block."""
+    """3x3 conv + BatchNorm + ReLU, the decoder's unit block."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(c_in, c_out, 3, rng, padding=1, bias=False)
+        self.conv = Conv2d(c_in, c_out, 3, rng, bias=False)
         self.bn = BatchNorm2d(c_out)
 
     def __call__(self, x: Tensor) -> Tensor:

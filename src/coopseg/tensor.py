@@ -221,8 +221,8 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
 
-    def backward(self, visit_log: Optional[list] = None):
-        backward(self, visit_log=visit_log)
+    def backward(self):
+        backward(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -366,28 +366,25 @@ def matmul(a, b) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# Convolution (cross-correlation, zero padding) via im2col
+# Convolution (same-size cross-correlation) via im2col
 # --------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, ph: int, pw: int):
-    """Stride-1 kh x kw windows of an NCHW array zero-padded by ph rows and pw
-    columns on each side (a negative amount crops): (B*OH*OW) x (C*KH*KW)."""
-    if ph < 0 or pw < 0:
-        x = x[:, :, max(-ph, 0) : x.shape[2] - max(-ph, 0), max(-pw, 0) : x.shape[3] - max(-pw, 0)]
-    if ph > 0 or pw > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2))
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Stride-1 kh x kw windows of an NCHW array zero-padded by kh // 2 rows and
+    kw // 2 columns on each side, one window per pixel: (B*H*W) x (C*KH*KW)."""
     b, c, h, w = x.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    # windows: B x C x OH x OW x KH x KW
+    if kh > 1 or kw > 1:
+        x = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+    # windows: B x C x H x W x KH x KW
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), oh, ow
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * kh * kw))
 
 
-def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
-    """Stride-1 2-d cross-correlation of B x Cin x H x W input with Cout x Cin x kh x kw kernel.
-    Its input gradient correlates the upstream gradient, padded by k - 1 - padding, with the flipped,
+def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Stride-1 2-d cross-correlation of B x Cin x H x W input with Cout x Cin x kh x kw kernel,
+    zero-padded by kh // 2 and kw // 2 so the output is H x W, plus an optional (Cout,) bias.
+    Its input gradient correlates the upstream gradient, padded the same way, with the flipped,
     channel-swapped kernel; it is None when the input neither requires grad nor has a tape node."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -398,22 +395,28 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: input has {cin} channels but kernel expects {kc}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
-    if padding < 0 or h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"conv2d: {kh}x{kw} kernel does not fit the {h}x{w} input with padding {padding}")
-    cols, oh, ow = _im2col(x.data, kh, kw, padding, padding)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (cout,):
+            raise ShapeError(f"conv2d: bias must have shape ({cout},), got {bias.shape}")
+    cols = _im2col(x.data, kh, kw)
     wmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = (cols @ wmat.T).reshape(b, oh, ow, cout).transpose(0, 3, 1, 2)
+    out = cols @ wmat.T
+    if bias is not None:
+        out += bias.data
+    out = out.reshape(b, h, w, cout).transpose(0, 3, 1, 2)
 
     def bw(g):
-        gcols = g.transpose(0, 2, 3, 1).reshape(b * oh * ow, cout)
+        gcols = g.transpose(0, 2, 3, 1).reshape(b * h * w, cout)
         gw = (gcols.T @ cols).reshape(cout, cin, kh, kw)
+        gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         if not (x.requires_grad or x.node is not None):
-            return None, gw
-        gxcols, _, _ = _im2col(g, kh, kw, kh - 1 - padding, kw - 1 - padding)
+            return None, gw, gb
         w_flip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
-        return (gxcols @ w_flip.T).reshape(b, h, w, cin).transpose(0, 3, 1, 2), gw
+        gx = (_im2col(g, kh, kw) @ w_flip.T).reshape(b, h, w, cin).transpose(0, 3, 1, 2)
+        return gx, gw, gb
 
-    return _from_op("conv2d", np.ascontiguousarray(out), (x, kernel), bw)
+    return _from_op("conv2d", np.ascontiguousarray(out), (x, kernel, bias), bw)
 
 
 # --------------------------------------------------------------------------
@@ -715,12 +718,12 @@ def log(a: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def backward(loss: Tensor, visit_log: Optional[list] = None) -> None:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad leaf.
 
     The loss must be a scalar produced by taped ops. Nodes are visited in
     exact reverse execution order; a node is skipped when no gradient has
-    reached its output. ``visit_log``, when given, collects visited op names.
+    reached its output.
 
     The graph is spent afterwards: each node is released as soon as it has
     been visited, the rest of the tape when the replay ends, and a second
@@ -746,8 +749,6 @@ def backward(loss: Tensor, visit_log: Optional[list] = None) -> None:
         if g is None:
             continue
         holder.pop(id(node.out), None)
-        if visit_log is not None:
-            visit_log.append(node.op)
         grads = node.backward_fn(g)
         for t, ig in zip(node.inputs, grads):
             if t is None or ig is None or not (t.requires_grad or t.node is not None):

@@ -111,8 +111,8 @@ class TransformerBranch(Module):
         self.cfg = cfg
         self.embed = PatchEmbed(cfg, rng)
         self.blocks = ModuleList(EncoderBlock(cfg, rng) for _ in range(cfg.depth))
-        self.conv_t1 = Conv2d(cfg.d_model, self.T1_CHANNELS, 3, rng, padding=1)
-        self.conv_t2 = Conv2d(self.T1_CHANNELS, self.T2_CHANNELS, 3, rng, padding=1)
+        self.conv_t1 = Conv2d(cfg.d_model, self.T1_CHANNELS, 3, rng)
+        self.conv_t2 = Conv2d(self.T1_CHANNELS, self.T2_CHANNELS, 3, rng)
 
     def encode(self, image: Tensor) -> Tensor:
         x = self.embed(image)
@@ -137,7 +137,7 @@ class ViewHead(Module):
 
     def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        self.proj = Conv2d(channels, 1, 1, rng, padding=0)
+        self.proj = Conv2d(channels, 1, 1, rng)
 
     def __call__(self, s4: Tensor) -> Tensor:
         logits = T.upsample2x_nearest(T.upsample2x_nearest(self.proj(s4)))

@@ -13,6 +13,19 @@ from coopseg import tensor as T
 from coopseg.tensor import GradientError, Tensor, backward, no_grad
 
 
+def log_visits(loss):
+    """Wrap the backward rule of every node on ``loss``'s tape so that
+    visiting the node appends its op name to the returned list."""
+    log = []
+    for node in loss.node.tape.nodes:
+        def spy(g, op=node.op, inner=node.backward_fn):
+            log.append(op)
+            return inner(g)
+
+        node.backward_fn = spy
+    return log
+
+
 class TestBackwardBasics:
     def test_sum_grad_all_ones(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 4)), requires_grad=True)
@@ -64,16 +77,16 @@ class TestTapeSemantics:
         y = x * 2.0
         z = y + 1.0
         loss = z.sum()
-        log = []
-        backward(loss, visit_log=log)
+        log = log_visits(loss)
+        backward(loss)
         assert log == ["sum", "add", "mul"]
 
     def test_unreachable_ops_skipped(self):
         x = Tensor([1.0], requires_grad=True)
         _dead_end = x * 10.0  # taped but not feeding the loss
         loss = (x * 2.0).sum()
-        log = []
-        backward(loss, visit_log=log)
+        log = log_visits(loss)
+        backward(loss)
         assert "mul" in log and len(log) == 2  # sum + one mul only
         np.testing.assert_array_equal(x.grad, [2.0])
 
@@ -194,7 +207,7 @@ class TestFiniteDifferenceComposites:
             rm[:], rv[:] = 0.0, 1.0
 
         def loss():
-            y = T.conv2d(x, k, padding=1)
+            y = T.conv2d(x, k)
             y = T.batchnorm_channel(y, g, b, rm, rv, training=True)
             return T.gelu(y).mean()
 
@@ -237,7 +250,7 @@ class TestOpSuite:
     def test_suite_covers_expected_ops(self):
         names = {r.name for r in gradcheck.run_op_suite(seed=1, inputs_per_op=1)}
         for required in [
-            "matmul", "conv2d", "conv2d_valid", "conv2d_7x7", "softmax", "upsample",
+            "matmul", "conv2d", "conv2d_bias", "conv2d_7x7", "softmax", "upsample",
             "avgpool", "concat",
             "elementwise_add", "elementwise_mul", "relu", "gelu", "sigmoid",
             "layernorm", "batchnorm_train", "batchnorm_eval",

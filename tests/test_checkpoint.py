@@ -55,12 +55,25 @@ class TestAtomicWrite:
         save_checkpoint(p, {"w": np.arange(6.0)})
         before = p.read_bytes()
 
-        def torn_write(self, data):
-            with open(self, "wb") as fh:
-                fh.write(data[: len(data) // 2])
-            raise OSError("no space left on device")
+        real_open = Path.open
 
-        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        class TornFile:
+            """Writes half of the first chunk it is given, then runs out of space."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(bytes(data)[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "open", lambda self, *a, **kw: TornFile(real_open(self, *a, **kw)))
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(p, {"w": np.zeros(6)})
         monkeypatch.undo()

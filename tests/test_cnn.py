@@ -6,7 +6,7 @@ import pytest
 
 from coopseg import gradcheck
 from coopseg.cnn import CnnBranch, CnnViewHead, DenseStage
-from coopseg.config import toy_config
+from coopseg.config import RunConfig, toy_config
 from coopseg.data import synth_dataset
 from coopseg.metrics import dice
 from coopseg.tensor import ShapeError, Tensor
@@ -17,20 +17,17 @@ def rng_of(seed):
     return np.random.default_rng(seed)
 
 
+def cnn_cfg(units=1, stem=4, chans=(8, 12, 16)):
+    return RunConfig(stem_channels=stem, c4=chans[0], c8=chans[1], c16=chans[2], stage_units=units)
+
+
 def small_branch(units=1, stem=4, chans=(8, 12, 16)):
-    return CnnBranch(
-        rng_of(0),
-        stem_channels=stem,
-        c4=chans[0],
-        c8=chans[1],
-        c16=chans[2],
-        stage_units=units,
-    )
+    return CnnBranch(cnn_cfg(units, stem, chans), rng_of(0))
 
 
 class TestTapGeometry:
     def test_full_resolution_default_channels(self):
-        branch = CnnBranch(rng_of(1), stem_channels=32, c4=64, c8=128, c16=256, stage_units=1)
+        branch = CnnBranch(cnn_cfg(units=1, stem=32, chans=(64, 128, 256)), rng_of(1))
         feats = branch(Tensor(np.zeros((1, 3, 352, 352), dtype=np.float32)))
         assert feats.s4.shape == (1, 64, 88, 88)
         assert feats.s8.shape == (1, 128, 44, 44)
@@ -80,7 +77,7 @@ class TestDenseGrowth:
 class TestViewHead:
     def test_shapes_and_range(self):
         branch = small_branch()
-        head = CnnViewHead(rng_of(5), c4=8, c8=12, c16=16)
+        head = CnnViewHead(cnn_cfg(), rng_of(5))
         img = Tensor(rng_of(6).standard_normal((2, 3, 64, 64)) * 0.2)
         out = head(branch(img))
         assert out.shape == (2, 1, 64, 64)
@@ -88,7 +85,7 @@ class TestViewHead:
 
     def test_zeroed_head_gives_half(self):
         branch = small_branch()
-        head = CnnViewHead(rng_of(7), c4=8, c8=12, c16=16)
+        head = CnnViewHead(cnn_cfg(), rng_of(7))
         head.out.weight.data[...] = 0.0
         head.out.bias.data[...] = 0.0
         out = head(branch(Tensor(rng_of(8).standard_normal((1, 3, 64, 64)))))
@@ -96,7 +93,7 @@ class TestViewHead:
 
     def test_gradient_vs_finite_differences(self):
         branch = small_branch(units=1, stem=3, chans=(4, 5, 6))
-        head = CnnViewHead(rng_of(9), c4=4, c8=5, c16=6)
+        head = CnnViewHead(cnn_cfg(stem=3, chans=(4, 5, 6)), rng_of(9))
         branch.train()
         img = Tensor(rng_of(10).standard_normal((2, 3, 32, 32)) * 0.3)
 
@@ -122,15 +119,8 @@ class TestFitCapacity:
         images = Tensor(np.stack([s.image for s in samples]).astype(np.float32))
         masks = Tensor(np.stack([s.mask for s in samples]).astype(np.float32))
 
-        branch = CnnBranch(
-            rng_of(12),
-            stem_channels=cfg.stem_channels,
-            c4=cfg.c4,
-            c8=cfg.c8,
-            c16=cfg.c16,
-            stage_units=cfg.stage_units,
-        ).cast(np.float32)
-        head = CnnViewHead(rng_of(13), c4=cfg.c4, c8=cfg.c8, c16=cfg.c16).cast(np.float32)
+        branch = CnnBranch(cfg, rng_of(12)).cast(np.float32)
+        head = CnnViewHead(cfg, rng_of(13)).cast(np.float32)
         branch.train()
         params = branch.parameters() + head.parameters()
         opt = Adam(params, lr=2e-3)

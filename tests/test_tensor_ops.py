@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from coopseg import tensor as T
+from coopseg.nn import Conv2d
 from coopseg.tensor import ShapeError, Tensor
 
 
@@ -126,13 +127,13 @@ class TestConv2d:
     def test_1x1_scaling(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.full((1, 1, 1, 1), 2.0))
-        out = T.conv2d(x, k, padding=0)
+        out = T.conv2d(x, k)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
 
     def test_padded_count_symmetry(self):
         x = Tensor(np.ones((1, 1, 4, 4)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        out = T.conv2d(x, k, padding=1).data[0, 0]
+        out = T.conv2d(x, k).data[0, 0]
         assert out.shape == (4, 4)
         for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
             assert out[i, j] == 4.0
@@ -144,26 +145,28 @@ class TestConv2d:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, 5, 5))
         k = rng.standard_normal((4, 3, 3, 3))
-        out = T.conv2d(Tensor(x), Tensor(k), padding=0)
-        np.testing.assert_allclose(out.data, conv2d_oracle(x, k, 0), rtol=1e-12, atol=1e-12)
+        out = T.conv2d(Tensor(x), Tensor(k))
+        np.testing.assert_allclose(out.data, conv2d_oracle(x, k, 1), rtol=1e-12, atol=1e-12)
 
-    @given(st.integers(0, 1), st.integers(0, 2**31 - 1))
+    # each kernel size fixes the padding: k // 2 keeps the 5x5 input size
+    @given(st.sampled_from([1, 3, 5]), st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
-    def test_padding_combos_match_oracle(self, padding, seed):
+    def test_padding_combos_match_oracle(self, ksize, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((1, 2, 5, 5))
-        k = rng.standard_normal((3, 2, 3, 3))
-        out = T.conv2d(Tensor(x), Tensor(k), padding=padding)
-        np.testing.assert_allclose(out.data, conv2d_oracle(x, k, padding), rtol=1e-12, atol=1e-12)
+        k = rng.standard_normal((3, 2, ksize, ksize))
+        out = T.conv2d(Tensor(x), Tensor(k))
+        assert out.shape == (1, 3, 5, 5)
+        np.testing.assert_allclose(out.data, conv2d_oracle(x, k, ksize // 2), rtol=1e-12, atol=1e-12)
 
-    # (1, 1): padding beyond k - 1, so the upstream gradient is cropped, not padded
-    @pytest.mark.parametrize("ksize,padding", [(1, 0), (3, 0), (3, 1), (7, 3), (1, 1)])
+    # the oracle pads by k // 2, as the op does
+    @pytest.mark.parametrize("ksize,padding", [(1, 0), (3, 1), (7, 3)])
     def test_gradients_match_nested_loop_oracle(self, ksize, padding):
         rng = np.random.default_rng(100 + ksize + padding)
         x = rng.standard_normal((2, 3, 7, 6))
         k = rng.standard_normal((2, 3, ksize, ksize))
         tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
-        out = T.conv2d(tx, tk, padding=padding)
+        out = T.conv2d(tx, tk)
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
         gx, gk = conv2d_grad_oracle(x, k, padding, g)
@@ -175,23 +178,49 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 5, 5))
         k = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
         g = rng.standard_normal((2, 4, 5, 5))
-        gx, gk = T.conv2d(Tensor(x), k, padding=1).node.backward_fn(g)
+        gx, gk, _ = T.conv2d(Tensor(x), k).node.backward_fn(g)
         assert gx is None
-        gx_live, gk_live = T.conv2d(Tensor(x, requires_grad=True), k, padding=1).node.backward_fn(g)
+        gx_live, gk_live, _ = T.conv2d(Tensor(x, requires_grad=True), k).node.backward_fn(g)
         assert gx_live.shape == x.shape
         np.testing.assert_array_equal(gk, gk_live)
         T.reset_tape()
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
-            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), padding=0)
+            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))))
 
-    def test_kernel_larger_than_padded_input_rejected(self):
-        # a 5x5 kernel does not fit a 2x2 input padded by 1 (4x4)
-        with pytest.raises(ShapeError, match="does not fit"):
-            T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))), padding=1)
-        with pytest.raises(ShapeError, match="does not fit"):
-            T.conv2d(Tensor(np.ones((1, 1, 6, 2))), Tensor(np.ones((1, 1, 3, 3))), padding=0)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_matches_separate_add_bitwise(self, dtype):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 3, 5, 4)).astype(dtype)
+        k = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        g = rng.standard_normal((2, 4, 5, 4)).astype(dtype)
+        chain = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+        ref = T.conv2d(chain[0], chain[1]) + T.reshape(chain[2], (1, -1, 1, 1))
+        (ref * Tensor(g)).sum().backward()  # each backward spends its whole tape
+        fused = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+        out = T.conv2d(*fused)
+        (out * Tensor(g)).sum().backward()
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, ref.data)
+        for a, c in zip(fused, chain):
+            np.testing.assert_array_equal(a.grad, c.grad)
+        np.testing.assert_array_equal(fused[2].grad, g.sum(axis=(0, 2, 3)))
+
+    def test_wrong_bias_shape_rejected(self):
+        x, k = Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 3, 3)))
+        for bias in (np.zeros(2), np.zeros((1, 3, 1, 1))):
+            with pytest.raises(ShapeError, match="bias"):
+                T.conv2d(x, k, Tensor(bias))
+
+    def test_biased_conv_module_records_one_tape_node(self):
+        T.reset_tape()
+        conv = Conv2d(2, 3, 3, np.random.default_rng(15))
+        y = conv(Tensor(np.ones((1, 2, 4, 4)), requires_grad=True))
+        assert [n.op for n in T.active_tape().nodes] == ["conv2d"]
+        assert y.node.inputs[1] is conv.weight and y.node.inputs[2] is conv.bias
+        T.reset_tape()
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +429,8 @@ class TestEngineInvariants:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 4, 4))
         k = rng.standard_normal((5, 3, 3, 3))
-        a = T.conv2d(Tensor(x), Tensor(k), padding=1).data
-        b = T.conv2d(Tensor(x), Tensor(k), padding=1).data
+        a = T.conv2d(Tensor(x), Tensor(k)).data
+        b = T.conv2d(Tensor(x), Tensor(k)).data
         np.testing.assert_array_equal(a, b)
 
     @given(st.integers(0, 2**31 - 1))
@@ -410,6 +439,6 @@ class TestEngineInvariants:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         k = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5)
-        y = T.relu(T.conv2d(x, k, padding=1))
+        y = T.relu(T.conv2d(x, k))
         y = T.sigmoid(T.upsample2x_nearest(y))
         assert np.isfinite(y.data).all()
