@@ -63,7 +63,10 @@ def save_checkpoint(path: str | Path, state: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    blob = Path(path).read_bytes()
+    """The saved arrays, as writable views into one buffer that holds the whole file."""
+    with Path(path).open("rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        fh.readinto(blob)  # a short read leaves zeros, which the CRC check rejects
     if len(blob) < len(MAGIC) + 12:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
     end = len(blob) - 4
@@ -95,7 +98,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         dtype = _DTYPE_CODES[code]
         n_items = int(np.prod(dims, dtype=np.int64)) if rank else 1
         offset = take(n_items * dtype.itemsize)
-        state[name] = np.frombuffer(blob, dtype, n_items, offset).reshape(dims).copy()
+        state[name] = np.frombuffer(blob, dtype, n_items, offset).reshape(dims)
     if pos != end:
         raise CheckpointError(f"{path}: {end - pos} trailing bytes after records")
     return state

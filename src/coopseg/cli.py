@@ -106,13 +106,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".10g")
-    return str(v)
+            fh.write(",".join(format(v, ".10g") if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def cmd_train(args) -> int:

@@ -160,13 +160,10 @@ def load_dataset(root: str | Path, image_size: int) -> list[SegmentationSample]:
         raise DataError(f"missing directory {img_dir}")
     if not mask_dir.is_dir():
         raise DataError(f"missing directory {mask_dir}")
-    masks_by_stem: dict[str, Path] = {}
-    for p in mask_dir.iterdir():
-        if p.is_file():
-            masks_by_stem.setdefault(p.stem, p)
+    masks_by_stem = _files_by_stem(mask_dir)
     samples = []
-    for img_path in sorted((p for p in img_dir.iterdir() if p.is_file()), key=lambda p: p.stem):
-        mask_path = masks_by_stem.get(img_path.stem)
+    for stem, img_path in sorted(_files_by_stem(img_dir).items()):
+        mask_path = masks_by_stem.get(stem)
         if mask_path is None:
             raise DataError(f"no mask found for image {img_path.name!r}")
         img = read_raster(img_path).astype(np.float64)
@@ -182,10 +179,19 @@ def load_dataset(root: str | Path, image_size: int) -> list[SegmentationSample]:
             SegmentationSample(
                 image=np.ascontiguousarray(img.transpose(2, 0, 1)),
                 mask=mask[None, :, :],
-                id=img_path.stem,
+                id=stem,
             )
         )
     return samples
+
+
+def _files_by_stem(folder: Path) -> dict[str, Path]:
+    """The files of ``folder`` by stem; two files with one stem (a.pgm, a.png) are an error."""
+    found: dict[str, Path] = {}
+    for p in sorted(folder.iterdir()):
+        if p.is_file() and found.setdefault(p.stem, p) is not p:
+            raise DataError(f"{folder}: {found[p.stem].name!r} and {p.name!r} share the stem {p.stem!r}")
+    return found
 
 
 # ---------------------------------------------------------------------------

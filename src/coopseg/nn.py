@@ -67,12 +67,12 @@ class Module:
             src = state[name]
             if src.shape != p.data.shape:
                 raise ShapeError(f"state {name!r}: shape {src.shape} vs expected {p.data.shape}")
-            p.data[...] = src.astype(p.data.dtype)
+            p.data[...] = src
         for name, b in self.named_buffers():
             src = state[name]
             if src.shape != b.shape:
                 raise ShapeError(f"state {name!r}: shape {src.shape} vs expected {b.shape}")
-            b[...] = src.astype(b.dtype)
+            b[...] = src
 
     def train(self):
         object.__setattr__(self, "training", True)
@@ -85,10 +85,6 @@ class Module:
         for child in self._children.values():
             child.eval()
         return self
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
 
     def cast(self, dtype):
         """Give every parameter's data ``dtype``; buffers keep theirs."""
@@ -127,10 +123,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return T.matmul(x, self.weight, self.bias)
 
 
 class Conv2d(Module):

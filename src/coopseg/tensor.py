@@ -175,10 +175,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._non_scalar()
-
-    def _non_scalar(self):
-        raise GradientError(f"item() on non-scalar tensor of shape {self.shape}")
+        if self.data.size != 1:
+            raise GradientError(f"item() on non-scalar tensor of shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
@@ -348,21 +347,29 @@ def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes."""
+def matmul(a, b, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product over the last two axes, broadcasting leading axes, plus an optional
+    bias of shape (b.shape[-1],) added to every output row."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (b.shape[-1],):
+            raise ShapeError(f"matmul: bias must have shape ({b.shape[-1]},), got {bias.shape}")
     out = np.matmul(a.data, b.data)
+    if bias is not None:
+        out += bias.data
 
     def bw(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        gbias = _unbroadcast(g, bias.shape) if bias is not None else None
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape), gbias
 
-    return _from_op("matmul", out, (a, b), bw)
+    return _from_op("matmul", out, (a, b, bias), bw)
 
 
 # --------------------------------------------------------------------------
@@ -742,27 +749,20 @@ def backward(loss: Tensor) -> None:
             "replayed or reset); recompute the loss"
         )
     tape = loss.node.tape
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holder: dict[int, Tensor] = {id(loss): loss}
+    # Tensor defines no __eq__, so it hashes by identity
+    pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = pending.pop(id(node.out), None)
+        g = pending.pop(node.out, None)
         if g is None:
             continue
-        holder.pop(id(node.out), None)
         grads = node.backward_fn(g)
         for t, ig in zip(node.inputs, grads):
             if t is None or ig is None or not (t.requires_grad or t.node is not None):
                 continue
-            key = id(t)
-            if key in pending:
-                pending[key] = pending[key] + ig
-            else:
-                pending[key] = ig
-                holder[key] = t
+            pending[t] = pending[t] + ig if t in pending else ig
         node.release()
     tape.release()
-    for key, g in pending.items():
-        leaf = holder[key]
+    for leaf, g in pending.items():
         if leaf.requires_grad:
             leaf.grad = g if leaf.grad is None else leaf.grad + g
     # this tape is spent; the next recorded op starts a fresh one

@@ -22,6 +22,9 @@ from .tensor import ShapeError, Tensor
 
 CLIP_LO = 1e-7
 CLIP_HI = 1.0 - 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -99,29 +102,24 @@ def fuse_decision(w: ViewWeights, outs: ViewOutputs) -> Tensor:
 class Adam:
     """Bias-corrected Adam over a fixed parameter list."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 7e-5,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float = 7e-5):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.step_count
-        bc2 = 1.0 - b2 ** self.step_count
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            m += (1.0 - b1) * (g - m)
-            v += (1.0 - b2) * (g * g - v)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def zero_grad(self):
         for p in self.params:

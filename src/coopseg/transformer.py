@@ -66,7 +66,9 @@ class MultiHeadSelfAttention(Module):
         q = xh @ self.wq  # B x heads x N x d_head
         k = xh @ self.wk
         v = xh @ self.wv
-        logits = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(self.d_head))
+        # scaling the queries, not the N x N scores, keeps one N x N array fewer on the tape;
+        # a d_head that is a power of four (16, 64) scales by a power of two, exactly
+        logits = (q * (1.0 / math.sqrt(self.d_head))) @ T.transpose(k, (0, 1, 3, 2))
         att = T.softmax_lastdim(logits)
         mixed = att @ v  # B x heads x N x d_head
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n, self.heads * self.d_head))

@@ -250,7 +250,7 @@ class TestOpSuite:
     def test_suite_covers_expected_ops(self):
         names = {r.name for r in gradcheck.run_op_suite(seed=1, inputs_per_op=1)}
         for required in [
-            "matmul", "conv2d", "conv2d_bias", "conv2d_7x7", "softmax", "upsample",
+            "matmul", "matmul_bias", "conv2d", "conv2d_bias", "conv2d_7x7", "softmax", "upsample",
             "avgpool", "concat",
             "elementwise_add", "elementwise_mul", "relu", "gelu", "sigmoid",
             "layernorm", "batchnorm_train", "batchnorm_eval",

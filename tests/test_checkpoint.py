@@ -151,6 +151,23 @@ class TestModelState:
             np.testing.assert_array_equal(a if isinstance(a, np.ndarray) else a.data,
                                           b if isinstance(b, np.ndarray) else b.data)
 
+    def test_loaded_arrays_writable_and_assigned_like_astype(self, tmp_path):
+        cfg = toy_config(image_size=32, d_model=48, stem_channels=4,
+                         stage_units=1, c4=8, c8=12, c16=16)
+        model = SegmentationModel(cfg)  # float32 parameters
+        rng = np.random.default_rng(3)
+        state = {name: rng.standard_normal(np.shape(arr)) for name, arr in model.named_state()}
+        path = tmp_path / "f64.ckpt"
+        save_checkpoint(path, state)
+        loaded = load_checkpoint(path)
+        assert all(arr.flags.writeable and arr.dtype == np.float64 for arr in loaded.values())
+        model.load_state(loaded)
+        for name, p in model.named_parameters():
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == state[name].astype(np.float32).tobytes()
+        for name, b in model.named_buffers():
+            assert b.tobytes() == state[name].astype(b.dtype).tobytes()
+
     def test_load_state_rejects_shape_change(self, tmp_path):
         cfg = toy_config(image_size=32, d_model=48, stem_channels=4,
                          stage_units=1, c4=8, c8=12, c16=16)

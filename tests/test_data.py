@@ -106,6 +106,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="lonely"):
             load_dataset(tmp_path, 2)
 
+    @pytest.mark.parametrize("folder", ["images", "masks"])
+    def test_two_files_with_one_stem_rejected(self, tmp_path, folder):
+        put_pair(tmp_path, "a", [0] * 4, [255] * 4, 2, 2)
+        (tmp_path / folder / "a.pnm").write_bytes(b"P5\n2 2\n255\n\x00\x00\x00\x00")
+        with pytest.raises(DataError, match=r"a\.pgm.*a\.pnm.*'a'"):
+            load_dataset(tmp_path, 2)
+
     def test_gray_image_becomes_three_channels(self, tmp_path):
         put_pair(tmp_path, "g", list(range(16)), [255] * 16, 4, 4)
         sample = load_dataset(tmp_path, 4)[0]

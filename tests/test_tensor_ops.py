@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from coopseg import tensor as T
-from coopseg.nn import Conv2d
+from coopseg.nn import Conv2d, Linear
 from coopseg.tensor import ShapeError, Tensor
 
 
@@ -116,6 +116,40 @@ class TestMatmul:
     def test_inner_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["2d", "3d"])
+    def test_bias_matches_separate_add_bitwise(self, dtype, lead):
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal(lead + (4,)).astype(dtype)
+        w = rng.standard_normal((4, 5)).astype(dtype)
+        b = rng.standard_normal(5).astype(dtype)
+        g = rng.standard_normal(lead + (5,)).astype(dtype)
+        chain = [Tensor(x, requires_grad=True) for x in (a, w, b)]
+        ref = T.matmul(chain[0], chain[1]) + chain[2]
+        (ref * Tensor(g)).sum().backward()  # each backward spends its whole tape
+        fused = [Tensor(x, requires_grad=True) for x in (a, w, b)]
+        out = T.matmul(*fused)
+        (out * Tensor(g)).sum().backward()
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, ref.data)
+        for x, c in zip(fused, chain):
+            assert x.grad.dtype == dtype
+            np.testing.assert_array_equal(x.grad, c.grad)
+
+    def test_wrong_bias_shape_rejected(self):
+        a, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        for bias in (np.zeros(3), np.zeros((1, 4)), np.zeros((2, 4))):
+            with pytest.raises(ShapeError, match="bias"):
+                T.matmul(a, w, Tensor(bias))
+
+    def test_biased_linear_module_records_one_tape_node(self):
+        T.reset_tape()
+        fc = Linear(3, 4, np.random.default_rng(17))
+        y = fc(Tensor(np.ones((2, 5, 3)), requires_grad=True))
+        assert [n.op for n in T.active_tape().nodes] == ["matmul"]
+        assert y.node.inputs[1] is fc.weight and y.node.inputs[2] is fc.bias
+        T.reset_tape()
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,42 @@ class TestAttention:
         sums = maps[0].sum(axis=-1)
         np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-10, rtol=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_query_scaling_matches_score_scaling_bitwise(self, dtype):
+        # d_head 16: the scale 1/4 is a power of two, so scaling q or q @ k^T rounds alike
+        msa = MultiHeadSelfAttention(small_cfg(d_model=32, heads=2), rng_of(13)).cast(dtype)
+        x = rng_of(14).standard_normal((2, 5, 32)).astype(dtype)
+        g = rng_of(15).standard_normal((2, 5, 32)).astype(dtype)
+        params = [msa.wq, msa.wk, msa.wv, msa.wo]
+
+        def scores_scaled(xt):
+            xh = T.reshape(xt, (2, 1, 5, 32))
+            q, k, v = xh @ msa.wq, xh @ msa.wk, xh @ msa.wv
+            logits = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(16))
+            mixed = T.softmax_lastdim(logits) @ v
+            return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (2, 5, 32)) @ msa.wo
+
+        results = []
+        for fn in (scores_scaled, msa):
+            xt = Tensor(x, requires_grad=True)
+            out = fn(xt)
+            (out * Tensor(g)).sum().backward()
+            results.append([out.data, xt.grad] + [p.grad for p in params])
+            for p in params:
+                p.grad = None
+        for ref, new in zip(*results):
+            assert new.dtype == dtype
+            np.testing.assert_array_equal(new, ref)
+
+    def test_forward_records_two_score_sized_arrays(self):
+        # the logits and the softmax rows; the query scale runs on B x heads x N x d_head
+        T.reset_tape()
+        msa = MultiHeadSelfAttention(small_cfg(), rng_of(16))
+        msa(Tensor(rng_of(17).standard_normal((2, 5, 8))))
+        shapes = [n.out.shape for n in T.active_tape().nodes]
+        assert shapes.count((2, 2, 5, 5)) == 2
+        T.reset_tape()
+
     def test_permutation_equivariance(self):
         msa = MultiHeadSelfAttention(small_cfg(), rng_of(10))
         x = rng_of(11).standard_normal((1, 7, 8))
