@@ -379,20 +379,26 @@ def matmul(a, b, bias: Optional[Tensor] = None) -> Tensor:
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Stride-1 kh x kw windows of an NCHW array zero-padded by kh // 2 rows and
-    kw // 2 columns on each side, one window per pixel: (B*H*W) x (C*KH*KW)."""
+    kw // 2 columns on each side, channel-major: B x (C*KH*KW) x (H*W), where row
+    (c, i, j) of image n is channel c of image n shifted by (i, j). A 1x1 kernel
+    returns the input reshaped, without a copy when it is contiguous."""
     b, c, h, w = x.shape
-    if kh > 1 or kw > 1:
-        x = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
-    # windows: B x C x H x W x KH x KW
+    if kh == 1 and kw == 1:
+        return x.reshape(b, c, h * w)
+    x = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
+    # windows: B x C x H x W x KH x KW, copied as B x C x KH x KW x H x W
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * kh * kw))
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Stride-1 2-d cross-correlation of B x Cin x H x W input with Cout x Cin x kh x kw kernel,
-    zero-padded by kh // 2 and kw // 2 so the output is H x W, plus an optional (Cout,) bias.
-    Its input gradient correlates the upstream gradient, padded the same way, with the flipped,
-    channel-swapped kernel; it is None when the input neither requires grad nor has a tape node."""
+    zero-padded by kh // 2 and kw // 2 so the output is H x W, plus an optional (Cout,) bias: one
+    GEMM per image with the channel-major ``_im2col`` windows, landing in contiguous NCHW.
+    Backward keeps only the operands and rebuilds the input's windows for the kernel gradient
+    (images summed in a fixed order). Its input gradient correlates the upstream gradient,
+    padded the same way, with the flipped, channel-swapped kernel; it is None when the input
+    neither requires grad nor has a tape node."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -406,24 +412,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         bias = as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d: bias must have shape ({cout},), got {bias.shape}")
-    cols = _im2col(x.data, kh, kw)
-    wmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = cols @ wmat.T
+    out = np.matmul(kernel.data.reshape(cout, -1), _im2col(x.data, kh, kw))
     if bias is not None:
-        out += bias.data
-    out = out.reshape(b, h, w, cout).transpose(0, 3, 1, 2)
+        out += bias.data[:, None]
 
     def bw(g):
-        gcols = g.transpose(0, 2, 3, 1).reshape(b * h * w, cout)
-        gw = (gcols.T @ cols).reshape(cout, cin, kh, kw)
+        cols = _im2col(x.data, kh, kw)
+        gw = sum(gi @ ci.T for gi, ci in zip(g.reshape(b, cout, h * w), cols)).reshape(kernel.shape)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         if not (x.requires_grad or x.node is not None):
             return None, gw, gb
         w_flip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
-        gx = (_im2col(g, kh, kw) @ w_flip.T).reshape(b, h, w, cin).transpose(0, 3, 1, 2)
+        gx = np.matmul(w_flip, _im2col(g, kh, kw)).reshape(b, cin, h, w)
         return gx, gw, gb
 
-    return _from_op("conv2d", np.ascontiguousarray(out), (x, kernel, bias), bw)
+    return _from_op("conv2d", out.reshape(b, cout, h, w), (x, kernel, bias), bw)
 
 
 # --------------------------------------------------------------------------

@@ -256,6 +256,57 @@ class TestConv2d:
         assert y.node.inputs[1] is conv.weight and y.node.inputs[2] is conv.bias
         T.reset_tape()
 
+    # the walk reads the backward closure the way the benchmark's saved-bytes count does
+    @pytest.mark.parametrize("ksize", [1, 3])
+    def test_backward_keeps_no_array_but_its_operands(self, ksize):
+        rng = np.random.default_rng(16)
+        operands = [
+            Tensor(rng.standard_normal((2, 3, 5, 4)), requires_grad=True),
+            Tensor(rng.standard_normal((4, 3, ksize, ksize)), requires_grad=True),
+            Tensor(rng.standard_normal(4), requires_grad=True),
+        ]
+        y = T.conv2d(*operands)
+        allowed = {id(t.data) for t in operands}
+        for cell in y.node.backward_fn.__closure__:
+            value = cell.cell_contents
+            if isinstance(value, Tensor):
+                assert any(value is t for t in operands)
+            else:
+                assert not isinstance(value, np.ndarray) or id(value) in allowed
+        T.reset_tape()
+
+    @pytest.mark.parametrize("ksize", [1, 3])
+    def test_output_and_input_gradient_are_contiguous_nchw(self, ksize):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.standard_normal((2, 3, 5, 4)), requires_grad=True)
+        y = T.conv2d(x, Tensor(rng.standard_normal((4, 3, ksize, ksize))))
+        gx, _, _ = y.node.backward_fn(rng.standard_normal((2, 4, 5, 4)))
+        assert y.shape == (2, 4, 5, 4) and y.data.flags.c_contiguous
+        assert gx.shape == (2, 3, 5, 4) and gx.flags.c_contiguous
+        T.reset_tape()
+
+    def test_float32_batch4_repeats_bitwise_and_matches_oracle(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((4, 3, 6, 5))
+        k = rng.standard_normal((2, 3, 3, 3))
+        b = rng.standard_normal(2)
+        g = rng.standard_normal((4, 2, 6, 5))
+
+        def run():
+            ts = [Tensor(a.astype(np.float32), requires_grad=True) for a in (x, k, b)]
+            out = T.conv2d(*ts)
+            (out * Tensor(g.astype(np.float32))).sum().backward()
+            return [out.data] + [t.grad for t in ts]
+
+        first, second = run(), run()
+        for a, c in zip(first, second):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a, c)
+        gx, gk = conv2d_grad_oracle(x, k, 1, g)
+        oracle = [conv2d_oracle(x, k, 1) + b[:, None, None], gx, gk, g.sum(axis=(0, 2, 3))]
+        for a, want in zip(first, oracle):
+            np.testing.assert_allclose(a, want, rtol=1e-5, atol=1e-5)
+
 
 # ---------------------------------------------------------------------------
 # softmax
