@@ -15,16 +15,15 @@ from coopseg.config import toy_config
 from coopseg.data import synth_dataset
 from coopseg.metrics import evaluate_pairs
 from coopseg.model import SegmentationModel
-from coopseg.tensor import Tensor, no_grad
+from coopseg.tensor import Tensor
 from coopseg.train import Adam, ViewWeights, fuse_decision, train_epoch
 
 
 def fused_mdice(model, images, masks, lam):
     """Eval-mode training mDice of the fused decision and of each view."""
     model.eval()
-    with no_grad():
-        outs = model(images)
-        fused = fuse_decision(ViewWeights(model.view_weights.copy(), lam), outs)
+    outs = model(images)
+    fused = fuse_decision(ViewWeights(model.view_weights.copy(), lam), outs)
     model.train()
 
     def mdice(pred):

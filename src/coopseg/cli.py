@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck as gc
-from . import tensor as T
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_config, config_lines, parse_config_file
 from .data import DataError, SegmentationSample, load_dataset, synth_dataset, write_gray
@@ -167,11 +166,10 @@ def cmd_eval(args) -> int:
     model = _load_model(cfg, args.checkpoint)
     dtype = np.dtype(cfg.dtype)
     preds, gts = [], []
-    with T.no_grad():
-        for images, masks in _batches(samples, cfg.batch_size, dtype):
-            out = _decide(cfg, model, model(images))
-            preds.extend(np.asarray(out.data, dtype=np.float64))
-            gts.extend(masks.data.astype(np.float64))
+    for images, masks in _batches(samples, cfg.batch_size, dtype):
+        out = _decide(cfg, model, model(images))
+        preds.extend(np.asarray(out.data, dtype=np.float64))
+        gts.extend(masks.data.astype(np.float64))
     ids = [s.id for s in samples]
     report = evaluate_pairs(ids, preds, gts)
     rows = [[i, d, j, m] for i, d, j, m in zip(report.ids, report.dice, report.iou, report.mae)]
@@ -191,13 +189,12 @@ def cmd_predict(args) -> int:
     pred_dir = Path(cfg.out_dir) / "predictions"
     pred_dir.mkdir(parents=True, exist_ok=True)
     idx = 0
-    with T.no_grad():
-        for images, _ in _batches(samples, cfg.batch_size, dtype):
-            out = _decide(cfg, model, model(images)).data
-            for b in range(out.shape[0]):
-                gray = np.rint(255.0 * out[b, 0]).astype(np.uint8)
-                write_gray(pred_dir / f"{samples[idx].id}.pgm", gray)
-                idx += 1
+    for images, _ in _batches(samples, cfg.batch_size, dtype):
+        out = _decide(cfg, model, model(images)).data
+        for b in range(out.shape[0]):
+            gray = np.rint(255.0 * out[b, 0]).astype(np.uint8)
+            write_gray(pred_dir / f"{samples[idx].id}.pgm", gray)
+            idx += 1
     print(f"wrote {idx} mask images to {pred_dir}")
     return 0
 

@@ -74,17 +74,6 @@ def _read_pnm(path: Path) -> np.ndarray:
     return data.reshape(height, width)
 
 
-def _write_pnm(path: Path, arr: np.ndarray):
-    arr = np.asarray(arr, dtype=np.uint8)
-    if arr.ndim == 2:
-        header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
-    else:
-        raise DataError(f"cannot write raster of shape {arr.shape}")
-    path.write_bytes(header + arr.tobytes())
-
-
 def read_raster(path: Path) -> np.ndarray:
     suffix = path.suffix.lower()
     if suffix in (".ppm", ".pgm", ".pnm"):
@@ -100,8 +89,12 @@ def read_raster(path: Path) -> np.ndarray:
 
 
 def write_gray(path: Path, arr: np.ndarray):
-    """8-bit grayscale output as binary PGM, whatever the suffix of ``path``."""
-    _write_pnm(path.with_suffix(".pgm"), arr)
+    """8-bit H x W grayscale output as binary PGM (P5), whatever the suffix of ``path``."""
+    arr = np.asarray(arr, dtype=np.uint8)
+    if arr.ndim != 2:
+        raise DataError(f"write_gray: expected an H x W array, got shape {arr.shape}")
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
+    path.with_suffix(".pgm").write_bytes(header + arr.tobytes())
 
 
 # ---------------------------------------------------------------------------

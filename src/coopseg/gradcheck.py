@@ -54,7 +54,8 @@ def check_function(
 ) -> float:
     """Max relative error between backward() and central differences.
 
-    ``f`` recomputes a scalar loss from ``params`` (closed over). ``reset``
+    ``f`` recomputes a scalar loss from ``params`` (closed over); the analytic
+    pass runs in a ``step()`` of its own, the probes under ``no_grad``. ``reset``
     restores any state the forward pass mutates (batchnorm running buffers)
     so every evaluation sees identical conditions.
 
@@ -67,18 +68,18 @@ def check_function(
     """
     for p in params:
         p.grad = None
-    T.reset_tape()
     if reset is not None:
         reset()
     base_pattern: list = []
-    if skip_kinks:
-        with T.record_branch_pattern(base_pattern):
+    with T.step():
+        if skip_kinks:
+            with T.record_branch_pattern(base_pattern):
+                loss = f()
+        else:
             loss = f()
-    else:
-        loss = f()
-    if loss.size != 1:
-        raise T.GradientError(f"gradcheck target must be scalar, got {loss.shape}")
-    backward(loss)
+        if loss.size != 1:
+            raise T.GradientError(f"gradcheck target must be scalar, got {loss.shape}")
+        backward(loss)
     analytic = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
     def probe(pi: int, fi: int) -> tuple[float, bool]:
@@ -121,7 +122,6 @@ def check_function(
             continue
         idx = np.unravel_index(fi, params[pi].shape)
         worst = max(worst, relative_error(float(analytic[pi][idx]), numeric))
-    T.reset_tape()
     return worst
 
 

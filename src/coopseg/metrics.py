@@ -61,7 +61,6 @@ class MetricReport:
     dice: list[float]
     iou: list[float]
     mae: list[float]
-    threshold: float = THRESHOLD
 
     @property
     def mean_dice(self) -> float:

@@ -63,16 +63,12 @@ class Module:
         extra = sorted(set(state) - set(own))
         if missing or extra:
             raise CheckpointError(f"state mismatch: missing {missing}, unexpected {extra}")
-        for name, p in self.named_parameters():
+        # a parameter's .data and a buffer are the arrays themselves: assign in place
+        for name, dst in own.items():
             src = state[name]
-            if src.shape != p.data.shape:
-                raise ShapeError(f"state {name!r}: shape {src.shape} vs expected {p.data.shape}")
-            p.data[...] = src
-        for name, b in self.named_buffers():
-            src = state[name]
-            if src.shape != b.shape:
-                raise ShapeError(f"state {name!r}: shape {src.shape} vs expected {b.shape}")
-            b[...] = src
+            if src.shape != dst.shape:
+                raise ShapeError(f"state {name!r}: shape {src.shape} vs expected {dst.shape}")
+            dst[...] = src
 
     def train(self):
         object.__setattr__(self, "training", True)

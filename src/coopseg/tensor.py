@@ -1,8 +1,9 @@
 """Minimal dense tensor library with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays. Every differentiable operation records a node on
-the active gradient tape; ``backward`` replays the tape in exact reverse
-execution order and accumulates gradients into ``requires_grad`` leaves.
+Tensors wrap numpy arrays. Inside a ``step()`` block every differentiable
+operation records a node on the step's gradient tape; ``backward`` replays the
+tape in exact reverse execution order and accumulates gradients into
+``requires_grad`` leaves. Outside a step nothing is recorded.
 The op set is intentionally small: just what a two-branch segmentation
 network with a fusion decoder needs. Everything runs on CPU; float64 is the
 test/verification precision and float32 the training precision.
@@ -83,25 +84,42 @@ class GradTape:
 
 
 class _EngineState:
-    __slots__ = ("enabled", "tape")
+    __slots__ = ("tape",)
 
     def __init__(self):
-        self.enabled = True
-        self.tape: Optional[GradTape] = None
+        self.tape: Optional[GradTape] = None  # the recording tape; None outside a step
 
 
 _state = _EngineState()
 
 
 @contextmanager
+def step():
+    """Record gradful ops inside the block on a fresh tape, which is yielded.
+
+    On exit, normal or by exception, the tape's graph is released (saved
+    arrays go by refcount) and the previously active tape, if any, records
+    again. A ``backward`` inside the block spends what was recorded so far;
+    ops after it record on the same, now empty tape.
+    """
+    prev = _state.tape
+    tape = _state.tape = GradTape()
+    try:
+        yield tape
+    finally:
+        tape.release()
+        _state.tape = prev
+
+
+@contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / oracle paths)."""
-    prev = _state.enabled
-    _state.enabled = False
+    """Suspend the active tape inside the block (inference / oracle paths)."""
+    prev = _state.tape
+    _state.tape = None
     try:
         yield
     finally:
-        _state.enabled = prev
+        _state.tape = prev
 
 
 _branch_sink: Optional[list] = None
@@ -133,8 +151,6 @@ def _log_branch(mask: np.ndarray):
 
 
 def _record(op, inputs, backward_fn, out):
-    if _state.tape is None:
-        _state.tape = GradTape()
     node = TapeNode(op, inputs, backward_fn, out, _state.tape)
     _state.tape.nodes.append(node)
     out.node = node
@@ -229,9 +245,9 @@ def as_tensor(x) -> Tensor:
 
 
 def _needs_grad(*tensors: Optional[Tensor]) -> bool:
-    if not _state.enabled:
-        return False
-    return any(t is not None and (t.requires_grad or t.node is not None) for t in tensors)
+    return _state.tape is not None and any(
+        t is not None and (t.requires_grad or t.node is not None) for t in tensors
+    )
 
 
 def _from_op(op: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], backward_fn) -> Tensor:
@@ -731,25 +747,27 @@ def log(a: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad leaf.
 
-    The loss must be a scalar produced by taped ops. Nodes are visited in
-    exact reverse execution order; a node is skipped when no gradient has
-    reached its output.
+    The loss must be a scalar produced by taped ops inside a ``step()``, or a
+    ``requires_grad`` leaf. Nodes are visited in exact reverse execution
+    order; a node is skipped when no gradient has reached its output.
 
     The graph is spent afterwards: each node is released as soon as it has
     been visited, the rest of the tape when the replay ends, and a second
-    ``backward`` through any of it raises GradientError.
+    ``backward`` through any of it raises GradientError. The step goes on
+    recording on the emptied tape.
     """
     if loss.data.size != 1:
         raise GradientError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss.node is None:
-        if loss.requires_grad:
-            g = np.ones_like(loss.data)
-            loss.grad = g if loss.grad is None else loss.grad + g
+        if not loss.requires_grad:
+            raise GradientError("backward: loss has no graph; ops record only inside `with step():`")
+        g = np.ones_like(loss.data)
+        loss.grad = g if loss.grad is None else loss.grad + g
         return
     if loss.node.out is not loss:
         raise GradientError(
             f"backward: graph already released (its {loss.node.op!r} node was "
-            "replayed or reset); recompute the loss"
+            "replayed or its step ended); recompute the loss"
         )
     tape = loss.node.tape
     # Tensor defines no __eq__, so it hashes by identity
@@ -768,18 +786,3 @@ def backward(loss: Tensor) -> None:
     for leaf, g in pending.items():
         if leaf.requires_grad:
             leaf.grad = g if leaf.grad is None else leaf.grad + g
-    # this tape is spent; the next recorded op starts a fresh one
-    if _state.tape is tape:
-        _state.tape = None
-
-
-def active_tape() -> Optional[GradTape]:
-    return _state.tape
-
-
-def reset_tape() -> None:
-    """Release the current recording tape's graph and stop recording on it
-    (used between independent steps and on every exit path of one)."""
-    if _state.tape is not None:
-        _state.tape.release()
-    _state.tape = None

@@ -134,17 +134,6 @@ class EpochReport:
     batch_weights: list[np.ndarray] = field(default_factory=list)
 
 
-def _batch_losses(model: SegmentationModel, images: Tensor, masks: Tensor):
-    outs = model(images)
-    losses = []
-    for name, pre in zip(VIEW_NAMES, outs.as_tuple()):
-        lk = view_loss(pre, masks)
-        if not np.isfinite(lk.data).all():
-            raise RuntimeError(f"non-finite loss in view {name!r}; aborting")
-        losses.append(lk)
-    return outs, losses
-
-
 def train_epoch(
     model: SegmentationModel,
     optimizer: Adam,
@@ -165,17 +154,18 @@ def train_epoch(
     per_batch_w = []
     for images, masks in batches:
         optimizer.zero_grad()
-        try:
-            _, losses = _batch_losses(model, images, masks)
+        # the step releases its graph on every exit, the non-finite-loss abort included
+        with T.step():
+            losses = [view_loss(pre, masks) for pre in model(images).as_tuple()]
+            for name, lk in zip(VIEW_NAMES, losses):
+                if not np.isfinite(lk.data).all():
+                    raise RuntimeError(f"non-finite loss in view {name!r}; aborting")
             vals = [float(lk.item()) for lk in losses]
             w = solve_weights(vals, lam)
             per_batch_w.append(w.w.copy())
             # python floats keep the weighted sum in the losses' dtype
             weighted = sum(lk * float(wk) for lk, wk in zip(losses, w.w))
             T.backward(weighted)
-        finally:
-            # an aborted step (non-finite loss) must not leave its graph behind
-            T.reset_tape()
         optimizer.step()
         sums += vals
     means = sums / len(batches)

@@ -1,6 +1,7 @@
 """Backward-pass contracts: tape order, accumulation, finite-difference checks."""
 
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 import helpers
 from coopseg import gradcheck
 from coopseg import tensor as T
+from coopseg.config import toy_config
+from coopseg.model import SegmentationModel
 from coopseg.tensor import GradientError, Tensor, backward, no_grad
 
 
@@ -29,13 +32,15 @@ def log_visits(loss):
 class TestBackwardBasics:
     def test_sum_grad_all_ones(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 4)), requires_grad=True)
-        backward(x.sum())
+        with T.step():
+            backward(x.sum())
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_quadratic_grad_2x(self):
         data = np.random.default_rng(1).standard_normal(6)
         x = Tensor(data, requires_grad=True)
-        backward((x * x).sum())
+        with T.step():
+            backward((x * x).sum())
         np.testing.assert_allclose(x.grad, 2 * data, atol=1e-14)
 
     def test_non_scalar_loss_rejected(self):
@@ -45,14 +50,16 @@ class TestBackwardBasics:
 
     def test_fanout_accumulates_additively(self):
         x = Tensor([3.0], requires_grad=True)
-        y = x * 2.0 + x * 5.0  # d/dx = 7
-        backward(y.sum())
+        with T.step():
+            y = x * 2.0 + x * 5.0  # d/dx = 7
+            backward(y.sum())
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_grad_accumulates_across_backward_calls(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        backward(x.sum())
-        backward(x.sum())
+        with T.step():
+            backward(x.sum())
+            backward(x.sum())
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
     def test_no_grad_blocks_recording(self):
@@ -65,43 +72,132 @@ class TestBackwardBasics:
     def test_constants_get_no_grad(self):
         x = Tensor([2.0], requires_grad=True)
         c = Tensor([5.0])  # requires_grad=False
-        backward((x * c).sum())
+        with T.step():
+            backward((x * c).sum())
         np.testing.assert_array_equal(x.grad, [5.0])
         assert c.grad is None
+
+    def test_requires_grad_leaf_loss_needs_no_step(self):
+        x = Tensor(2.0, requires_grad=True)
+        backward(x)
+        np.testing.assert_array_equal(x.grad, 1.0)
+
+    def test_graphless_loss_raises_naming_step(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * 3.0).sum()  # outside any step: nothing recorded
+        assert loss.node is None
+        with pytest.raises(GradientError, match=r"step\(\)"):
+            backward(loss)
+        with T.step():
+            with no_grad():
+                loss = (x * 3.0).sum()
+            with pytest.raises(GradientError, match=r"step\(\)"):
+                backward(loss)
+        assert x.grad is None
+
+
+class TestStepScope:
+    """Ops record only inside ``T.step()``; each step has a tape of its own,
+    released on exit, and the enclosing tape records again afterwards."""
+
+    def test_forwards_outside_a_step_record_nothing(self):
+        cfg = toy_config(seed=5)
+        model = SegmentationModel(cfg)
+        size = cfg.image_size
+        x = Tensor(np.random.default_rng(0).standard_normal((1, 3, size, size)).astype(np.float32))
+        for _ in range(2):
+            outs = model(x)
+            assert T._state.tape is None
+            assert all(o.node is None and not o.requires_grad for o in outs.as_tuple())
+
+    def test_step_records_on_a_fresh_tape_and_restores_none(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.step() as tape:
+            assert T._state.tape is tape and len(tape) == 0
+            y = x * 2.0
+            assert y.node.tape is tape and len(tape) == 1
+        assert T._state.tape is None
+        assert len(tape) == 0 and y.node.out is None
+
+    def test_no_grad_inside_a_step_records_nothing(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.step() as tape:
+            with no_grad():
+                y = x * 3.0
+                assert T._state.tape is None
+            assert T._state.tape is tape
+            z = x * 4.0
+        assert y.node is None and not y.requires_grad
+        assert z.node is not None and z.node.op == "mul"
+        assert [n.op for n in tape.nodes] == []  # released on exit
+
+    def test_nested_step_restores_the_outer_tape(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.step() as outer:
+            a = x * 2.0
+            with T.step() as inner:
+                assert inner is not outer
+                b = (x * 5.0).sum()
+                assert b.node.tape is inner and len(outer) == 1
+            assert T._state.tape is outer and len(inner) == 0
+            loss = (a * 3.0).sum()
+            assert [n.op for n in outer.nodes] == ["mul", "mul", "sum"]
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+        with pytest.raises(GradientError, match="already released"):
+            backward(b)
+
+    def test_exception_inside_a_step_restores_the_outer_tape(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.step() as outer:
+            with pytest.raises(RuntimeError, match="boom"):
+                with T.step():
+                    x * 2.0
+                    raise RuntimeError("boom")
+            assert T._state.tape is outer
+        assert T._state.tape is None
 
 
 class TestTapeSemantics:
     def test_reverse_execution_order(self):
         # record order: mul, add, sum -> backward must visit sum, add, mul
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = x * 2.0
-        z = y + 1.0
-        loss = z.sum()
-        log = log_visits(loss)
-        backward(loss)
+        with T.step():
+            y = x * 2.0
+            z = y + 1.0
+            loss = z.sum()
+            log = log_visits(loss)
+            backward(loss)
         assert log == ["sum", "add", "mul"]
 
     def test_unreachable_ops_skipped(self):
         x = Tensor([1.0], requires_grad=True)
-        _dead_end = x * 10.0  # taped but not feeding the loss
-        loss = (x * 2.0).sum()
-        log = log_visits(loss)
-        backward(loss)
+        with T.step():
+            _dead_end = x * 10.0  # taped but not feeding the loss
+            loss = (x * 2.0).sum()
+            log = log_visits(loss)
+            backward(loss)
         assert "mul" in log and len(log) == 2  # sum + one mul only
         np.testing.assert_array_equal(x.grad, [2.0])
 
     def test_diamond_graph_accumulates(self):
         # z = (x*2) + (x*3); dz/dx = 5 reaches x via two tape paths
         x = Tensor([4.0], requires_grad=True)
-        a = x * 2.0
-        b = x * 3.0
-        backward((a + b).sum())
+        with T.step():
+            a = x * 2.0
+            b = x * 3.0
+            backward((a + b).sum())
         np.testing.assert_array_equal(x.grad, [5.0])
 
-    def test_fresh_tape_after_backward(self):
+    def test_step_tape_empty_after_backward_records_next_op(self):
         x = Tensor([1.0], requires_grad=True)
-        backward((x * 2.0).sum())
-        assert T.active_tape() is None
+        with T.step() as tape:
+            backward((x * 2.0).sum())
+            assert T._state.tape is tape and len(tape) == 0
+            y = x * 3.0
+            assert [n.op for n in tape.nodes] == ["mul"] and y.node.tape is tape
+            backward(y.sum())
+        np.testing.assert_array_equal(x.grad, [5.0])
 
 
 class TestTapeLifetime:
@@ -110,7 +206,7 @@ class TestTapeLifetime:
 
     def test_intermediate_freed_when_backward_returns(self):
         rng = np.random.default_rng(0)
-        with helpers.cyclic_gc_disabled():
+        with helpers.cyclic_gc_disabled(), T.step():
             x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
             w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
             h = T.gelu(x @ w)
@@ -123,7 +219,7 @@ class TestTapeLifetime:
 
     def test_visited_node_freed_before_its_inputs_are_visited(self):
         x = Tensor([1.0, -2.0], requires_grad=True)
-        with helpers.cyclic_gc_disabled():
+        with helpers.cyclic_gc_disabled(), T.step():
             a = x * 2.0
             b = T.gelu(a)
             ref = weakref.ref(b.data)
@@ -140,36 +236,58 @@ class TestTapeLifetime:
             backward(loss)
         assert seen == [None]
 
+    @pytest.mark.parametrize("exit_by", ["backward", "no_backward", "exception"])
+    def test_no_recorded_array_survives_its_step(self, exit_by):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        with helpers.cyclic_gc_disabled():
+            with pytest.raises(RuntimeError) if exit_by == "exception" else nullcontext():
+                with T.step():
+                    h = T.gelu(x @ w)
+                    refs = [weakref.ref(h.data), weakref.ref(h.node.inputs[0].data)]
+                    loss = (h * h).sum()
+                    del h
+                    assert all(r() is not None for r in refs)  # the live graph holds them
+                    if exit_by == "backward":
+                        backward(loss)
+                    elif exit_by == "exception":
+                        raise RuntimeError("aborted step")
+            assert [r() for r in refs] == [None, None]
+            assert loss.node.out is None
+
     def test_unreached_nodes_released(self):
         x = Tensor([1.0], requires_grad=True)
-        dead_end = x * 10.0
-        loss = (x * 2.0).sum()
-        tape = T.active_tape()
-        backward(loss)
-        assert len(tape) == 0
+        with T.step() as tape:
+            dead_end = x * 10.0
+            loss = (x * 2.0).sum()
+            backward(loss)
+            assert len(tape) == 0
         assert dead_end.node.out is None and dead_end.node.backward_fn is None
 
     def test_replay_raises_and_keeps_grads(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = (x * 3.0).sum()
-        backward(loss)
-        with pytest.raises(GradientError, match="already released"):
+        with T.step():
+            loss = (x * 3.0).sum()
             backward(loss)
+            with pytest.raises(GradientError, match="already released"):
+                backward(loss)
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
     def test_second_loss_on_spent_tape_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        a = x * 2.0
-        first, second = a.sum(), (a * a).sum()
-        backward(first)
-        with pytest.raises(GradientError, match="already released"):
-            backward(second)
+        with T.step():
+            a = x * 2.0
+            first, second = a.sum(), (a * a).sum()
+            backward(first)
+            with pytest.raises(GradientError, match="already released"):
+                backward(second)
 
-    def test_backward_after_reset_tape_raises(self):
+    def test_backward_after_step_exit_raises(self):
         x = Tensor([1.0], requires_grad=True)
-        loss = (x * 2.0).sum()
-        T.reset_tape()
-        assert T.active_tape() is None
+        with T.step():
+            loss = (x * 2.0).sum()
+        assert T._state.tape is None
         with pytest.raises(GradientError, match="already released"):
             backward(loss)
         assert x.grad is None

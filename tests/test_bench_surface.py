@@ -1,14 +1,21 @@
 """The benchmark's span tracer (perfbench/tracer.py) wraps coopseg names by
 lookup; a renamed or deleted op, function or ``__call__`` would break
 ``perfbench/run.py --trace 1``. These tests install the tracer, check that
-every name it lists was found and wrapped, and that restoring it leaves the
-package exactly as it was."""
+every name it lists was found and wrapped, that its tape hooks still read
+the tape of a training step, and that restoring it leaves the package exactly
+as it was."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from coopseg import tensor as T
+from coopseg import train
+from coopseg.config import toy_config
+from coopseg.data import synth_dataset
+from coopseg.model import SegmentationModel
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -71,3 +78,25 @@ def test_restore_leaves_the_package_unchanged():
         after = after_mods[name]
         changed = [a for a, v in attrs.items() if after.get(a) is not v]
         assert not changed, (name, changed)
+
+
+def test_traced_train_step_counts_its_tape():
+    # the tape_stats and backward-span hooks read TapeNode.out/backward_fn and GradTape.nodes
+    tr = load_tracer()
+    cfg = toy_config(image_size=32, d_model=48, stem_channels=4, stage_units=1,
+                     c4=8, c8=12, c16=16, seed=5)
+    model = SegmentationModel(cfg)
+    opt = train.Adam(model.parameters(), lr=cfg.lr)
+    sample = synth_dataset(1, cfg.image_size, seed=5)[0]
+    batch = (T.Tensor(sample.image[None].astype(np.float32)),
+             T.Tensor(sample.mask[None].astype(np.float32)))
+    tracer, patcher = tr.Tracer(), tr.Patcher()
+    try:
+        tr.install(tracer, patcher)
+        train.train_epoch(model, opt, [batch], lam=cfg.lam)
+    finally:
+        patcher.restore()
+    assert tracer.counters["tensor.tape_nodes"] > 0
+    assert tracer.max_saved_bytes > 0
+    assert "tensor.conv2d.bwd" in tracer.names
+    assert "train.epoch" in tracer.names

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from coopseg import gradcheck
+from coopseg import tensor as T
 from coopseg.cnn import CnnBranch, CnnViewHead, DenseStage
 from coopseg.config import RunConfig, toy_config
 from coopseg.data import synth_dataset
@@ -126,8 +127,8 @@ class TestFitCapacity:
         opt = Adam(params, lr=2e-3)
         for _ in range(300):
             opt.zero_grad()
-            loss = view_loss(head(branch(images)), masks)
-            loss.backward()
+            with T.step():
+                view_loss(head(branch(images)), masks).backward()
             opt.step()
 
         branch.eval()

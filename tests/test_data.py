@@ -70,6 +70,13 @@ class TestPnm:
         write_gray(p, arr)
         np.testing.assert_array_equal(read_raster(p), arr)
 
+    @pytest.mark.parametrize("shape", [(4, 5, 3), (20,), (1, 4, 5)])
+    def test_write_gray_rejects_non_2d(self, tmp_path, shape):
+        p = tmp_path / "m.pgm"
+        with pytest.raises(DataError, match="H x W"):
+            write_gray(p, np.zeros(shape, dtype=np.uint8))
+        assert not p.exists()
+
 
 def put_pair(root, stem, img_vals, mask_vals, w, h):
     (root / "images").mkdir(exist_ok=True, parents=True)

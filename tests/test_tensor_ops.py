@@ -126,11 +126,12 @@ class TestMatmul:
         b = rng.standard_normal(5).astype(dtype)
         g = rng.standard_normal(lead + (5,)).astype(dtype)
         chain = [Tensor(x, requires_grad=True) for x in (a, w, b)]
-        ref = T.matmul(chain[0], chain[1]) + chain[2]
-        (ref * Tensor(g)).sum().backward()  # each backward spends its whole tape
         fused = [Tensor(x, requires_grad=True) for x in (a, w, b)]
-        out = T.matmul(*fused)
-        (out * Tensor(g)).sum().backward()
+        with T.step():
+            ref = T.matmul(chain[0], chain[1]) + chain[2]
+            (ref * Tensor(g)).sum().backward()  # each backward spends its whole tape
+            out = T.matmul(*fused)
+            (out * Tensor(g)).sum().backward()
         assert out.dtype == dtype
         np.testing.assert_array_equal(out.data, ref.data)
         for x, c in zip(fused, chain):
@@ -144,12 +145,11 @@ class TestMatmul:
                 T.matmul(a, w, Tensor(bias))
 
     def test_biased_linear_module_records_one_tape_node(self):
-        T.reset_tape()
         fc = Linear(3, 4, np.random.default_rng(17))
-        y = fc(Tensor(np.ones((2, 5, 3)), requires_grad=True))
-        assert [n.op for n in T.active_tape().nodes] == ["matmul"]
-        assert y.node.inputs[1] is fc.weight and y.node.inputs[2] is fc.bias
-        T.reset_tape()
+        with T.step() as tape:
+            y = fc(Tensor(np.ones((2, 5, 3)), requires_grad=True))
+            assert [n.op for n in tape.nodes] == ["matmul"]
+            assert y.node.inputs[1] is fc.weight and y.node.inputs[2] is fc.bias
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +200,10 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 7, 6))
         k = rng.standard_normal((2, 3, ksize, ksize))
         tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
-        out = T.conv2d(tx, tk)
-        g = rng.standard_normal(out.shape)
-        (out * Tensor(g)).sum().backward()
+        with T.step():
+            out = T.conv2d(tx, tk)
+            g = rng.standard_normal(out.shape)
+            (out * Tensor(g)).sum().backward()
         gx, gk = conv2d_grad_oracle(x, k, padding, g)
         np.testing.assert_allclose(tx.grad, gx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(tk.grad, gk, rtol=1e-12, atol=1e-12)
@@ -212,12 +213,12 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 5, 5))
         k = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
         g = rng.standard_normal((2, 4, 5, 5))
-        gx, gk, _ = T.conv2d(Tensor(x), k).node.backward_fn(g)
+        with T.step():
+            gx, gk, _ = T.conv2d(Tensor(x), k).node.backward_fn(g)
+            gx_live, gk_live, _ = T.conv2d(Tensor(x, requires_grad=True), k).node.backward_fn(g)
         assert gx is None
-        gx_live, gk_live, _ = T.conv2d(Tensor(x, requires_grad=True), k).node.backward_fn(g)
         assert gx_live.shape == x.shape
         np.testing.assert_array_equal(gk, gk_live)
-        T.reset_tape()
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
@@ -231,11 +232,12 @@ class TestConv2d:
         b = rng.standard_normal(4).astype(dtype)
         g = rng.standard_normal((2, 4, 5, 4)).astype(dtype)
         chain = [Tensor(a, requires_grad=True) for a in (x, k, b)]
-        ref = T.conv2d(chain[0], chain[1]) + T.reshape(chain[2], (1, -1, 1, 1))
-        (ref * Tensor(g)).sum().backward()  # each backward spends its whole tape
         fused = [Tensor(a, requires_grad=True) for a in (x, k, b)]
-        out = T.conv2d(*fused)
-        (out * Tensor(g)).sum().backward()
+        with T.step():
+            ref = T.conv2d(chain[0], chain[1]) + T.reshape(chain[2], (1, -1, 1, 1))
+            (ref * Tensor(g)).sum().backward()  # each backward spends its whole tape
+            out = T.conv2d(*fused)
+            (out * Tensor(g)).sum().backward()
         assert out.dtype == dtype
         np.testing.assert_array_equal(out.data, ref.data)
         for a, c in zip(fused, chain):
@@ -249,12 +251,11 @@ class TestConv2d:
                 T.conv2d(x, k, Tensor(bias))
 
     def test_biased_conv_module_records_one_tape_node(self):
-        T.reset_tape()
         conv = Conv2d(2, 3, 3, np.random.default_rng(15))
-        y = conv(Tensor(np.ones((1, 2, 4, 4)), requires_grad=True))
-        assert [n.op for n in T.active_tape().nodes] == ["conv2d"]
-        assert y.node.inputs[1] is conv.weight and y.node.inputs[2] is conv.bias
-        T.reset_tape()
+        with T.step() as tape:
+            y = conv(Tensor(np.ones((1, 2, 4, 4)), requires_grad=True))
+            assert [n.op for n in tape.nodes] == ["conv2d"]
+            assert y.node.inputs[1] is conv.weight and y.node.inputs[2] is conv.bias
 
     # the walk reads the backward closure the way the benchmark's saved-bytes count does
     @pytest.mark.parametrize("ksize", [1, 3])
@@ -265,25 +266,25 @@ class TestConv2d:
             Tensor(rng.standard_normal((4, 3, ksize, ksize)), requires_grad=True),
             Tensor(rng.standard_normal(4), requires_grad=True),
         ]
-        y = T.conv2d(*operands)
+        with T.step():
+            closure = T.conv2d(*operands).node.backward_fn.__closure__
         allowed = {id(t.data) for t in operands}
-        for cell in y.node.backward_fn.__closure__:
+        for cell in closure:
             value = cell.cell_contents
             if isinstance(value, Tensor):
                 assert any(value is t for t in operands)
             else:
                 assert not isinstance(value, np.ndarray) or id(value) in allowed
-        T.reset_tape()
 
     @pytest.mark.parametrize("ksize", [1, 3])
     def test_output_and_input_gradient_are_contiguous_nchw(self, ksize):
         rng = np.random.default_rng(17)
         x = Tensor(rng.standard_normal((2, 3, 5, 4)), requires_grad=True)
-        y = T.conv2d(x, Tensor(rng.standard_normal((4, 3, ksize, ksize))))
-        gx, _, _ = y.node.backward_fn(rng.standard_normal((2, 4, 5, 4)))
+        with T.step():
+            y = T.conv2d(x, Tensor(rng.standard_normal((4, 3, ksize, ksize))))
+            gx, _, _ = y.node.backward_fn(rng.standard_normal((2, 4, 5, 4)))
         assert y.shape == (2, 4, 5, 4) and y.data.flags.c_contiguous
         assert gx.shape == (2, 3, 5, 4) and gx.flags.c_contiguous
-        T.reset_tape()
 
     def test_float32_batch4_repeats_bitwise_and_matches_oracle(self):
         rng = np.random.default_rng(18)
@@ -294,8 +295,9 @@ class TestConv2d:
 
         def run():
             ts = [Tensor(a.astype(np.float32), requires_grad=True) for a in (x, k, b)]
-            out = T.conv2d(*ts)
-            (out * Tensor(g.astype(np.float32))).sum().backward()
+            with T.step():
+                out = T.conv2d(*ts)
+                (out * Tensor(g.astype(np.float32))).sum().backward()
             return [out.data] + [t.grad for t in ts]
 
         first, second = run(), run()
@@ -363,7 +365,8 @@ class TestResampling:
 
     def test_upsample_backward_all_fours(self):
         x = Tensor(np.random.default_rng(0).standard_normal((1, 2, 3, 3)), requires_grad=True)
-        T.upsample2x_nearest(x).sum().backward()
+        with T.step():
+            T.upsample2x_nearest(x).sum().backward()
         np.testing.assert_array_equal(x.grad, np.full((1, 2, 3, 3), 4.0))
 
     @given(st.integers(0, 2**31 - 1))

@@ -289,11 +289,10 @@ class TestTrainEpoch:
         model = SegmentationModel(cfg)
         opt = Adam(model.parameters(), lr=cfg.lr)
         batch = tiny_batch(cfg)
-        T.reset_tape()
         with helpers.cyclic_gc_disabled():
-            model(batch[0])
-            step_nodes = len(T.active_tape())
-            T.reset_tape()
+            with T.step() as tape:
+                model(batch[0])
+                step_nodes = len(tape)
 
             refs = []
             record = T._record
@@ -309,14 +308,14 @@ class TestTrainEpoch:
             with pytest.raises(RuntimeError, match="non-finite"):
                 train_epoch(model, opt, [batch], lam=1.0)
             monkeypatch.setattr(T, "_record", record)
-            assert T.active_tape() is None
+            assert T._state.tape is None
             assert len(refs) > step_nodes
             assert [r for r in refs if r() is not None] == []
 
             bias[...] = saved
-            model(batch[0])
-            assert len(T.active_tape()) == step_nodes
-            T.reset_tape()
+            with T.step() as tape:
+                model(batch[0])
+                assert len(tape) == step_nodes
 
     def test_empty_batches_rejected(self):
         cfg = tiny_cfg()

@@ -140,8 +140,9 @@ class TestAttention:
         results = []
         for fn in (scores_scaled, msa):
             xt = Tensor(x, requires_grad=True)
-            out = fn(xt)
-            (out * Tensor(g)).sum().backward()
+            with T.step():
+                out = fn(xt)
+                (out * Tensor(g)).sum().backward()
             results.append([out.data, xt.grad] + [p.grad for p in params])
             for p in params:
                 p.grad = None
@@ -151,12 +152,11 @@ class TestAttention:
 
     def test_forward_records_two_score_sized_arrays(self):
         # the logits and the softmax rows; the query scale runs on B x heads x N x d_head
-        T.reset_tape()
         msa = MultiHeadSelfAttention(small_cfg(), rng_of(16))
-        msa(Tensor(rng_of(17).standard_normal((2, 5, 8))))
-        shapes = [n.out.shape for n in T.active_tape().nodes]
+        with T.step() as tape:
+            msa(Tensor(rng_of(17).standard_normal((2, 5, 8))))
+            shapes = [n.out.shape for n in tape.nodes]
         assert shapes.count((2, 2, 5, 5)) == 2
-        T.reset_tape()
 
     def test_permutation_equivariance(self):
         msa = MultiHeadSelfAttention(small_cfg(), rng_of(10))
