@@ -100,7 +100,8 @@ def step():
     On exit, normal or by exception, the tape's graph is released (saved
     arrays go by refcount) and the previously active tape, if any, records
     again. A ``backward`` inside the block spends what was recorded so far;
-    ops after it record on the same, now empty tape.
+    ops after it record on the same, now empty tape. An op on a tensor that
+    another step recorded, or that a ``backward`` spent, raises GradientError.
     """
     prev = _state.tape
     tape = _state.tape = GradTape()
@@ -253,6 +254,15 @@ def _needs_grad(*tensors: Optional[Tensor]) -> bool:
 def _from_op(op: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], backward_fn) -> Tensor:
     out = Tensor(data)
     if _needs_grad(*inputs):
+        for t in inputs:
+            # a node replayed by backward, or recorded by another step, is one this
+            # step's backward never visits: the gradient would stop there unseen
+            node = t.node if t is not None else None
+            if node is not None and (node.out is None or node.tape is not _state.tape):
+                raise GradientError(
+                    f"{op}: an input comes from another step or from a graph spent by backward; "
+                    "recompute it inside this step"
+                )
         out.requires_grad = True
         _record(op, tuple(inputs), backward_fn, out)
     return out
@@ -393,28 +403,44 @@ def matmul(a, b, bias: Optional[Tensor] = None) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Stride-1 kh x kw windows of an NCHW array zero-padded by kh // 2 rows and
-    kw // 2 columns on each side, channel-major: B x (C*KH*KW) x (H*W), where row
-    (c, i, j) of image n is channel c of image n shifted by (i, j). A 1x1 kernel
-    returns the input reshaped, without a copy when it is contiguous."""
+def _im2col(x: np.ndarray, kh: int, kw: int):
+    """Yield, image by image, the stride-1 kh x kw windows of an NCHW array zero-padded
+    by kh // 2 rows and kw // 2 columns on each side, channel-major: (C*KH*KW) x (H*W),
+    where row (c, i, j) is channel c shifted by (i, j). The batch is padded once and
+    viewed once; each image's windows are copied only when its turn comes, so a caller
+    that drops them before taking the next holds one image's at a time. A 1x1 kernel
+    yields the images reshaped, without a copy when the input is contiguous."""
     b, c, h, w = x.shape
     if kh == 1 and kw == 1:
-        return x.reshape(b, c, h * w)
+        yield from x.reshape(b, c, h * w)
+        return
     x = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
-    # windows: B x C x H x W x KH x KW, copied as B x C x KH x KW x H x W
+    # windows: B x C x H x W x KH x KW, each image copied as C x KH x KW x H x W
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, h * w)
+    for wn in win.transpose(0, 1, 4, 5, 2, 3):
+        yield wn.reshape(c * kh * kw, h * w)
+
+
+def _correlate(k2: np.ndarray, x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """``k2 @ cols_n`` for the ``_im2col`` windows of each image n of x, each GEMM
+    written straight into image n of one B x rows x (H*W) output."""
+    b, _, h, w = x.shape
+    out = np.empty((b, k2.shape[0], h * w), np.result_type(k2, x))
+    cols = _im2col(x, kh, kw)
+    for out_n in out:
+        # no name holds image n-1's windows while image n's are copied
+        np.matmul(k2, next(cols), out=out_n)
+    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Stride-1 2-d cross-correlation of B x Cin x H x W input with Cout x Cin x kh x kw kernel,
     zero-padded by kh // 2 and kw // 2 so the output is H x W, plus an optional (Cout,) bias: one
     GEMM per image with the channel-major ``_im2col`` windows, landing in contiguous NCHW.
-    Backward keeps only the operands and rebuilds the input's windows for the kernel gradient
-    (images summed in a fixed order). Its input gradient correlates the upstream gradient,
-    padded the same way, with the flipped, channel-swapped kernel; it is None when the input
-    neither requires grad nor has a tape node."""
+    Backward keeps only the operands and rebuilds the input's windows, image by image, for the
+    kernel gradient (images summed in a fixed order). Its input gradient correlates the upstream
+    gradient, padded the same way, with the flipped, channel-swapped kernel; it is None when the
+    input neither requires grad nor has a tape node."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -428,19 +454,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         bias = as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d: bias must have shape ({cout},), got {bias.shape}")
-    out = np.matmul(kernel.data.reshape(cout, -1), _im2col(x.data, kh, kw))
+    out = _correlate(kernel.data.reshape(cout, -1), x.data, kh, kw)
     if bias is not None:
         out += bias.data[:, None]
 
     def bw(g):
         cols = _im2col(x.data, kh, kw)
-        gw = sum(gi @ ci.T for gi, ci in zip(g.reshape(b, cout, h * w), cols)).reshape(kernel.shape)
+        gw = sum(gi @ next(cols).T for gi in g.reshape(b, cout, h * w)).reshape(kernel.shape)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         if not (x.requires_grad or x.node is not None):
             return None, gw, gb
         w_flip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
-        gx = np.matmul(w_flip, _im2col(g, kh, kw)).reshape(b, cin, h, w)
-        return gx, gw, gb
+        return _correlate(w_flip, g, kh, kw).reshape(b, cin, h, w), gw, gb
 
     return _from_op("conv2d", out.reshape(b, cout, h, w), (x, kernel, bias), bw)
 
@@ -631,9 +656,9 @@ def gelu(a: Tensor) -> Tensor:
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Row-stable softmax along the last dimension."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=-1, keepdims=True)
+    out = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -643,7 +668,8 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 
 
 def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-token normalization over the last dim, then affine gamma/beta."""
+    """Per-token normalization over the last dim, then affine gamma/beta. The output is
+    the only full-size array made; backward rebuilds the normalized input from x."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -651,10 +677,13 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gamma.data + beta.data
+    out = x.data - mu
+    out *= inv
+    out *= gamma.data
+    out += beta.data
 
     def bw(g):
+        xhat = (x.data - mu) * inv
         lead = tuple(range(g.ndim - 1))
         gg = (g * xhat).sum(axis=lead)
         gb = g.sum(axis=lead)
@@ -680,6 +709,8 @@ def batchnorm_channel(
     In training mode statistics come from the batch and the running buffers
     are updated in place (momentum 0.1, unbiased variance, matching the
     common framework convention); in eval mode the running buffers are used.
+    The output is the only full-size array made; backward rebuilds the
+    normalized input from x with the forward's own expression.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
@@ -699,11 +730,15 @@ def batchnorm_channel(
         mu = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
     shape = (1, c, 1, 1)
+    mu = mu.reshape(shape)
     inv = (1.0 / np.sqrt(var + eps)).reshape(shape)
-    xhat = (x.data - mu.reshape(shape)) * inv
-    out = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+    out = x.data - mu
+    out *= inv
+    out *= gamma.data.reshape(shape)
+    out += beta.data.reshape(shape)
 
     def bw(g):
+        xhat = (x.data - mu) * inv
         gg = (g * xhat).sum(axis=axes)
         gb = g.sum(axis=axes)
         gxhat = g * gamma.data.reshape(shape)
@@ -784,5 +819,5 @@ def backward(loss: Tensor) -> None:
         node.release()
     tape.release()
     for leaf, g in pending.items():
-        if leaf.requires_grad:
+        if leaf.node is None:
             leaf.grad = g if leaf.grad is None else leaf.grad + g

@@ -117,9 +117,22 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            m += (1.0 - ADAM_BETA1) * (g - m)
-            v += (1.0 - ADAM_BETA2) * (g * g - v)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            # m += (1 - b1)(g - m); v += (1 - b2)(g * g - v); p -= lr (m / bc1) / (sqrt(v / bc2) + eps):
+            # the operations of that expression form, in its order, through two temporaries
+            t = g - m
+            t *= 1.0 - ADAM_BETA1
+            m += t
+            np.multiply(g, g, out=t)
+            t -= v
+            t *= 1.0 - ADAM_BETA2
+            v += t
+            upd = m / bc1
+            upd *= self.lr
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += ADAM_EPS
+            upd /= t
+            p.data -= upd
 
     def zero_grad(self):
         for p in self.params:

@@ -6,6 +6,7 @@ forms that are easy to audit by eye.
 
 import gc
 import math
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -97,3 +98,21 @@ def cyclic_gc_disabled():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def alloc_peak(fn):
+    """Run ``fn()`` and return its result and the peak of traced allocations
+    above the level at the call, in bytes. numpy reports its array buffers
+    to ``tracemalloc``, so this bounds the transient memory of an op."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak

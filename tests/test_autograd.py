@@ -292,6 +292,33 @@ class TestTapeLifetime:
             backward(loss)
         assert x.grad is None
 
+    def test_tensor_from_an_earlier_step_raises(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.step():
+            a = x * 2.0
+        with T.step(), pytest.raises(GradientError, match="another step"):
+            backward((a * 3.0).sum())
+        assert x.grad is None and a.grad is None
+
+    def test_tensor_spent_by_backward_raises_in_the_same_step(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.step():
+            a = x * 2.0
+            backward(a.sum())
+            with pytest.raises(GradientError, match="spent by backward"):
+                a * 3.0
+        np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_tensor_from_an_outer_step_raises_in_a_nested_step(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.step():
+            a = x * 2.0
+            with T.step(), pytest.raises(GradientError, match="another step"):
+                a * 3.0
+            backward((a * 3.0).sum())
+        np.testing.assert_array_equal(x.grad, [6.0])
+        assert a.grad is None
+
 
 class TestFiniteDifferenceComposites:
     """Composite toy graphs vs central differences (h=1e-5, 64-bit)."""

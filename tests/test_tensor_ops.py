@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import helpers
 from coopseg import tensor as T
 from coopseg.nn import Conv2d, Linear
 from coopseg.tensor import ShapeError, Tensor
@@ -309,6 +310,40 @@ class TestConv2d:
         for a, want in zip(first, oracle):
             np.testing.assert_allclose(a, want, rtol=1e-5, atol=1e-5)
 
+    def test_forward_holds_one_image_of_windows_at_a_time(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.standard_normal((4, 16, 32, 32)).astype(np.float32))
+        k = Tensor(rng.standard_normal((8, 16, 3, 3)).astype(np.float32))
+        out, peak = helpers.alloc_peak(lambda: T.conv2d(x, k))
+        padded = 4 * 16 * 34 * 34 * 4
+        one_image_windows = 16 * 9 * 32 * 32 * 4
+        assert peak <= out.data.nbytes + padded + one_image_windows + 64 * 1024
+
+    def test_batch4_equals_four_batch1_calls_bitwise(self):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((4, 5, 9, 7)).astype(np.float32)
+        k = rng.standard_normal((6, 5, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(6).astype(np.float32)
+        g = rng.standard_normal((4, 6, 9, 7)).astype(np.float32)
+
+        def run(xs, gs):
+            ts = [Tensor(a, requires_grad=True) for a in (xs, k, b)]
+            with T.step():
+                out = T.conv2d(*ts)
+                (out * Tensor(gs)).sum().backward()
+            return out.data, ts[0].grad, ts[1].grad, ts[2].grad
+
+        out, gx, gk, gb = run(x, g)
+        singles = [run(x[n : n + 1], g[n : n + 1]) for n in range(4)]
+        np.testing.assert_array_equal(out, np.concatenate([s[0] for s in singles]))
+        np.testing.assert_array_equal(gx, np.concatenate([s[1] for s in singles]))
+        # the batch sums the per-image kernel and bias gradients in image order
+        for got, idx in ((gk, 2), (gb, 3)):
+            want = singles[0][idx]
+            for s in singles[1:]:
+                want = want + s[idx]
+            np.testing.assert_array_equal(got, want)
+
 
 # ---------------------------------------------------------------------------
 # softmax
@@ -505,6 +540,27 @@ class TestNorms:
     def test_gamma_length_checked(self):
         with pytest.raises(ShapeError):
             T.layernorm_lastdim(Tensor(np.ones((2, 5))), Tensor(np.ones(4)), Tensor(np.zeros(5)))
+
+
+@pytest.mark.parametrize("name", ["batchnorm_train", "batchnorm_eval", "layernorm", "softmax"])
+def test_forward_allocates_little_beyond_its_output(name):
+    rng = np.random.default_rng(21)
+
+    def f32(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32))
+
+    x4, g16, b16 = f32(4, 16, 32, 32), f32(16), f32(16)
+    x3, g96, b96 = f32(4, 256, 96), f32(96), f32(96)
+    scores = f32(4, 4, 128, 128)
+    forward = {
+        "batchnorm_train": lambda: T.batchnorm_channel(x4, g16, b16, np.zeros(16), np.ones(16), training=True),
+        "batchnorm_eval": lambda: T.batchnorm_channel(x4, g16, b16, np.zeros(16), np.ones(16), training=False),
+        "layernorm": lambda: T.layernorm_lastdim(x3, g96, b96),
+        "softmax": lambda: T.softmax_lastdim(scores),
+    }[name]
+    out, peak = helpers.alloc_peak(forward)
+    assert out.dtype == np.float32
+    assert peak <= 1.5 * out.data.nbytes
 
 
 # ---------------------------------------------------------------------------

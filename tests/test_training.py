@@ -217,6 +217,33 @@ class TestAdam:
             ref = ref - lr * mhat / (np.sqrt(vhat) + eps)
             np.testing.assert_allclose(p.data, ref, atol=1e-10, rtol=0)
 
+    def test_float32_steps_bitwise_equal_to_the_expression_form(self):
+        rng = rng_of(7)
+        p = Tensor(rng.standard_normal((5, 6)).astype(np.float32), requires_grad=True)
+        opt = Adam([p], lr=3e-3)
+        ref = p.data.copy()
+        m = np.zeros_like(ref)
+        v = np.zeros_like(ref)
+        for step in range(1, 4):
+            g = (rng.standard_normal(ref.shape) * 10.0 ** (step - 2)).astype(np.float32)
+            p.grad = g
+            opt.step()
+            bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            m += (1.0 - 0.9) * (g - m)
+            v += (1.0 - 0.999) * (g * g - v)
+            ref -= 3e-3 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+            assert p.data.dtype == np.float32
+            np.testing.assert_array_equal(p.data, ref)
+            np.testing.assert_array_equal(opt.m[0], m)
+            np.testing.assert_array_equal(opt.v[0], v)
+
+    def test_step_holds_at_most_two_parameter_sized_temporaries(self):
+        p = Tensor(rng_of(8).standard_normal((256, 512)).astype(np.float32), requires_grad=True)
+        opt = Adam([p], lr=1e-3)
+        p.grad = np.ones(p.shape, np.float32)
+        _, peak = helpers.alloc_peak(opt.step)
+        assert peak <= 2 * p.data.nbytes + 64 * 1024
+
     def test_zero_grad_clears_accumulated(self):
         p = Tensor(np.ones(2), requires_grad=True)
         opt = Adam([p], lr=0.1)
