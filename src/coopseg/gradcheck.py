@@ -303,13 +303,17 @@ def _op_cases():
         a, w, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 5), _rand(rng, 5)
         return [a, w, b], lambda: s(T.matmul(a, w, b)), None
 
+    def c_attention(rng, s):
+        q, k, v = _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4)
+        return [q, k, v], lambda: s(T.attention(q, k, v)), None
+
     fns = [
         c_add, c_sub, c_mul, c_div, c_neg, c_matmul, c_matmul_batched,
         c_conv2d, c_conv2d_1x1, c_softmax, c_upsample, c_avgpool, c_concat,
         c_elementwise_add, c_elementwise_mul, c_relu, c_gelu, c_sigmoid,
         c_layernorm, c_batchnorm_train, c_batchnorm_eval, c_sum_axis,
         c_mean_axis, c_amax, c_reshape, c_transpose, c_clip, c_log,
-        c_conv2d_bias, c_conv2d_7x7, c_matmul_bias,
+        c_conv2d_bias, c_conv2d_7x7, c_matmul_bias, c_attention,
     ]
     return [(f.__name__[2:], f) for f in fns]
 

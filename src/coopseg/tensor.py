@@ -640,31 +640,75 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """x * Phi(x) with the exact standard-normal CDF (erf form)."""
+    """x * Phi(x) with the exact standard-normal CDF (erf form). Backward rebuilds
+    the CDF from x with the forward's own expression instead of saving it."""
     a = as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
-    out = x * cdf
+    out = x * (0.5 * (1.0 + special.erf(x * _INV_SQRT2)))
 
     def bw(g):
+        cdf = 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
         return (g * (cdf + x * pdf),)
 
     return _from_op("gelu", out, (a,), bw)
 
 
+def _softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-stable softmax of x along the last axis, written into out (which may be x)."""
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gradient through softmax rows ``out`` given the upstream gradient g."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return (g - dot) * out
+
+
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Row-stable softmax along the last dimension."""
     a = as_tensor(a)
-    out = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out = _softmax_rows(a.data, np.empty_like(a.data))
+    return _from_op("softmax_lastdim", out, (a,), lambda g: (_softmax_grad(g, out),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention of B x heads x N x d queries, keys and values,
+    heads concatenated into B x N x (heads*d), as one tape node.
+
+    The queries are scaled by 1/sqrt(d), a power of two when d is a power of four (16,
+    64), so that rounds as scaling the scores would. The softmax runs in place on the
+    scores. The tape keeps q, k, v and the softmax rows: not the logits, the scaled
+    queries or the per-head output. Each GEMM takes its operands in the layouts of the
+    composed chain ``softmax_lastdim((q * s) @ transpose(k)) @ v`` (BLAS may round a
+    transposed operand differently), so results are bitwise equal to that chain.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention: q, k, v must share one 4-d shape, got {q.shape}, {k.shape}, {v.shape}")
+    b, h, n, d = q.shape
+    s = 1.0 / math.sqrt(d)
+
+    def keys_t():
+        return np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+
+    att = np.matmul(q.data * s, keys_t())
+    _softmax_rows(att, att)
+    out = np.matmul(att, v.data).transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
     def bw(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - dot) * out,)
+        g = g.reshape(b, n, h, d).transpose(0, 2, 1, 3)
+        gatt = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gv = np.matmul(np.swapaxes(att, -1, -2), g)
+        gl = _softmax_grad(gatt, att)
+        gq = np.matmul(gl, np.swapaxes(keys_t(), -1, -2)) * s
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data * s, -1, -2), gl), -1, -2)
+        return gq, gk, gv
 
-    return _from_op("softmax_lastdim", out, (a,), bw)
+    return _from_op("attention", out, (q, k, v), bw)
 
 
 def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -4,8 +4,6 @@ post-processing of the token sequence back into multi-scale feature maps.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -57,22 +55,11 @@ class MultiHeadSelfAttention(Module):
             return Tensor(rng.standard_normal((h, d, dh)) * 0.02, requires_grad=True)
         self.wq, self.wk, self.wv = proj(), proj(), proj()
         self.wo = Tensor(rng.standard_normal((h * dh, d)) * 0.02, requires_grad=True)
-        self.heads = h
-        self.d_head = dh
 
     def __call__(self, x: Tensor) -> Tensor:
         b, n, d = x.shape
-        xh = T.reshape(x, (b, 1, n, d))
-        q = xh @ self.wq  # B x heads x N x d_head
-        k = xh @ self.wk
-        v = xh @ self.wv
-        # scaling the queries, not the N x N scores, keeps one N x N array fewer on the tape;
-        # a d_head that is a power of four (16, 64) scales by a power of two, exactly
-        logits = (q * (1.0 / math.sqrt(self.d_head))) @ T.transpose(k, (0, 1, 3, 2))
-        att = T.softmax_lastdim(logits)
-        mixed = att @ v  # B x heads x N x d_head
-        mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n, self.heads * self.d_head))
-        return mixed @ self.wo
+        xh = T.reshape(x, (b, 1, n, d))  # each projection is B x heads x N x d_head
+        return T.attention(xh @ self.wq, xh @ self.wk, xh @ self.wv) @ self.wo
 
 
 class MlpBlock(Module):

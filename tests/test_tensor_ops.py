@@ -381,6 +381,64 @@ class TestSoftmax:
 
 
 # ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+
+def _closure_values(node):
+    return [cell.cell_contents for cell in node.backward_fn.__closure__ or ()]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_output_and_gradients_equal_the_composed_chain_bitwise(self, dtype, d):
+        rng = np.random.default_rng(30 + d)
+        b, h, n = 2, 3, 7
+        arrays = [rng.standard_normal((b, h, n, d)).astype(dtype) for _ in range(3)]
+        g = rng.standard_normal((b, n, h * d)).astype(dtype)
+
+        def composed(q, k, v):
+            logits = (q * (1.0 / math.sqrt(d))) @ T.transpose(k, (0, 1, 3, 2))
+            mixed = T.softmax_lastdim(logits) @ v
+            return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n, h * d))
+
+        results = []
+        for fn in (composed, T.attention):
+            qkv = [Tensor(a, requires_grad=True) for a in arrays]
+            with T.step():
+                out = fn(*qkv)
+                (out * Tensor(g)).sum().backward()
+            results.append([out.data] + [t.grad for t in qkv])
+        for ref, new in zip(*results):
+            assert new.dtype == dtype
+            np.testing.assert_array_equal(new, ref)
+
+    def test_backward_keeps_its_operands_and_the_softmax_rows(self):
+        rng = np.random.default_rng(34)
+        qkv = [Tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True) for _ in range(3)]
+        with T.step():
+            node = T.attention(*qkv).node
+            arrays = [v for v in _closure_values(node) if isinstance(v, np.ndarray)]
+            tensors = [v for v in _closure_values(node) if isinstance(v, Tensor)]
+        assert [a.shape for a in arrays] == [(2, 2, 5, 5)]
+        np.testing.assert_allclose(arrays[0].sum(axis=-1), np.ones((2, 2, 5)), atol=1e-12, rtol=0)
+        assert all(any(t is u for u in qkv) for t in tensors)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(2, 5, 4)] * 3,
+            [(1, 2, 5, 4), (1, 2, 6, 4), (1, 2, 5, 4)],
+            [(1, 2, 5, 4), (1, 2, 5, 4), (1, 2, 5, 3)],
+        ],
+    )
+    def test_mismatched_operands_raise(self, shapes):
+        with pytest.raises(ShapeError):
+            T.attention(*(Tensor(np.ones(s)) for s in shapes))
+
+
+# ---------------------------------------------------------------------------
 # upsample / avgpool
 # ---------------------------------------------------------------------------
 
@@ -476,6 +534,24 @@ class TestActivations:
         x = np.random.default_rng(seed).standard_normal(64) * 3
         expected = x * 0.5 * (1.0 + special.erf(x / math.sqrt(2.0)))
         np.testing.assert_allclose(T.gelu(Tensor(x)).data, expected, atol=1e-12, rtol=0)
+
+    def test_gelu_gradient_equals_the_saved_cdf_formula_bitwise(self):
+        rng = np.random.default_rng(35)
+        for dtype in (np.float32, np.float64):
+            x = (rng.standard_normal((6, 40)) * 3).astype(dtype)
+            g = rng.standard_normal((6, 40)).astype(dtype)
+            xt = Tensor(x, requires_grad=True)
+            with T.step():
+                (T.gelu(xt) * Tensor(g)).sum().backward()
+            cdf = 0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0))))
+            pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+            np.testing.assert_array_equal(xt.grad, g * (cdf + x * pdf))
+
+    def test_gelu_backward_keeps_no_array_but_its_input(self):
+        x = Tensor(np.random.default_rng(36).standard_normal((4, 9)), requires_grad=True)
+        with T.step():
+            values = _closure_values(T.gelu(x).node)
+        assert all(v is x.data for v in values if isinstance(v, np.ndarray))
 
     def test_sigmoid_extremes_finite(self):
         out = T.sigmoid(Tensor([-1000.0, 1000.0])).data

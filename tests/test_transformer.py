@@ -106,20 +106,16 @@ class TestAttention:
         expected = np.concatenate(heads, axis=-1) @ msa.wo.data
         np.testing.assert_allclose(out, expected, atol=1e-10, rtol=0)
 
-    def test_attention_rows_sum_to_one(self, monkeypatch):
-        maps = []
-        softmax = T.softmax_lastdim
-
-        def spy(logits):
-            out = softmax(logits)
-            maps.append(out.data)
-            return out
-
-        monkeypatch.setattr(T, "softmax_lastdim", spy)
+    def test_attention_rows_sum_to_one(self):
+        # d_head = N = 4 and per-head identity values: the op's output is its softmax rows
         msa = MultiHeadSelfAttention(small_cfg(), rng_of(8))
-        msa(Tensor(rng_of(9).standard_normal((2, 5, 8))))
-        assert len(maps) == 1 and maps[0].shape == (2, 2, 5, 5)
-        sums = maps[0].sum(axis=-1)
+        xh = Tensor(rng_of(9).standard_normal((2, 1, 4, 8)))
+        q, k = xh @ msa.wq, xh @ msa.wk
+        v = Tensor(np.broadcast_to(np.eye(4), (2, 2, 4, 4)))
+        out = T.attention(q, k, v)
+        assert out.shape == (2, 4, 8)
+        maps = out.data.reshape(2, 4, 2, 4).transpose(0, 2, 1, 3)
+        sums = maps.sum(axis=-1)
         np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-10, rtol=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -150,13 +146,23 @@ class TestAttention:
             assert new.dtype == dtype
             np.testing.assert_array_equal(new, ref)
 
-    def test_forward_records_two_score_sized_arrays(self):
-        # the logits and the softmax rows; the query scale runs on B x heads x N x d_head
-        msa = MultiHeadSelfAttention(small_cfg(), rng_of(16))
+    def test_tape_holds_one_score_sized_array_per_block(self):
+        # the softmax rows; neither the logits nor any node output is B x heads x N x N
+        blocks = [EncoderBlock(small_cfg(), rng_of(s)) for s in (16, 17)]
         with T.step() as tape:
-            msa(Tensor(rng_of(17).standard_normal((2, 5, 8))))
-            shapes = [n.out.shape for n in tape.nodes]
-        assert shapes.count((2, 2, 5, 5)) == 2
+            x = Tensor(rng_of(18).standard_normal((2, 5, 8)), requires_grad=True)
+            for block in blocks:
+                x = block(x)
+            assert all(n.out.shape != (2, 2, 5, 5) for n in tape.nodes)
+            held = {}
+            for n in tape.nodes:
+                values = [n.out, *n.inputs] + [c.cell_contents for c in n.backward_fn.__closure__ or ()]
+                for value in values:
+                    if isinstance(value, Tensor):
+                        value = value.data
+                    if isinstance(value, np.ndarray) and value.shape[-2:] == (5, 5):
+                        held[id(value)] = value.shape
+        assert list(held.values()) == [(2, 2, 5, 5)] * 2
 
     def test_permutation_equivariance(self):
         msa = MultiHeadSelfAttention(small_cfg(), rng_of(10))
