@@ -37,7 +37,8 @@ _TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*(\S+)")
 
 
 def _read_pnm(path: Path) -> np.ndarray:
-    """Return H x W (gray) or H x W x 3 (color) uint8 array."""
+    """Return H x W (gray) or H x W x 3 (color) uint8 array, rescaled from the
+    file's maxval to 0..255."""
     blob = path.read_bytes()
     pos = 0
 
@@ -52,8 +53,15 @@ def _read_pnm(path: Path) -> np.ndarray:
     magic = token()
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise DataError(f"{path}: unsupported raster magic {magic!r}")
-    width, height, maxval = int(token()), int(token()), int(token())
-    if not (0 < maxval < 256):
+
+    def positive(name):
+        tok = token()
+        if not tok.isdigit() or int(tok) == 0:
+            raise DataError(f"{path}: {name} must be a positive integer, got {tok!r}")
+        return int(tok)
+
+    width, height, maxval = positive("width"), positive("height"), positive("maxval")
+    if maxval > 255:
         raise DataError(f"{path}: only 8-bit rasters supported, maxval={maxval}")
     channels = 3 if magic in (b"P3", b"P6") else 1
     count = width * height * channels
@@ -68,7 +76,12 @@ def _read_pnm(path: Path) -> np.ndarray:
         values = blob[pos:].split()
         if len(values) < count:
             raise DataError(f"{path}: truncated pixel data")
-        data = np.array([int(v) for v in values[:count]], dtype=np.uint8)
+        data = np.array([int(v) for v in values[:count]])
+    if data.min() < 0 or data.max() > maxval:
+        raise DataError(f"{path}: pixel value outside 0..{maxval}")
+    if maxval != 255:  # rescale to 0..255, rounding to nearest
+        data = (data.astype(np.int64) * 255 + maxval // 2) // maxval
+    data = data.astype(np.uint8, copy=False)
     if channels == 3:
         return data.reshape(height, width, 3)
     return data.reshape(height, width)

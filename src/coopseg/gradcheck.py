@@ -1,7 +1,9 @@
 """Finite-difference verification of analytic gradients.
 
 Central differences at 64-bit with h=1e-5; an analytic/numeric pair passes
-when |a-n| / max(|a|, |n|, 1e-6) < 1e-4. Used by the test suite and the
+when |a-n| / max(|a|, |n|, 1e-6) < 1e-4. A probe that straddles a relu, amax
+or clip kink measures no derivative, so it is recognised from the gradient
+tape its evaluations record and redrawn. Used by the test suite and the
 ``gradcheck`` CLI subcommand.
 """
 
@@ -13,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, backward
 
 H_DEFAULT = 1e-5
 TOL_DEFAULT = 1e-4
@@ -44,41 +46,58 @@ def _sample_entries(params: Sequence[Tensor], n_samples: Optional[int], rng: np.
     return entries
 
 
+def _branch_pattern(tape: T.GradTape) -> list:
+    """Fingerprint of the linear piece every taped relu / amax / clip took,
+    in tape order. Read it before ``backward`` spends the tape."""
+    pattern = []
+    for node in tape.nodes:
+        if node.op == "relu":
+            mask = node.out.data > 0  # exactly a > 0
+        elif node.op == "clip":
+            mask = node.out.data == node.inputs[0].data  # exactly lo <= a <= hi, NaN included
+        elif node.op == "amax":
+            # the tied winners; only the op's own rule knows the reduced axes
+            (mask,) = node.backward_fn(np.ones_like(node.out.data))
+        else:
+            continue
+        pattern.append(hash(mask.tobytes()))
+    return pattern
+
+
 def check_function(
     f: Callable[[], Tensor],
     params: Sequence[Tensor],
     rng: np.random.Generator,
     n_samples: Optional[int] = None,
     reset: Optional[Callable[[], None]] = None,
-    skip_kinks: bool = False,
 ) -> float:
     """Max relative error between backward() and central differences.
 
-    ``f`` recomputes a scalar loss from ``params`` (closed over); the analytic
-    pass runs in a ``step()`` of its own, the probes under ``no_grad``. ``reset``
-    restores any state the forward pass mutates (batchnorm running buffers)
-    so every evaluation sees identical conditions.
+    ``f`` recomputes a scalar loss from ``params`` (closed over, each
+    ``requires_grad``); the analytic pass and every probe evaluation run in a
+    ``step()`` of their own. ``reset`` restores any state the forward pass
+    mutates (batchnorm running buffers) so every evaluation sees identical
+    conditions.
 
-    With ``skip_kinks``, a probe whose two evaluations land on different
-    linear pieces of a piecewise op (relu / amax / clip) is discarded and a
+    A probe whose evaluations do not all sit on the analytic pass's linear
+    piece of every piecewise op (relu / amax / clip) is discarded and a
     replacement entry drawn: across a kink the central difference averages
     two one-sided slopes and estimates no derivative at all, so agreement
-    there is not evidence either way. The number of checked entries stays
-    the same; exhausting the replacement budget raises GradientError.
+    there is not evidence either way. The pieces are read off each
+    evaluation's tape, which records only ops that depend on a
+    ``requires_grad`` tensor; any other op sees the same inputs in every
+    evaluation and so takes the same branch. The number of checked entries
+    stays the same; exhausting the replacement budget raises GradientError.
     """
     for p in params:
         p.grad = None
     if reset is not None:
         reset()
-    base_pattern: list = []
-    with T.step():
-        if skip_kinks:
-            with T.record_branch_pattern(base_pattern):
-                loss = f()
-        else:
-            loss = f()
+    with T.step() as tape:
+        loss = f()
         if loss.size != 1:
             raise T.GradientError(f"gradcheck target must be scalar, got {loss.shape}")
+        base_pattern = _branch_pattern(tape)
         backward(loss)
     analytic = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
@@ -86,21 +105,15 @@ def check_function(
         p = params[pi]
         idx = np.unravel_index(fi, p.shape)
         orig = p.data[idx]
-        vals, patterns = [], []
+        vals, smooth = [], True
         for delta in (H_DEFAULT, -H_DEFAULT):
             p.data[idx] = orig + delta
             if reset is not None:
                 reset()
-            pat: list = []
-            with no_grad():
-                if skip_kinks:
-                    with T.record_branch_pattern(pat):
-                        vals.append(f().item())
-                else:
-                    vals.append(f().item())
-            patterns.append(pat)
+            with T.step() as tape:
+                vals.append(f().item())
+                smooth = smooth and _branch_pattern(tape) == base_pattern
         p.data[idx] = orig
-        smooth = (not skip_kinks) or patterns[0] == patterns[1] == base_pattern
         return (vals[0] - vals[1]) / (2.0 * H_DEFAULT), smooth
 
     entries = list(_sample_entries(params, n_samples, rng))
@@ -338,10 +351,10 @@ def check_model_end_to_end(seed: int = 0, n_samples: int = 50) -> float:
     The loss is the mean of the three view losses on one synthetic batch,
     so every parameter of both branches and the fusion path is live.
     Batchnorm running buffers are snapshot-restored around each evaluation.
-    Probes that straddle a relu/amax kink are redrawn (``skip_kinks``): with
-    a quarter million relu activations some pre-activation always sits
-    within h of zero, making a handful of finite-difference quotients
-    meaningless regardless of gradient correctness.
+    Probes that straddle a relu/amax/clip kink are redrawn: with a quarter
+    million relu activations some pre-activation always sits within h of
+    zero, making a handful of finite-difference quotients meaningless
+    regardless of gradient correctness.
     """
     from .config import toy_config
     from .data import synth_dataset
@@ -372,7 +385,4 @@ def check_model_end_to_end(seed: int = 0, n_samples: int = 50) -> float:
         return total * (1.0 / 3.0)
 
     rng = np.random.default_rng(seed)
-    return check_function(
-        loss, model.parameters(), rng, n_samples=n_samples, reset=reset,
-        skip_kinks=True,
-    )
+    return check_function(loss, model.parameters(), rng, n_samples=n_samples, reset=reset)

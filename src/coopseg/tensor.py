@@ -123,34 +123,6 @@ def no_grad():
         _state.tape = prev
 
 
-_branch_sink: Optional[list] = None
-
-
-@contextmanager
-def record_branch_pattern(sink: list):
-    """Log a fingerprint of every branch decision (relu signs, max winners,
-    clip saturation) executed inside the block.
-
-    Two forward passes append equal sequences exactly when every piecewise
-    op stayed on the same linear piece, i.e. the function was smooth between
-    the evaluation points. Finite-difference probes use this to detect steps
-    that straddle a kink, where the central difference does not estimate the
-    derivative and a comparison against it is meaningless.
-    """
-    global _branch_sink
-    prev = _branch_sink
-    _branch_sink = sink
-    try:
-        yield sink
-    finally:
-        _branch_sink = prev
-
-
-def _log_branch(mask: np.ndarray):
-    if _branch_sink is not None:
-        _branch_sink.append(hash(mask.tobytes()))
-
-
 def _record(op, inputs, backward_fn, out):
     node = TapeNode(op, inputs, backward_fn, out, _state.tape)
     _state.tape.nodes.append(node)
@@ -597,8 +569,6 @@ def amax(a: Tensor, axis, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     mx = a.data.max(axis=axes, keepdims=True)
     out = mx if keepdims else mx.squeeze(axis=axes)
-    if _branch_sink is not None:
-        _log_branch(a.data == mx)
 
     def bw(g):
         if not keepdims:
@@ -618,8 +588,6 @@ def amax(a: Tensor, axis, keepdims: bool = False) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0)
-    if _branch_sink is not None:
-        _log_branch(a.data > 0)
     # subgradient at 0 is defined as 0
     return _from_op("relu", out, (a,), lambda g: (g * (a.data > 0),))
 
@@ -711,7 +679,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _from_op("attention", out, (q, k, v), bw)
 
 
-def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+NORM_EPS = 1e-5  # added to the variance by both norms
+BN_MOMENTUM = 0.1  # batchnorm running-buffer update rate
+
+
+def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-token normalization over the last dim, then affine gamma/beta. The output is
     the only full-size array made; backward rebuilds the normalized input from x."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
@@ -720,7 +692,7 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5)
         raise ShapeError(f"layernorm: gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     out = x.data - mu
     out *= inv
     out *= gamma.data
@@ -745,13 +717,11 @@ def batchnorm_channel(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel batch normalization for B x C x H x W maps.
 
     In training mode statistics come from the batch and the running buffers
-    are updated in place (momentum 0.1, unbiased variance, matching the
+    are updated in place (``BN_MOMENTUM``, unbiased variance, matching the
     common framework convention); in eval mode the running buffers are used.
     The output is the only full-size array made; backward rebuilds the
     normalized input from x with the forward's own expression.
@@ -768,14 +738,14 @@ def batchnorm_channel(
         var = x.data.var(axis=axes)
         n = x.data.size // c
         unbiased = var * (n / (n - 1)) if n > 1 else var
-        running_mean += momentum * (mu - running_mean)
-        running_var += momentum * (unbiased - running_var)
+        running_mean += BN_MOMENTUM * (mu - running_mean)
+        running_var += BN_MOMENTUM * (unbiased - running_var)
     else:
         mu = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
     shape = (1, c, 1, 1)
     mu = mu.reshape(shape)
-    inv = (1.0 / np.sqrt(var + eps)).reshape(shape)
+    inv = (1.0 / np.sqrt(var + NORM_EPS)).reshape(shape)
     out = x.data - mu
     out *= inv
     out *= gamma.data.reshape(shape)
@@ -808,8 +778,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     a = as_tensor(a)
     out = np.clip(a.data, lo, hi)
     mask = (a.data >= lo) & (a.data <= hi)
-    if _branch_sink is not None:
-        _log_branch(mask)
     return _from_op("clip", out, (a,), lambda g: (g * mask,))
 
 

@@ -407,60 +407,77 @@ class TestKinkDetection:
     """Finite differences across a relu/amax/clip kink measure no derivative;
     such probes must be recognized and redrawn, not compared."""
 
+    @staticmethod
+    def pattern(fn, *values):
+        """Run ``fn`` on fresh requires_grad tensors inside a step and
+        return the branch pattern read off its tape."""
+        with T.step() as tape:
+            fn(*(Tensor(v, requires_grad=True) for v in values))
+            return gradcheck._branch_pattern(tape)
+
     def test_branch_pattern_stable_for_same_input(self):
         x = np.array([1.0, -2.0, 0.5])
-        pats = []
-        for _ in range(2):
-            sink = []
-            with T.record_branch_pattern(sink):
-                T.relu(Tensor(x))
-                T.amax(Tensor([[1.0, 3.0]]), axis=1)
-                T.clip(Tensor(x), -1.0, 1.0)
-            pats.append(sink)
+
+        def fn(a, b, c):
+            T.relu(a)
+            T.amax(b, axis=1)
+            T.clip(c, -1.0, 1.0)
+
+        pats = [self.pattern(fn, x, [[1.0, 3.0]], x) for _ in range(2)]
         assert pats[0] == pats[1]
         assert len(pats[0]) == 3
 
     def test_branch_pattern_flips_with_the_branch(self):
-        with T.record_branch_pattern([]) as a:
-            T.relu(Tensor([1.0, -1.0]))
-        with T.record_branch_pattern([]) as b:
-            T.relu(Tensor([1.0, 1.0]))
-        assert a != b
+        for fn, a, b in [
+            (T.relu, [1.0, -1.0], [1.0, 1.0]),
+            (lambda t: T.amax(t, axis=1), [[1.0, 2.0]], [[2.0, 1.0]]),
+            (lambda t: T.clip(t, -1.0, 1.0), [0.5], [1.5]),
+            (lambda t: T.clip(t, -1.0, 1.0), [0.5], [np.nan]),
+        ]:
+            assert self.pattern(fn, a) != self.pattern(fn, b)
 
-        with T.record_branch_pattern([]) as a:
-            T.amax(Tensor([[1.0, 2.0]]), axis=1)
-        with T.record_branch_pattern([]) as b:
-            T.amax(Tensor([[2.0, 1.0]]), axis=1)
-        assert a != b
-
-        with T.record_branch_pattern([]) as a:
-            T.clip(Tensor([0.5]), -1.0, 1.0)
-        with T.record_branch_pattern([]) as b:
-            T.clip(Tensor([1.5]), -1.0, 1.0)
-        assert a != b
+    def test_amax_pattern_reads_the_reduced_axes(self):
+        # both reductions give [3, 3] from the same three winners; only the
+        # tie shares, which follow the reduced axes, tell them apart
+        x = [[3.0, 3.0], [3.0, 0.0]]
+        assert self.pattern(lambda t: T.amax(t, axis=0), x) != self.pattern(lambda t: T.amax(t, axis=1), x)
 
     def test_recording_is_off_outside_context(self):
-        sink = []
-        with T.record_branch_pattern(sink):
-            T.relu(Tensor([1.0]))
-        T.relu(Tensor([-1.0]))
-        assert len(sink) == 1
+        p = Tensor([1.0], requires_grad=True)
+        T.relu(p)  # outside any step
+        with T.step() as tape:
+            T.relu(Tensor([-1.0]))  # no requires_grad input
+            with no_grad():
+                T.clip(p, 0.0, 0.5)
+            T.relu(p)
+            assert len(gradcheck._branch_pattern(tape)) == 1
 
-    def test_fd_artifact_without_skipping(self):
-        # one entry sits 1e-6 from the relu kink, well inside the h=1e-5
-        # window: the quotient averages the two one-sided slopes
-        p = Tensor(np.array([0.3, 1e-6]), requires_grad=True)
-        rng = np.random.default_rng(0)
-        err = gradcheck.check_function(lambda: T.relu(p).sum(), [p], rng)
-        assert err > 0.1
+    def test_no_piecewise_op_of_the_model_escapes_the_tape(self, monkeypatch):
+        captured = {}
+
+        def fake_check(f, params, rng, n_samples=None, reset=None):
+            captured.update(f=f, reset=reset)
+            return 0.0
+
+        monkeypatch.setattr(gradcheck, "check_function", fake_check)
+        gradcheck.check_model_end_to_end(seed=0, n_samples=1)
+        calls = []
+        for name in ("relu", "amax", "clip"):
+            def spy(*args, inner=getattr(T, name), **kwargs):
+                calls.append(inner)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(T, name, spy)
+        captured["reset"]()
+        with T.step() as tape:
+            captured["f"]()
+            assert len(calls) == len(gradcheck._branch_pattern(tape)) > 0
 
     def test_kinked_probe_is_redrawn(self):
         vals = np.array([0.3, -0.4, 1e-6, 0.7, -0.2, 0.9, -0.8, 0.6])
         p = Tensor(vals.copy(), requires_grad=True)
         rng = np.random.default_rng(0)
-        err = gradcheck.check_function(
-            lambda: T.relu(p).sum(), [p], rng, skip_kinks=True
-        )
+        err = gradcheck.check_function(lambda: T.relu(p).sum(), [p], rng)
         assert err < 1e-9
         assert np.array_equal(p.data, vals)
 
@@ -468,9 +485,7 @@ class TestKinkDetection:
         p = Tensor(np.array([1e-6]), requires_grad=True)
         rng = np.random.default_rng(0)
         with pytest.raises(T.GradientError, match="kink"):
-            gradcheck.check_function(
-                lambda: T.relu(p).sum(), [p], rng, skip_kinks=True
-            )
+            gradcheck.check_function(lambda: T.relu(p).sum(), [p], rng)
 
     @pytest.mark.slow
     def test_model_end_to_end_under_tolerance(self):

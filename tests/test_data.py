@@ -54,6 +54,26 @@ class TestPnm:
         with pytest.raises(DataError):
             read_raster(p)
 
+    @pytest.mark.parametrize(
+        "header, field", [(b"P5\nabc 2\n255\n", "width"), (b"P5\n0 2\n255\n", "width"), (b"P5\n2 2\n0\n", "maxval")]
+    )
+    def test_non_positive_header_field_rejected(self, tmp_path, header, field):
+        p = write_bytes(tmp_path / "h.pgm", header + b"\x00" * 4)
+        with pytest.raises(DataError, match=rf"h\.pgm: {field} must be a positive integer"):
+            read_raster(p)
+
+    @pytest.mark.parametrize("magic", [b"P2", b"P5"])
+    def test_small_maxval_rescaled_to_8_bit(self, tmp_path, magic):
+        vals = [0, 1, 7, 8, 14, 15]
+        body = " ".join(map(str, vals)).encode() if magic == b"P2" else bytes(vals)
+        p = write_bytes(tmp_path / "s.pgm", magic + b"\n3 2\n15\n" + body)
+        np.testing.assert_array_equal(read_raster(p), [[0, 17, 119], [136, 238, 255]])
+
+    def test_pixel_above_maxval_rejected(self, tmp_path):
+        p = write_bytes(tmp_path / "o.pgm", b"P5\n2 1\n15\n\x0f\x10")
+        with pytest.raises(DataError, match="outside 0..15"):
+            read_raster(p)
+
     def test_truncated_payload_rejected(self, tmp_path):
         p = write_bytes(tmp_path / "t.pgm", b"P5\n2 2\n255\n\x01\x02")
         with pytest.raises(DataError):
@@ -106,6 +126,12 @@ class TestLoadDataset:
         sample = load_dataset(tmp_path, 2)[0]
         np.testing.assert_array_equal(sample.mask[0], [[0.0, 1.0], [0.0, 1.0]])
         assert MASK_THRESHOLD == 128
+
+    def test_maxval_1_mask_is_foreground_where_1(self, tmp_path):
+        put_pair(tmp_path, "m", [0] * 4, [255] * 4, 2, 2)
+        (tmp_path / "masks" / "m.pgm").write_bytes(b"P5\n2 2\n1\n\x01\x01\x00\x01")
+        sample = load_dataset(tmp_path, 2)[0]
+        np.testing.assert_array_equal(sample.mask[0], [[1.0, 1.0], [0.0, 1.0]])
 
     def test_missing_mask_named(self, tmp_path):
         put_pair(tmp_path, "ok", [0] * 4, [255] * 4, 2, 2)
