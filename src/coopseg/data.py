@@ -76,7 +76,11 @@ def _read_pnm(path: Path) -> np.ndarray:
         values = blob[pos:].split()
         if len(values) < count:
             raise DataError(f"{path}: truncated pixel data")
-        data = np.array([int(v) for v in values[:count]])
+        values = values[:count]
+        bad = next((v for v in values if not v.isdigit()), None)
+        if bad is not None:
+            raise DataError(f"{path}: pixel value must be a non-negative integer, got {bad!r}")
+        data = np.array([int(v) for v in values])
     if data.min() < 0 or data.max() > maxval:
         raise DataError(f"{path}: pixel value outside 0..{maxval}")
     if maxval != 255:  # rescale to 0..255, rounding to nearest

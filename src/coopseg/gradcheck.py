@@ -320,13 +320,18 @@ def _op_cases():
         q, k, v = _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4)
         return [q, k, v], lambda: s(T.attention(q, k, v)), None
 
+    def c_mlp(rng, s):
+        x, w1, b1 = _rand(rng, 2, 3, 4), _rand(rng, 4, 6), _rand(rng, 6)
+        w2, b2 = _rand(rng, 6, 4), _rand(rng, 4)
+        return [x, w1, b1, w2, b2], lambda: s(T.mlp(x, w1, b1, w2, b2)), None
+
     fns = [
         c_add, c_sub, c_mul, c_div, c_neg, c_matmul, c_matmul_batched,
         c_conv2d, c_conv2d_1x1, c_softmax, c_upsample, c_avgpool, c_concat,
         c_elementwise_add, c_elementwise_mul, c_relu, c_gelu, c_sigmoid,
         c_layernorm, c_batchnorm_train, c_batchnorm_eval, c_sum_axis,
         c_mean_axis, c_amax, c_reshape, c_transpose, c_clip, c_log,
-        c_conv2d_bias, c_conv2d_7x7, c_matmul_bias, c_attention,
+        c_conv2d_bias, c_conv2d_7x7, c_matmul_bias, c_attention, c_mlp,
     ]
     return [(f.__name__[2:], f) for f in fns]
 

@@ -607,19 +607,64 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The exact standard-normal CDF (erf form): the one expression gelu and mlp
+    use in forward and again in backward, where they rebuild it."""
+    return 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Gradient through x * Phi(x) given the upstream gradient g and Phi(x)."""
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    return g * (cdf + x * pdf)
+
+
 def gelu(a: Tensor) -> Tensor:
     """x * Phi(x) with the exact standard-normal CDF (erf form). Backward rebuilds
     the CDF from x with the forward's own expression instead of saving it."""
     a = as_tensor(a)
     x = a.data
-    out = x * (0.5 * (1.0 + special.erf(x * _INV_SQRT2)))
+    out = x * _normal_cdf(x)
+    return _from_op("gelu", out, (a,), lambda g: (_gelu_grad(g, x, _normal_cdf(x)),))
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``gelu(x @ w1 + b1) @ w2 + b2`` for an input of shape (..., d_in), as one tape node.
+
+    The tape keeps x and the hidden pre-activation ``h = x @ w1 + b1``; backward rebuilds
+    the CDF and the GELU output ``h * cdf`` from h with the forward's own expression. Each
+    GEMM takes its operands in the layouts of the composed chain
+    ``matmul(gelu(matmul(x, w1, b1)), w2, b2)`` and each gradient is summed by the same
+    ``_unbroadcast``, so results are bitwise equal to that chain.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if (
+        x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2
+        or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
+        or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],)
+    ):
+        raise ShapeError(
+            f"mlp: shapes x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape} "
+            "do not chain as (..., d_in) @ (d_in, hidden) @ (hidden, d_out)"
+        )
+    h = np.matmul(x.data, w1.data)
+    h += b1.data
+    out = np.matmul(h * _normal_cdf(h), w2.data)
+    out += b2.data
 
     def bw(g):
-        cdf = 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
+        cdf = _normal_cdf(h)
+        # the rebuilt GELU output lives only for the GEMM of w2's gradient
+        gw2 = np.matmul(np.swapaxes(h * cdf, -1, -2), g)
+        gh = _gelu_grad(np.matmul(g, np.swapaxes(w2.data, -1, -2)), h, cdf)
+        gx = np.matmul(gh, np.swapaxes(w1.data, -1, -2))
+        gw1 = np.matmul(np.swapaxes(x.data, -1, -2), gh)
+        return (
+            _unbroadcast(gx, x.shape), _unbroadcast(gw1, w1.shape), _unbroadcast(gh, b1.shape),
+            _unbroadcast(gw2, w2.shape), _unbroadcast(g, b2.shape),
+        )
 
-    return _from_op("gelu", out, (a,), bw)
+    return _from_op("mlp", out, (x, w1, b1, w2, b2), bw)
 
 
 def _softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -649,10 +694,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     The queries are scaled by 1/sqrt(d), a power of two when d is a power of four (16,
     64), so that rounds as scaling the scores would. The softmax runs in place on the
-    scores. The tape keeps q, k, v and the softmax rows: not the logits, the scaled
-    queries or the per-head output. Each GEMM takes its operands in the layouts of the
-    composed chain ``softmax_lastdim((q * s) @ transpose(k)) @ v`` (BLAS may round a
-    transposed operand differently), so results are bitwise equal to that chain.
+    scores. The tape keeps q, k and v only: backward rebuilds the softmax rows from the
+    scaled queries and transposed keys that its own gq and gk GEMMs take, through the
+    forward's expression. Each GEMM takes its operands in the layouts of the composed
+    chain ``softmax_lastdim((q * s) @ transpose(k)) @ v`` (BLAS may round a transposed
+    operand differently), so results are bitwise equal to that chain.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
@@ -660,20 +706,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     b, h, n, d = q.shape
     s = 1.0 / math.sqrt(d)
 
-    def keys_t():
-        return np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    def operands():
+        """The scaled queries, the contiguous transposed keys and their softmax rows."""
+        qs, kt = q.data * s, np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+        att = np.matmul(qs, kt)
+        return qs, kt, _softmax_rows(att, att)
 
-    att = np.matmul(q.data * s, keys_t())
-    _softmax_rows(att, att)
-    out = np.matmul(att, v.data).transpose(0, 2, 1, 3).reshape(b, n, h * d)
+    out = np.matmul(operands()[2], v.data).transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
     def bw(g):
+        qs, kt, att = operands()
         g = g.reshape(b, n, h, d).transpose(0, 2, 1, 3)
         gatt = np.matmul(g, np.swapaxes(v.data, -1, -2))
         gv = np.matmul(np.swapaxes(att, -1, -2), g)
         gl = _softmax_grad(gatt, att)
-        gq = np.matmul(gl, np.swapaxes(keys_t(), -1, -2)) * s
-        gk = np.swapaxes(np.matmul(np.swapaxes(q.data * s, -1, -2), gl), -1, -2)
+        gq = np.matmul(gl, np.swapaxes(kt, -1, -2)) * s
+        gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)
         return gq, gk, gv
 
     return _from_op("attention", out, (q, k, v), bw)

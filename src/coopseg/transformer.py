@@ -63,6 +63,9 @@ class MultiHeadSelfAttention(Module):
 
 
 class MlpBlock(Module):
+    """fc1, GELU, fc2 as one ``T.mlp`` tape node; the two ``Linear`` modules hold
+    the parameters, so their names and the checkpoint layout are those of the chain."""
+
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
         hidden = int(cfg.d_model * cfg.mlp_ratio)
@@ -70,7 +73,7 @@ class MlpBlock(Module):
         self.fc2 = Linear(hidden, cfg.d_model, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(x)))
+        return T.mlp(x, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
 
 
 class EncoderBlock(Module):

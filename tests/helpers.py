@@ -5,6 +5,7 @@ forms that are easy to audit by eye.
 """
 
 import gc
+import inspect
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -116,3 +117,14 @@ def alloc_peak(fn):
         if not was_tracing:
             tracemalloc.stop()
     return result, peak
+
+
+def closure_values(node):
+    """What a tape node's backward rule keeps alive: its closure, and the
+    closures of the local functions it calls."""
+    values, fns = [], [node.backward_fn]
+    while fns:
+        for cell in fns.pop().__closure__ or ():
+            value = cell.cell_contents
+            (fns if inspect.isfunction(value) else values).append(value)
+    return values

@@ -398,7 +398,7 @@ class TestOpSuite:
             "matmul", "matmul_bias", "conv2d", "conv2d_bias", "conv2d_7x7", "softmax", "upsample",
             "avgpool", "concat",
             "elementwise_add", "elementwise_mul", "relu", "gelu", "sigmoid",
-            "layernorm", "batchnorm_train", "batchnorm_eval", "attention",
+            "layernorm", "batchnorm_train", "batchnorm_eval", "attention", "mlp",
         ]:
             assert any(required in n for n in names), f"suite misses {required}"
 

@@ -74,6 +74,14 @@ class TestPnm:
         with pytest.raises(DataError, match="outside 0..15"):
             read_raster(p)
 
+    @pytest.mark.parametrize(
+        "magic, body", [(b"P2\n2 1\n255\n", b"1 x\n"), (b"P3\n1 1\n255\n", b"1 -2 3\n")], ids=["P2", "P3"]
+    )
+    def test_non_numeric_ascii_pixel_rejected(self, tmp_path, magic, body):
+        p = write_bytes(tmp_path / "n.pnm", magic + body)
+        with pytest.raises(DataError, match=r"n\.pnm: pixel value must be a non-negative integer, got b'(x|-2)'"):
+            read_raster(p)
+
     def test_truncated_payload_rejected(self, tmp_path):
         p = write_bytes(tmp_path / "t.pgm", b"P5\n2 2\n255\n\x01\x02")
         with pytest.raises(DataError):

@@ -385,10 +385,6 @@ class TestSoftmax:
 # ---------------------------------------------------------------------------
 
 
-def _closure_values(node):
-    return [cell.cell_contents for cell in node.backward_fn.__closure__ or ()]
-
-
 class TestAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [16, 64])
@@ -414,16 +410,17 @@ class TestAttention:
             assert new.dtype == dtype
             np.testing.assert_array_equal(new, ref)
 
-    def test_backward_keeps_its_operands_and_the_softmax_rows(self):
+    def test_backward_keeps_its_operands_and_no_array(self):
+        # the softmax rows are rebuilt from q and k, not saved
         rng = np.random.default_rng(34)
         qkv = [Tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True) for _ in range(3)]
         with T.step():
             node = T.attention(*qkv).node
-            arrays = [v for v in _closure_values(node) if isinstance(v, np.ndarray)]
-            tensors = [v for v in _closure_values(node) if isinstance(v, Tensor)]
-        assert [a.shape for a in arrays] == [(2, 2, 5, 5)]
-        np.testing.assert_allclose(arrays[0].sum(axis=-1), np.ones((2, 2, 5)), atol=1e-12, rtol=0)
-        assert all(any(t is u for u in qkv) for t in tensors)
+            values = helpers.closure_values(node)
+        assert not [v for v in values if isinstance(v, np.ndarray)]
+        tensors = [v for v in values if isinstance(v, Tensor)]
+        assert len(tensors) == 3 and all(any(t is u for u in qkv) for t in tensors)
+        assert all(t is u for t, u in zip(node.inputs, qkv))
 
     @pytest.mark.parametrize(
         "shapes",
@@ -436,6 +433,69 @@ class TestAttention:
     def test_mismatched_operands_raise(self, shapes):
         with pytest.raises(ShapeError):
             T.attention(*(Tensor(np.ones(s)) for s in shapes))
+
+
+def _mlp_chain(x, w1, b1, w2, b2):
+    return T.matmul(T.gelu(T.matmul(x, w1, b1)), w2, b2)
+
+
+class TestMlp:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(7,), (2, 5)])
+    def test_output_and_gradients_equal_the_composed_chain_bitwise(self, dtype, lead):
+        rng = np.random.default_rng(40 + len(lead))
+        arrays = [(rng.standard_normal(s) * 2).astype(dtype) for s in (lead + (6,), (6, 24), (24,), (24, 6), (6,))]
+        g = rng.standard_normal(lead + (6,)).astype(dtype)
+        results = []
+        for fn in (_mlp_chain, T.mlp):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            with T.step():
+                out = fn(*ts)
+                (out * Tensor(g)).sum().backward()
+            results.append([out.data] + [t.grad for t in ts])
+        for ref, new in zip(*results):
+            assert new.dtype == dtype
+            np.testing.assert_array_equal(new, ref)
+
+    def test_backward_keeps_its_input_and_the_hidden_pre_activation(self):
+        rng = np.random.default_rng(42)
+        ts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 5, 6), (6, 24), (24,), (24, 6), (6,))]
+        with T.step():
+            node = T.mlp(*ts).node
+            values = helpers.closure_values(node)
+        assert node.op == "mlp" and all(t is u for t, u in zip(node.inputs, ts))
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [(2, 5, 24)]
+        np.testing.assert_array_equal(arrays[0], ts[0].data @ ts[1].data + ts[2].data)
+        assert all(any(v is t for t in ts) for v in values if isinstance(v, Tensor))
+
+    def test_forward_allocates_no_more_than_the_chain(self):
+        # paper geometry at batch 4: 484 tokens, d_model 384, hidden 1536
+        rng = np.random.default_rng(43)
+        shapes = ((4, 484, 384), (384, 1536), (1536,), (1536, 384), (384,))
+        ts = [Tensor((rng.standard_normal(s) * 0.05).astype(np.float32)) for s in shapes]
+        out_chain, peak_chain = helpers.alloc_peak(lambda: _mlp_chain(*ts))
+        out, peak = helpers.alloc_peak(lambda: T.mlp(*ts))
+        np.testing.assert_array_equal(out.data, out_chain.data)
+        # both peak at three hidden-sized arrays (h and two of the CDF's temporaries);
+        # the op's closure cells add a few hundred bytes of Python objects
+        hidden = 4 * 484 * 1536 * 4
+        assert 3 * hidden <= peak_chain < 3 * hidden + 64 * 1024
+        assert peak <= peak_chain + 1024
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(6,), (6, 24), (24,), (24, 6), (6,)],
+            [(3, 6), (5, 24), (24,), (24, 6), (6,)],
+            [(3, 6), (6, 24), (24,), (23, 6), (6,)],
+            [(3, 6), (6, 24), (6,), (24, 6), (6,)],
+            [(3, 6), (6, 24), (24,), (24, 6), (24,)],
+        ],
+    )
+    def test_mismatched_operands_raise(self, shapes):
+        with pytest.raises(ShapeError, match="mlp"):
+            T.mlp(*(Tensor(np.ones(s)) for s in shapes))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +610,7 @@ class TestActivations:
     def test_gelu_backward_keeps_no_array_but_its_input(self):
         x = Tensor(np.random.default_rng(36).standard_normal((4, 9)), requires_grad=True)
         with T.step():
-            values = _closure_values(T.gelu(x).node)
+            values = helpers.closure_values(T.gelu(x).node)
         assert all(v is x.data for v in values if isinstance(v, np.ndarray))
 
     def test_sigmoid_extremes_finite(self):

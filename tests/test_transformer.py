@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from coopseg import gradcheck
 from coopseg import tensor as T
 from coopseg.config import RunConfig
@@ -13,6 +14,7 @@ from coopseg.nn import MultiScaleFeatures
 from coopseg.tensor import ShapeError, Tensor
 from coopseg.transformer import (
     EncoderBlock,
+    MlpBlock,
     MultiHeadSelfAttention,
     PatchEmbed,
     TransformerBranch,
@@ -146,23 +148,29 @@ class TestAttention:
             assert new.dtype == dtype
             np.testing.assert_array_equal(new, ref)
 
-    def test_tape_holds_one_score_sized_array_per_block(self):
-        # the softmax rows; neither the logits nor any node output is B x heads x N x N
+    def test_tape_holds_no_score_or_gelu_output_array(self):
+        # attention rebuilds its softmax rows and the MLP its GELU output in backward:
+        # no node output, input or closure array is B x heads x N x N, and the only
+        # B x N x hidden arrays are the MLPs' pre-activations, one per block
         blocks = [EncoderBlock(small_cfg(), rng_of(s)) for s in (16, 17)]
         with T.step() as tape:
             x = Tensor(rng_of(18).standard_normal((2, 5, 8)), requires_grad=True)
             for block in blocks:
                 x = block(x)
-            assert all(n.out.shape != (2, 2, 5, 5) for n in tape.nodes)
             held = {}
             for n in tape.nodes:
-                values = [n.out, *n.inputs] + [c.cell_contents for c in n.backward_fn.__closure__ or ()]
-                for value in values:
+                for value in [n.out, *n.inputs, *helpers.closure_values(n)]:
                     if isinstance(value, Tensor):
                         value = value.data
-                    if isinstance(value, np.ndarray) and value.shape[-2:] == (5, 5):
-                        held[id(value)] = value.shape
-        assert list(held.values()) == [(2, 2, 5, 5)] * 2
+                    if isinstance(value, np.ndarray):
+                        held[id(value)] = value
+            pre_activations = [n.inputs[0].data @ n.inputs[1].data + n.inputs[2].data
+                               for n in tape.nodes if n.op == "mlp"]
+        assert not [a for a in held.values() if a.shape == (2, 2, 5, 5)]
+        hidden = [a for a in held.values() if a.shape == (2, 5, 16)]
+        assert len(hidden) == len(pre_activations) == 2
+        for a, h in zip(hidden, pre_activations):
+            np.testing.assert_array_equal(a, h)
 
     def test_permutation_equivariance(self):
         msa = MultiHeadSelfAttention(small_cfg(), rng_of(10))
@@ -171,6 +179,20 @@ class TestAttention:
         out = msa(Tensor(x)).data[0]
         out_perm = msa(Tensor(x[:, perm])).data[0]
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
+
+
+class TestMlpBlock:
+    def test_records_one_node_and_keeps_the_linear_parameters(self):
+        mlp = MlpBlock(small_cfg(), rng_of(19))
+        assert [name for name, _ in mlp.named_parameters()] == [
+            "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias",
+        ]
+        x = Tensor(rng_of(20).standard_normal((2, 5, 8)), requires_grad=True)
+        with T.step() as tape:
+            out = mlp(x)
+            assert [n.op for n in tape.nodes] == ["mlp"]
+        chain = mlp.fc2(T.gelu(mlp.fc1(x)))
+        np.testing.assert_array_equal(out.data, chain.data)
 
 
 class TestEncoderBlock:
