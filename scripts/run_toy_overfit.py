@@ -29,7 +29,7 @@ def fused_mdice(model, images, masks, lam):
     def mdice(pred):
         return evaluate_pairs(range(len(pred.data)), pred.data[:, 0], masks.data[:, 0]).mean_dice
 
-    return mdice(fused), [mdice(o) for o in outs.as_tuple()]
+    return mdice(fused), [mdice(o) for o in outs]
 
 
 def main():

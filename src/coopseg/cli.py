@@ -24,12 +24,10 @@ FINAL_CKPT = "model_final.ckpt"
 CONFIG_ECHO = "config_used.cfg"
 
 
-def _add_common_flags(p: argparse.ArgumentParser, config_help: str = "flat key = value config file"):
+def _add_run_flags(p: argparse.ArgumentParser, config_help: str = "flat key = value config file"):
+    """The flags train, eval and predict share; train adds --epochs and --lambda."""
     p.add_argument("--config", help=config_help)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="entropy temperature of the view-weight solver")
     p.add_argument("--image-size", dest="image_size", type=int, default=None)
     p.add_argument("--no-glff", action="store_true",
                    help="replace per-scale fusion with a plain 1x1 mix (ablation)")
@@ -45,21 +43,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-branch segmentation with cooperative multi-view training",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("train", help="train a model and write per-epoch checkpoints plus a log CSV")
+    _add_run_flags(p)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="entropy temperature of the view-weight solver")
     for name, desc in (
-        ("train", "train a model and write per-epoch checkpoints plus a log CSV"),
         ("eval", "score a checkpoint on a dataset, writing a metrics CSV"),
         ("predict", "write 8-bit grayscale mask images for each input"),
-        ("gradcheck", "run the finite-difference gradient suite"),
     ):
         p = sub.add_parser(name, help=desc)
-        if name in ("eval", "predict"):
-            _add_common_flags(
-                p, f"flat key = value config file (default: <out-dir>/{CONFIG_ECHO})"
-            )
-            p.add_argument("--checkpoint", default=None,
-                           help=f"model file (default: <out-dir>/{FINAL_CKPT})")
-        else:
-            _add_common_flags(p)
+        _add_run_flags(p, f"flat key = value config file (default: <out-dir>/{CONFIG_ECHO})")
+        p.add_argument("--checkpoint", default=None,
+                       help=f"model file (default: <out-dir>/{FINAL_CKPT})")
+    sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
     return parser
 
 
@@ -71,15 +68,16 @@ def _config_from_args(args, reuse_run_config: bool = False) -> RunConfig:
         if echo.is_file():
             config_path = echo
     file_values = parse_config_file(config_path) if config_path else {}
-    overrides = dict(
-        seed=args.seed, epochs=args.epochs, lam=args.lam,
-        image_size=args.image_size, out_dir=args.out_dir, data_dir=args.data_dir,
-    )
+    # eval and predict take no --epochs or --lambda
+    overrides = {
+        name: getattr(args, name, None)
+        for name in ("seed", "epochs", "lam", "image_size", "out_dir", "data_dir")
+    }
     if args.no_glff:
         overrides["glff_on"] = False
     if args.no_dfm:
         overrides["dfm_on"] = False
-    return build_config(file_values, **{k: v for k, v in overrides.items() if v is not None})
+    return build_config(file_values, **overrides)  # it skips None overrides
 
 
 def _get_samples(cfg: RunConfig) -> list[SegmentationSample]:

@@ -103,17 +103,18 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _coerce(field: dataclasses.Field, key: str, text: str):
-    if field.type in ("int", int):
+    # postponed annotations: field.type is the annotation's text, never the type
+    if field.type == "int":
         try:
             return int(text)
         except ValueError:
             raise ConfigError(f"config key {key!r}: expected integer, got {text!r}") from None
-    if field.type in ("float", float):
+    if field.type == "float":
         try:
             return float(text)
         except ValueError:
             raise ConfigError(f"config key {key!r}: expected number, got {text!r}") from None
-    if field.type in ("bool", bool):
+    if field.type == "bool":
         low = text.lower()
         if low in ("true", "1", "yes", "on"):
             return True

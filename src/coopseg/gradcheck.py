@@ -25,24 +25,27 @@ def relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-6)
 
 
-def _sample_entries(params: Sequence[Tensor], n_samples: Optional[int], rng: np.random.Generator):
+def _locate(bounds: np.ndarray, flat) -> tuple[int, int]:
+    """The (param_index, flat_index) of entry ``flat`` of the params laid end to end,
+    whose cumulative sizes are ``bounds``."""
+    pi = int(np.searchsorted(bounds, flat, side="right"))
+    return pi, int(flat - (bounds[pi - 1] if pi else 0))
+
+
+def _sample_entries(params: Sequence[Tensor], n_samples: Optional[int], rng: np.random.Generator,
+                    bounds: np.ndarray):
     """Pick (param_index, flat_index) pairs, spread across all params."""
     entries = []
     if n_samples is None:
         for pi, p in enumerate(params):
             entries.extend((pi, fi) for fi in range(p.size))
         return entries
-    sizes = np.array([p.size for p in params])
-    total = int(sizes.sum())
-    n = min(n_samples, total)
+    n = min(n_samples, int(bounds[-1]))
     # at least one entry per param, remainder proportional
     for pi, p in enumerate(params):
         entries.append((pi, int(rng.integers(p.size))))
-    flat = rng.choice(total, size=max(n - len(params), 0), replace=False)
-    bounds = np.cumsum(sizes)
-    for f in flat:
-        pi = int(np.searchsorted(bounds, f, side="right"))
-        entries.append((pi, int(f - (bounds[pi - 1] if pi else 0))))
+    flat = rng.choice(int(bounds[-1]), size=max(n - len(params), 0), replace=False)
+    entries.extend(_locate(bounds, f) for f in flat)
     return entries
 
 
@@ -116,8 +119,8 @@ def check_function(
         p.data[idx] = orig
         return (vals[0] - vals[1]) / (2.0 * H_DEFAULT), smooth
 
-    entries = list(_sample_entries(params, n_samples, rng))
     bounds = np.cumsum([p.size for p in params])
+    entries = _sample_entries(params, n_samples, rng, bounds)
     spare = 4 * len(entries)
     worst = 0.0
     while entries:
@@ -129,9 +132,7 @@ def check_function(
                     "gradcheck: too many probes straddle relu/amax/clip kinks"
                 )
             spare -= 1
-            flat = int(rng.integers(bounds[-1]))
-            pj = int(np.searchsorted(bounds, flat, side="right"))
-            entries.append((pj, int(flat - (bounds[pj - 1] if pj else 0))))
+            entries.append(_locate(bounds, int(rng.integers(bounds[-1]))))
             continue
         idx = np.unravel_index(fi, params[pi].shape)
         worst = max(worst, relative_error(float(analytic[pi][idx]), numeric))
@@ -168,11 +169,10 @@ class _Scalarizer:
 class OpCheckResult:
     name: str
     max_rel_err: float
-    tol: float
 
     @property
     def ok(self) -> bool:
-        return self.max_rel_err < self.tol
+        return self.max_rel_err < TOL_DEFAULT
 
 
 def _rand(rng, *shape):
@@ -346,7 +346,7 @@ def run_op_suite(seed: int = 0, inputs_per_op: int = 5) -> list[OpCheckResult]:
             params, loss_fn, reset = build(rng, _Scalarizer(rng))
             err = check_function(loss_fn, params, rng, reset=reset)
             worst = max(worst, err)
-        results.append(OpCheckResult(name, worst, TOL_DEFAULT))
+        results.append(OpCheckResult(name, worst))
     return results
 
 
@@ -386,7 +386,7 @@ def check_model_end_to_end(seed: int = 0, n_samples: int = 50) -> float:
 
     def loss():
         outs = model(images)
-        total = sum(view_loss(pre, masks) for pre in outs.as_tuple())
+        total = sum(view_loss(pre, masks) for pre in outs)
         return total * (1.0 / 3.0)
 
     rng = np.random.default_rng(seed)

@@ -7,7 +7,7 @@ model as a buffer so they persist through checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,16 +19,12 @@ from .tensor import Tensor
 from .transformer import TransformerBranch, ViewHead
 
 
-@dataclass
-class ViewOutputs:
+class ViewOutputs(NamedTuple):
     """The three per-view probability maps, each B x 1 x H x W in [0,1]."""
 
     transformer: Tensor
     cnn: Tensor
     fusion: Tensor
-
-    def as_tuple(self) -> tuple[Tensor, Tensor, Tensor]:
-        return (self.transformer, self.cnn, self.fusion)
 
 
 VIEW_NAMES = ("transformer", "cnn", "fusion")

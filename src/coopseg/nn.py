@@ -7,8 +7,7 @@ dotted names, which fixes the serialization order of checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -172,13 +171,9 @@ class ConvUnit(Module):
         return T.relu(self.bn(self.conv(x)))
 
 
-@dataclass
-class MultiScaleFeatures:
+class MultiScaleFeatures(NamedTuple):
     """Branch outputs at 1/16, 1/8, 1/4 of the input resolution."""
 
     s16: Tensor
     s8: Tensor
     s4: Tensor
-
-    def as_tuple(self) -> tuple:
-        return (self.s16, self.s8, self.s4)

@@ -12,6 +12,7 @@ test/verification precision and float32 the training precision.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
@@ -263,65 +264,40 @@ def _raw(x):
     return x if isinstance(x, (int, float)) else np.asarray(x)
 
 
-def _operands(a, b):
-    """A binary op's inputs as tensors (None for raw values) and their arrays."""
+def _binary(op: str, a, b, fn, grad_a, grad_b) -> Tensor:
+    """A broadcasting binary op: ``fn(da, db)`` on the operands' arrays, and in backward
+    ``grad_a(g, da, db)`` / ``grad_b(g, da, db)`` summed back to each operand's shape.
+    Only a Tensor operand gets a gradient; a raw value (None on the tape) gets none."""
     ta = a if isinstance(a, Tensor) else None
     tb = b if isinstance(b, Tensor) else None
     da = ta.data if ta is not None else _raw(a)
     db = tb.data if tb is not None else _raw(b)
-    return ta, tb, da, db
+
+    def bw(g):
+        return (
+            _unbroadcast(grad_a(g, da, db), da.shape) if ta is not None else None,
+            _unbroadcast(grad_b(g, da, db), db.shape) if tb is not None else None,
+        )
+
+    return _from_op(op, fn(da, db), (ta, tb), bw)
 
 
 def add(a, b) -> Tensor:
-    ta, tb, da, db = _operands(a, b)
-    out = da + db
-
-    def bw(g):
-        return (
-            _unbroadcast(g, da.shape) if ta is not None else None,
-            _unbroadcast(g, db.shape) if tb is not None else None,
-        )
-
-    return _from_op("add", out, (ta, tb), bw)
+    return _binary("add", a, b, operator.add, lambda g, da, db: g, lambda g, da, db: g)
 
 
 def sub(a, b) -> Tensor:
-    ta, tb, da, db = _operands(a, b)
-    out = da - db
-
-    def bw(g):
-        return (
-            _unbroadcast(g, da.shape) if ta is not None else None,
-            _unbroadcast(-g, db.shape) if tb is not None else None,
-        )
-
-    return _from_op("sub", out, (ta, tb), bw)
+    return _binary("sub", a, b, operator.sub, lambda g, da, db: g, lambda g, da, db: -g)
 
 
 def mul(a, b) -> Tensor:
-    ta, tb, da, db = _operands(a, b)
-    out = da * db
-
-    def bw(g):
-        return (
-            _unbroadcast(g * db, da.shape) if ta is not None else None,
-            _unbroadcast(g * da, db.shape) if tb is not None else None,
-        )
-
-    return _from_op("mul", out, (ta, tb), bw)
+    return _binary("mul", a, b, operator.mul, lambda g, da, db: g * db, lambda g, da, db: g * da)
 
 
 def div(a, b) -> Tensor:
-    ta, tb, da, db = _operands(a, b)
-    out = da / db
-
-    def bw(g):
-        return (
-            _unbroadcast(g / db, da.shape) if ta is not None else None,
-            _unbroadcast(-g * da / (db * db), db.shape) if tb is not None else None,
-        )
-
-    return _from_op("div", out, (ta, tb), bw)
+    return _binary(
+        "div", a, b, operator.truediv, lambda g, da, db: g / db, lambda g, da, db: -g * da / (db * db)
+    )
 
 
 def neg(a: Tensor) -> Tensor:
@@ -345,6 +321,14 @@ def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
 # --------------------------------------------------------------------------
 
 
+def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The gradients of ``a @ b`` given the upstream gradient g: ``g @ b^T`` and
+    ``a^T @ g``, each summed back over broadcast leading axes to its operand's shape.
+    The one GEMM-gradient rule of matmul, mlp and attention."""
+    ga = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
+    return ga, _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
+
+
 def matmul(a, b, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading axes, plus an optional
     bias of shape (b.shape[-1],) added to every output row."""
@@ -362,10 +346,8 @@ def matmul(a, b, bias: Optional[Tensor] = None) -> Tensor:
         out += bias.data
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         gbias = _unbroadcast(g, bias.shape) if bias is not None else None
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape), gbias
+        return (*_matmul_grads(g, a.data, b.data), gbias)
 
     return _from_op("matmul", out, (a, b, bias), bw)
 
@@ -633,9 +615,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     The tape keeps x and the hidden pre-activation ``h = x @ w1 + b1``; backward rebuilds
     the CDF and the GELU output ``h * cdf`` from h with the forward's own expression. Each
-    GEMM takes its operands in the layouts of the composed chain
-    ``matmul(gelu(matmul(x, w1, b1)), w2, b2)`` and each gradient is summed by the same
-    ``_unbroadcast``, so results are bitwise equal to that chain.
+    GEMM pair is matmul's own ``_matmul_grads`` on the operands of the composed chain
+    ``matmul(gelu(matmul(x, w1, b1)), w2, b2)``, so results are bitwise equal to that chain.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     if (
@@ -654,15 +635,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     def bw(g):
         cdf = _normal_cdf(h)
-        # the rebuilt GELU output lives only for the GEMM of w2's gradient
-        gw2 = np.matmul(np.swapaxes(h * cdf, -1, -2), g)
-        gh = _gelu_grad(np.matmul(g, np.swapaxes(w2.data, -1, -2)), h, cdf)
-        gx = np.matmul(gh, np.swapaxes(w1.data, -1, -2))
-        gw1 = np.matmul(np.swapaxes(x.data, -1, -2), gh)
-        return (
-            _unbroadcast(gx, x.shape), _unbroadcast(gw1, w1.shape), _unbroadcast(gh, b1.shape),
-            _unbroadcast(gw2, w2.shape), _unbroadcast(g, b2.shape),
-        )
+        # the rebuilt GELU output lives only for the GEMM pair of the fc2 gradients
+        gh, gw2 = _matmul_grads(g, h * cdf, w2.data)
+        gh = _gelu_grad(gh, h, cdf)
+        return (*_matmul_grads(gh, x.data, w1.data), _unbroadcast(gh, b1.shape),
+                gw2, _unbroadcast(g, b2.shape))
 
     return _from_op("mlp", out, (x, w1, b1, w2, b2), bw)
 
@@ -696,9 +673,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     64), so that rounds as scaling the scores would. The softmax runs in place on the
     scores. The tape keeps q, k and v only: backward rebuilds the softmax rows from the
     scaled queries and transposed keys that its own gq and gk GEMMs take, through the
-    forward's expression. Each GEMM takes its operands in the layouts of the composed
-    chain ``softmax_lastdim((q * s) @ transpose(k)) @ v`` (BLAS may round a transposed
-    operand differently), so results are bitwise equal to that chain.
+    forward's expression. Both GEMM pairs are matmul's own ``_matmul_grads`` on the
+    operands, in the layouts, of the composed chain
+    ``softmax_lastdim((q * s) @ transpose(k)) @ v`` (BLAS may round a transposed operand
+    differently), so results are bitwise equal to that chain.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
@@ -717,18 +695,49 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     def bw(g):
         qs, kt, att = operands()
         g = g.reshape(b, n, h, d).transpose(0, 2, 1, 3)
-        gatt = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        gv = np.matmul(np.swapaxes(att, -1, -2), g)
-        gl = _softmax_grad(gatt, att)
-        gq = np.matmul(gl, np.swapaxes(kt, -1, -2)) * s
-        gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)
-        return gq, gk, gv
+        gatt, gv = _matmul_grads(g, att, v.data)
+        gqs, gkt = _matmul_grads(_softmax_grad(gatt, att), qs, kt)
+        return gqs * s, np.swapaxes(gkt, -1, -2), gv
 
     return _from_op("attention", out, (q, k, v), bw)
 
 
 NORM_EPS = 1e-5  # added to the variance by both norms
 BN_MOMENTUM = 0.1  # batchnorm running-buffer update rate
+
+
+def _affine_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mu, inv, stat_axes, axis: int,
+                 batch_stats: bool) -> Tensor:
+    """``(x - mu) * inv * gamma + beta`` as one tape node, with mu and inv broadcasting
+    against x and gamma and beta laid along ``axis``. The output is the only full-size
+    array made; backward rebuilds the normalized input ``xhat`` from x with the forward's
+    own expression. ``batch_stats`` says mu and inv are x's own statistics over
+    ``stat_axes``, so the input gradient carries their terms; otherwise it is
+    ``g * gamma * inv``."""
+    shape = [1] * x.ndim
+    shape[axis] = -1
+    gamma_b, beta_b = gamma.data.reshape(shape), beta.data.reshape(shape)
+    param_axes = tuple(i for i in range(x.ndim) if i != axis % x.ndim)
+    out = x.data - mu
+    out *= inv
+    out *= gamma_b
+    out += beta_b
+
+    def bw(g):
+        xhat = (x.data - mu) * inv
+        gg = (g * xhat).sum(axis=param_axes)
+        gb = g.sum(axis=param_axes)
+        gxhat = g * gamma_b
+        if not batch_stats:
+            return gxhat * inv, gg, gb
+        gx = inv * (
+            gxhat
+            - gxhat.mean(axis=stat_axes, keepdims=True)
+            - xhat * (gxhat * xhat).mean(axis=stat_axes, keepdims=True)
+        )
+        return gx, gg, gb
+
+    return _from_op(op, out, (x, gamma, beta), bw)
 
 
 def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -741,21 +750,7 @@ def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    out = x.data - mu
-    out *= inv
-    out *= gamma.data
-    out += beta.data
-
-    def bw(g):
-        xhat = (x.data - mu) * inv
-        lead = tuple(range(g.ndim - 1))
-        gg = (g * xhat).sum(axis=lead)
-        gb = g.sum(axis=lead)
-        gxhat = g * gamma.data
-        gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-        return gx, gg, gb
-
-    return _from_op("layernorm_lastdim", out, (x, gamma, beta), bw)
+    return _affine_norm("layernorm_lastdim", x, gamma, beta, mu, inv, -1, -1, True)
 
 
 def batchnorm_channel(
@@ -792,29 +787,8 @@ def batchnorm_channel(
         mu = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
     shape = (1, c, 1, 1)
-    mu = mu.reshape(shape)
     inv = (1.0 / np.sqrt(var + NORM_EPS)).reshape(shape)
-    out = x.data - mu
-    out *= inv
-    out *= gamma.data.reshape(shape)
-    out += beta.data.reshape(shape)
-
-    def bw(g):
-        xhat = (x.data - mu) * inv
-        gg = (g * xhat).sum(axis=axes)
-        gb = g.sum(axis=axes)
-        gxhat = g * gamma.data.reshape(shape)
-        if training:
-            gx = inv * (
-                gxhat
-                - gxhat.mean(axis=axes, keepdims=True)
-                - xhat * (gxhat * xhat).mean(axis=axes, keepdims=True)
-            )
-        else:
-            gx = gxhat * inv
-        return gx, gg, gb
-
-    return _from_op("batchnorm_channel", out, (x, gamma, beta), bw)
+    return _affine_norm("batchnorm_channel", x, gamma, beta, mu.reshape(shape), inv, axes, 1, training)
 
 
 # --------------------------------------------------------------------------

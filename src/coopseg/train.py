@@ -87,14 +87,13 @@ def fuse_decision(w: ViewWeights, outs: ViewOutputs) -> Tensor:
     [min, max] envelope of the views after the final cast. Pure inference
     helper: the result carries no gradient graph.
     """
-    views = outs.as_tuple()
-    shape = views[0].shape
-    for v in views[1:]:
+    shape = outs[0].shape
+    for v in outs[1:]:
         if v.shape != shape:
             raise ShapeError(f"view shapes differ: {shape} vs {v.shape}")
-    dtype = views[0].dtype
+    dtype = outs[0].dtype
     acc = np.zeros(shape, dtype=np.float64)
-    for wk, v in zip(w.w, views):
+    for wk, v in zip(w.w, outs):
         acc += float(wk) * v.data.astype(np.float64)
     return Tensor(acc.astype(dtype))
 
@@ -169,7 +168,7 @@ def train_epoch(
         optimizer.zero_grad()
         # the step releases its graph on every exit, the non-finite-loss abort included
         with T.step():
-            losses = [view_loss(pre, masks) for pre in model(images).as_tuple()]
+            losses = [view_loss(pre, masks) for pre in model(images)]
             for name, lk in zip(VIEW_NAMES, losses):
                 if not np.isfinite(lk.data).all():
                     raise RuntimeError(f"non-finite loss in view {name!r}; aborting")

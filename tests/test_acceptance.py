@@ -157,7 +157,7 @@ def test_c6_ablation_grid():
             min_gap = min(min_gap, gap)
     shapes_ok = all(
         v.shape == (2, 1, 64, 64) and v.data.min() >= 0.0 and v.data.max() <= 1.0
-        for o in outs.values() for v in o.as_tuple()
+        for o in outs.values() for v in o
     )
     branches_ok = all(
         np.array_equal(o.transformer.data, outs[(True, True)].transformer.data)
@@ -199,9 +199,9 @@ def test_c8_decision_properties():
             wv = np.zeros(3)
             wv[k] = 1.0
             out = fuse_decision(ViewWeights(wv, 1.0), views)
-            vertex_ok &= np.array_equal(out.data, views.as_tuple()[k].data)
+            vertex_ok &= np.array_equal(out.data, views[k].data)
         out = fuse_decision(ViewWeights(random_simplex(rng), 1.0), views)
-        stack = np.stack([v.data for v in views.as_tuple()])
+        stack = np.stack([v.data for v in views])
         envelope_ok &= bool((out.data >= stack.min(axis=0)).all())
         envelope_ok &= bool((out.data <= stack.max(axis=0)).all())
     _report(8, "fused decision: vertex bitwise + envelope", vertex_ok and envelope_ok)

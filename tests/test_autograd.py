@@ -108,7 +108,7 @@ class TestStepScope:
         for _ in range(2):
             outs = model(x)
             assert T._state.tape is None
-            assert all(o.node is None and not o.requires_grad for o in outs.as_tuple())
+            assert all(o.node is None and not o.requires_grad for o in outs)
 
     def test_step_records_on_a_fresh_tape_and_restores_none(self):
         x = Tensor([1.0], requires_grad=True)

@@ -193,6 +193,15 @@ class TestExitCodes:
             main(["train", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--seed", "3"], ["gradcheck", "--config", "c.cfg"],
+        ["eval", "--epochs", "2"], ["eval", "--lambda", "0.5"], ["predict", "--epochs", "2"],
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -218,7 +227,7 @@ class TestGradcheckCommand:
     def test_exit_zero_on_pass(self, monkeypatch, capsys):
         import coopseg.gradcheck as gc
 
-        fake = [gc.OpCheckResult(name="demo_op", max_rel_err=1e-7, tol=1e-4)]
+        fake = [gc.OpCheckResult(name="demo_op", max_rel_err=1e-7)]
         monkeypatch.setattr(gc, "run_op_suite", lambda **kw: fake)
         monkeypatch.setattr(gc, "check_model_end_to_end", lambda **kw: 2e-6)
         assert main(["gradcheck"]) == 0
@@ -228,7 +237,7 @@ class TestGradcheckCommand:
     def test_exit_nonzero_on_failure(self, monkeypatch, capsys):
         import coopseg.gradcheck as gc
 
-        fake = [gc.OpCheckResult(name="demo_op", max_rel_err=0.5, tol=1e-4)]
+        fake = [gc.OpCheckResult(name="demo_op", max_rel_err=0.5)]
         monkeypatch.setattr(gc, "run_op_suite", lambda **kw: fake)
         monkeypatch.setattr(gc, "check_model_end_to_end", lambda **kw: 2e-6)
         assert main(["gradcheck"]) == 1
@@ -237,7 +246,7 @@ class TestGradcheckCommand:
     def test_exit_nonzero_on_model_failure(self, monkeypatch):
         import coopseg.gradcheck as gc
 
-        fake = [gc.OpCheckResult(name="demo_op", max_rel_err=1e-7, tol=1e-4)]
+        fake = [gc.OpCheckResult(name="demo_op", max_rel_err=1e-7)]
         monkeypatch.setattr(gc, "run_op_suite", lambda **kw: fake)
         monkeypatch.setattr(gc, "check_model_end_to_end", lambda **kw: 0.3)
         assert main(["gradcheck"]) == 1

@@ -44,7 +44,7 @@ class TestTapGeometry:
         branch = small_branch()
         a = branch(Tensor(np.zeros((1, 3, 32, 32))))
         b = branch(Tensor(np.zeros((1, 3, 64, 64))))
-        for fa, fb in zip(a.as_tuple(), b.as_tuple()):
+        for fa, fb in zip(a, b):
             assert fb.shape[2] == 2 * fa.shape[2]
             assert fb.shape[3] == 2 * fa.shape[3]
 

@@ -31,7 +31,7 @@ class TestForwardContract:
         cfg = tiny_cfg()
         model = SegmentationModel(cfg).eval()
         outs = model(tiny_batch(cfg))
-        for view in outs.as_tuple():
+        for view in outs:
             assert view.shape == (2, 1, 32, 32)
             assert view.data.dtype == np.float32
             assert view.data.min() >= 0.0 and view.data.max() <= 1.0
@@ -40,12 +40,12 @@ class TestForwardContract:
         assert VIEW_NAMES == ("transformer", "cnn", "fusion")
         cfg = tiny_cfg()
         outs = SegmentationModel(cfg).eval()(tiny_batch(cfg))
-        assert outs.as_tuple() == (outs.transformer, outs.cnn, outs.fusion)
+        assert tuple(outs) == (outs.transformer, outs.cnn, outs.fusion)
 
     def test_views_are_pairwise_distinct_at_init(self):
         cfg = tiny_cfg()
         outs = SegmentationModel(cfg).eval()(tiny_batch(cfg))
-        views = [v.data for v in outs.as_tuple()]
+        views = [v.data for v in outs]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert np.abs(views[i] - views[j]).max() > 1e-6
@@ -55,7 +55,7 @@ class TestForwardContract:
         model = SegmentationModel(cfg).eval()
         x = tiny_batch(cfg)
         a, b = model(x), model(x)
-        for u, v in zip(a.as_tuple(), b.as_tuple()):
+        for u, v in zip(a, b):
             assert np.array_equal(u.data, v.data)
 
     def test_seed_changes_outputs(self):
@@ -63,7 +63,7 @@ class TestForwardContract:
         x = tiny_batch(cfg0)
         a = SegmentationModel(cfg0).eval()(x)
         b = SegmentationModel(cfg1).eval()(x)
-        for u, v in zip(a.as_tuple(), b.as_tuple()):
+        for u, v in zip(a, b):
             assert np.abs(u.data - v.data).max() > 1e-6
 
     def test_config_divisibility(self):
@@ -108,7 +108,7 @@ class TestAblationSwitches:
 
     def test_shapes_hold_for_every_combo(self, combo_outputs):
         for outs in combo_outputs.values():
-            for view in outs.as_tuple():
+            for view in outs:
                 assert view.shape == (2, 1, 32, 32)
                 assert view.data.min() >= 0.0 and view.data.max() <= 1.0
 

@@ -677,6 +677,52 @@ class TestNorms:
         with pytest.raises(ShapeError):
             T.layernorm_lastdim(Tensor(np.ones((2, 5))), Tensor(np.ones(4)), Tensor(np.zeros(5)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["layernorm", "batchnorm_train", "batchnorm_eval"])
+    def test_output_and_gradients_equal_the_closed_forms_bitwise(self, case, dtype):
+        # the closed forms written out op by op, in the order the norms evaluate them
+        rng = np.random.default_rng(23)
+        shape, axis, stat_axes = {
+            "layernorm": ((2, 5, 8), -1, -1),
+            "batchnorm_train": ((2, 3, 4, 5), 1, (0, 2, 3)),
+            "batchnorm_eval": ((2, 3, 4, 5), 1, (0, 2, 3)),
+        }[case]
+        c = shape[axis]
+        x, g = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+        gamma, beta = (rng.standard_normal(c).astype(dtype) for _ in range(2))
+        rm, rv = rng.standard_normal(c), 0.5 + rng.random(c)
+        pshape = [1] * len(shape)
+        pshape[axis] = c
+        param_axes = tuple(i for i in range(len(shape)) if i != axis % len(shape))
+        if case == "batchnorm_eval":
+            mu, var = rm.astype(dtype).reshape(pshape), rv.astype(dtype).reshape(pshape)
+        else:
+            mu, var = x.mean(axis=stat_axes, keepdims=True), x.var(axis=stat_axes, keepdims=True)
+        inv = 1.0 / np.sqrt(var + T.NORM_EPS)
+        gamma_b, beta_b = gamma.reshape(pshape), beta.reshape(pshape)
+        xhat = (x - mu) * inv
+        gxhat = g * gamma_b
+        if case == "batchnorm_eval":
+            gx = gxhat * inv
+        else:
+            gx = inv * (
+                gxhat
+                - gxhat.mean(axis=stat_axes, keepdims=True)
+                - xhat * (gxhat * xhat).mean(axis=stat_axes, keepdims=True)
+            )
+        expected = (xhat * gamma_b + beta_b, gx, (g * xhat).sum(axis=param_axes), g.sum(axis=param_axes))
+
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        with T.step():
+            if case == "layernorm":
+                out = T.layernorm_lastdim(xt, gt, bt)
+            else:
+                out = T.batchnorm_channel(xt, gt, bt, rm.copy(), rv.copy(), training=case == "batchnorm_train")
+            got = (out.data, *out.node.backward_fn(g))
+        for e, a in zip(expected, got):
+            assert a.dtype == dtype
+            np.testing.assert_array_equal(a, e)
+
 
 @pytest.mark.parametrize("name", ["batchnorm_train", "batchnorm_eval", "layernorm", "softmax"])
 def test_forward_allocates_little_beyond_its_output(name):

@@ -374,7 +374,7 @@ class TestFuseDecision:
             w = np.zeros(3)
             w[k] = 1.0
             fused = fuse_decision(ViewWeights(w, 1.0), outs)
-            np.testing.assert_array_equal(fused.data, outs.as_tuple()[k].data)
+            np.testing.assert_array_equal(fused.data, outs[k].data)
 
     def test_identical_views_are_fixed_point(self):
         rng = rng_of(9)
@@ -389,7 +389,7 @@ class TestFuseDecision:
         outs = random_views(rng, shape=(1, 1, 4, 4))
         w = helpers.random_simplex(rng)
         fused = fuse_decision(ViewWeights(w, 1.0), outs).data
-        views = [v.data for v in outs.as_tuple()]
+        views = [v.data for v in outs]
         for i in range(4):
             for j in range(4):
                 acc = 0.0
@@ -403,7 +403,7 @@ class TestFuseDecision:
             outs = random_views(rng)
             w = helpers.random_simplex(rng)
             fused = fuse_decision(ViewWeights(w, 1.0), outs).data
-            stack = np.stack([v.data for v in outs.as_tuple()])
+            stack = np.stack([v.data for v in outs])
             assert (fused >= stack.min(axis=0)).all()
             assert (fused <= stack.max(axis=0)).all()
 
