@@ -153,9 +153,8 @@ def _load_model(cfg: RunConfig, ckpt_arg) -> SegmentationModel:
 
 def _decide(cfg: RunConfig, model: SegmentationModel, outs: ViewOutputs) -> Tensor:
     if cfg.eval_view == "fused":
-        w = ViewWeights(model.view_weights.copy(), cfg.lam)
-        return fuse_decision(w, outs)
-    return {"transformer": outs.transformer, "cnn": outs.cnn, "fusion": outs.fusion}[cfg.eval_view]
+        return fuse_decision(ViewWeights(model.view_weights, cfg.lam), outs)
+    return getattr(outs, cfg.eval_view)
 
 
 def cmd_eval(args) -> int:

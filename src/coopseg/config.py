@@ -32,7 +32,6 @@ class RunConfig:
     # fusion
     glff_on: bool = True
     dfm_on: bool = True
-    cbam_reduction: int = 16
     # training
     lr: float = 7e-5
     lam: float = 1.0  # config key: lambda

@@ -70,15 +70,14 @@ class GlffBlock(Module):
     """
 
     def __init__(self, t_channels: int, c_channels: int, out_channels: int,
-                 rng: np.random.Generator, attention: bool = True,
-                 reduction: int = 16):
+                 rng: np.random.Generator, attention: bool = True):
         super().__init__()
         self.attention = attention
         if attention:
             self.proj_t = Conv2d(t_channels, out_channels, 1, rng)
             self.proj_c = Conv2d(c_channels, out_channels, 1, rng)
             self.fuse = ConvUnit(2 * out_channels, out_channels, rng)
-            self.cbam = Cbam(out_channels, rng, reduction=reduction)
+            self.cbam = Cbam(out_channels, rng)
         else:
             self.mix = Conv2d(t_channels + c_channels, out_channels, 1, rng)
 
@@ -120,11 +119,11 @@ class DenseFusionDecoder(Module):
         lifted8 = T.upsample2x_nearest(self.unit16(f16))
         adapted8 = self.adapt8(lifted8)
         _check_stage("sum8", adapted8, f8)
-        sum8 = T.elementwise(adapted8, f8, "add")
+        sum8 = adapted8 + f8
         fused8 = self.refuse8(T.concat_channels([lifted8, sum8]))
         lifted4 = self.adapt4(T.upsample2x_nearest(fused8))
         _check_stage("sum4", lifted4, f4)
-        sum4 = T.elementwise(lifted4, f4, "add")
+        sum4 = lifted4 + f4
         fused4 = self.refuse4(T.concat_channels([lifted4, sum4]))
         logits = self.out(self.head2(self.head1(fused4)))
         return T.sigmoid(T.upsample2x_nearest(T.upsample2x_nearest(logits)))

@@ -3,8 +3,9 @@
 Central differences at 64-bit with h=1e-5; an analytic/numeric pair passes
 when |a-n| / max(|a|, |n|, 1e-6) < 1e-4. A probe that straddles a relu, amax
 or clip kink measures no derivative, so it is recognised from the gradient
-tape its evaluations record and redrawn. Used by the test suite and the
-``gradcheck`` CLI subcommand.
+tape its evaluations record and redrawn. Nothing is restored between
+evaluations: a training-mode batchnorm writes its running buffers but never
+reads them. Used by the test suite and the ``gradcheck`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .config import toy_config
+from .data import synth_dataset
+from .model import SegmentationModel
 from .tensor import Tensor, backward
+from .train import view_loss
 
 H_DEFAULT = 1e-5
 TOL_DEFAULT = 1e-4
@@ -72,15 +77,14 @@ def check_function(
     params: Sequence[Tensor],
     rng: np.random.Generator,
     n_samples: Optional[int] = None,
-    reset: Optional[Callable[[], None]] = None,
 ) -> float:
     """Max relative error between backward() and central differences.
 
     ``f`` recomputes a scalar loss from ``params`` (closed over, each
     ``requires_grad``); the analytic pass and every probe evaluation run in a
-    ``step()`` of their own. ``reset`` restores any state the forward pass
-    mutates (batchnorm running buffers) so every evaluation sees identical
-    conditions.
+    ``step()`` of their own. ``f`` may write state it never reads, such as the
+    running buffers of a training-mode batchnorm; every evaluation then sees
+    the same function.
 
     A probe whose evaluations do not all sit on the analytic pass's linear
     piece of every piecewise op (relu / amax / clip) is discarded and a
@@ -94,8 +98,6 @@ def check_function(
     """
     for p in params:
         p.grad = None
-    if reset is not None:
-        reset()
     with T.step() as tape:
         loss = f()
         if loss.size != 1:
@@ -111,8 +113,6 @@ def check_function(
         vals, smooth = [], True
         for delta in (H_DEFAULT, -H_DEFAULT):
             p.data[idx] = orig + delta
-            if reset is not None:
-                reset()
             with T.step() as tape:
                 vals.append(f().item())
                 smooth = smooth and _branch_pattern(tape) == base_pattern
@@ -148,23 +148,6 @@ def away_from(x: np.ndarray, points: Sequence[float], margin: float = 0.05) -> n
     return out
 
 
-class _Scalarizer:
-    """Reduce an op output to a scalar with fixed random weights.
-
-    Weights are drawn on first use and reused, so repeated loss evaluations
-    (the finite-difference probes) see one deterministic function.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._w: Optional[np.ndarray] = None
-
-    def __call__(self, out: Tensor) -> Tensor:
-        if self._w is None:
-            self._w = self._rng.standard_normal(out.shape)
-        return (out * self._w).sum()
-
-
 @dataclass
 class OpCheckResult:
     name: str
@@ -180,150 +163,146 @@ def _rand(rng, *shape):
 
 
 def _op_cases():
-    """One named case per differentiable op; each returns (params, loss_fn, reset)."""
+    """One named case per differentiable op; each returns (params, op), where
+    ``op()`` recomputes the op's output from ``params``."""
 
-    def c_add(rng, s):
+    def c_add(rng):
         a, b = _rand(rng, 3, 4), _rand(rng, 4)
-        return [a, b], lambda: s(a + b), None
+        return [a, b], lambda: a + b
 
-    def c_sub(rng, s):
+    def c_sub(rng):
         a, b = _rand(rng, 2, 3), _rand(rng, 2, 3)
-        return [a, b], lambda: s(a - b), None
+        return [a, b], lambda: a - b
 
-    def c_mul(rng, s):
+    def c_mul(rng):
         a, b = _rand(rng, 3, 4), _rand(rng, 3, 1)
-        return [a, b], lambda: s(a * b), None
+        return [a, b], lambda: a * b
 
-    def c_div(rng, s):
+    def c_div(rng):
         a = _rand(rng, 3, 4)
         b = Tensor(away_from(rng.standard_normal((3, 4)), [0.0], 0.4), requires_grad=True)
-        return [a, b], lambda: s(a / b), None
+        return [a, b], lambda: a / b
 
-    def c_neg(rng, s):
+    def c_neg(rng):
         a = _rand(rng, 5)
-        return [a], lambda: s(-a), None
+        return [a], lambda: -a
 
-    def c_matmul(rng, s):
+    def c_matmul(rng):
         a, b = _rand(rng, 4, 3), _rand(rng, 3, 5)
-        return [a, b], lambda: s(a @ b), None
+        return [a, b], lambda: a @ b
 
-    def c_matmul_batched(rng, s):
+    def c_matmul_batched(rng):
         a, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 5)
-        return [a, b], lambda: s(a @ b), None
+        return [a, b], lambda: a @ b
 
-    def c_conv2d(rng, s):
+    def c_conv2d(rng):
         x, k = _rand(rng, 2, 3, 5, 5), _rand(rng, 4, 3, 3, 3)
-        return [x, k], lambda: s(T.conv2d(x, k)), None
+        return [x, k], lambda: T.conv2d(x, k)
 
-    def c_conv2d_1x1(rng, s):
+    def c_conv2d_1x1(rng):
         x, k = _rand(rng, 2, 4, 3, 3), _rand(rng, 2, 4, 1, 1)
-        return [x, k], lambda: s(T.conv2d(x, k)), None
+        return [x, k], lambda: T.conv2d(x, k)
 
-    def c_conv2d_bias(rng, s):
+    def c_conv2d_bias(rng):
         x, k, b = _rand(rng, 2, 3, 6, 5), _rand(rng, 2, 3, 3, 3), _rand(rng, 2)
-        return [x, k, b], lambda: s(T.conv2d(x, k, b)), None
+        return [x, k, b], lambda: T.conv2d(x, k, b)
 
-    def c_conv2d_7x7(rng, s):  # the SpatialGate geometry: 2 -> 1 channels
+    def c_conv2d_7x7(rng):  # the SpatialGate geometry: 2 -> 1 channels
         x, k = _rand(rng, 2, 2, 8, 8), _rand(rng, 1, 2, 7, 7)
-        return [x, k], lambda: s(T.conv2d(x, k)), None
+        return [x, k], lambda: T.conv2d(x, k)
 
-    def c_softmax(rng, s):
+    def c_softmax(rng):
         x = _rand(rng, 3, 6)
-        return [x], lambda: s(T.softmax_lastdim(x)), None
+        return [x], lambda: T.softmax_lastdim(x)
 
-    def c_upsample(rng, s):
+    def c_upsample(rng):
         x = _rand(rng, 2, 3, 3, 4)
-        return [x], lambda: s(T.upsample2x_nearest(x)), None
+        return [x], lambda: T.upsample2x_nearest(x)
 
-    def c_avgpool(rng, s):
+    def c_avgpool(rng):
         x = _rand(rng, 2, 3, 4, 6)
-        return [x], lambda: s(T.avgpool2x(x)), None
+        return [x], lambda: T.avgpool2x(x)
 
-    def c_concat(rng, s):
+    def c_concat(rng):
         a, b = _rand(rng, 2, 3, 4, 4), _rand(rng, 2, 2, 4, 4)
-        return [a, b], lambda: s(T.concat_channels([a, b])), None
+        return [a, b], lambda: T.concat_channels([a, b])
 
-    def c_elementwise_add(rng, s):
+    def c_elementwise_add(rng):
         a, b = _rand(rng, 2, 3), _rand(rng, 2, 3)
-        return [a, b], lambda: s(T.elementwise(a, b, "add")), None
+        return [a, b], lambda: T.elementwise(a, b, "add")
 
-    def c_elementwise_mul(rng, s):
+    def c_elementwise_mul(rng):
         a, b = _rand(rng, 2, 3), _rand(rng, 2, 3)
-        return [a, b], lambda: s(T.elementwise(a, b, "mul")), None
+        return [a, b], lambda: T.elementwise(a, b, "mul")
 
-    def c_relu(rng, s):
+    def c_relu(rng):
         x = Tensor(away_from(rng.standard_normal((4, 5)), [0.0]), requires_grad=True)
-        return [x], lambda: s(T.relu(x)), None
+        return [x], lambda: T.relu(x)
 
-    def c_gelu(rng, s):
+    def c_gelu(rng):
         x = _rand(rng, 4, 5)
-        return [x], lambda: s(T.gelu(x)), None
+        return [x], lambda: T.gelu(x)
 
-    def c_sigmoid(rng, s):
+    def c_sigmoid(rng):
         x = _rand(rng, 4, 5)
-        return [x], lambda: s(T.sigmoid(x)), None
+        return [x], lambda: T.sigmoid(x)
 
-    def c_layernorm(rng, s):
+    def c_layernorm(rng):
         x, g, b = _rand(rng, 3, 7), _rand(rng, 7), _rand(rng, 7)
-        return [x, g, b], lambda: s(T.layernorm_lastdim(x, g, b)), None
+        return [x, g, b], lambda: T.layernorm_lastdim(x, g, b)
 
-    def c_batchnorm_train(rng, s):
+    def c_batchnorm_train(rng):
         x, g, b = _rand(rng, 3, 4, 5, 5), _rand(rng, 4), _rand(rng, 4)
-        rm, rv = np.zeros(4), np.ones(4)
-        saved = (rm.copy(), rv.copy())
+        rm, rv = np.zeros(4), np.ones(4)  # written, never read, in training mode
+        return [x, g, b], lambda: T.batchnorm_channel(x, g, b, rm, rv, training=True)
 
-        def reset():
-            rm[:], rv[:] = saved
-
-        return [x, g, b], lambda: s(T.batchnorm_channel(x, g, b, rm, rv, training=True)), reset
-
-    def c_batchnorm_eval(rng, s):
+    def c_batchnorm_eval(rng):
         x, g, b = _rand(rng, 2, 4, 3, 3), _rand(rng, 4), _rand(rng, 4)
         rm, rv = rng.standard_normal(4), 0.5 + rng.random(4)
-        return [x, g, b], lambda: s(T.batchnorm_channel(x, g, b, rm, rv, training=False)), None
+        return [x, g, b], lambda: T.batchnorm_channel(x, g, b, rm, rv, training=False)
 
-    def c_sum_axis(rng, s):
+    def c_sum_axis(rng):
         x = _rand(rng, 3, 4, 5)
-        return [x], lambda: s(x.sum(axis=1)), None
+        return [x], lambda: x.sum(axis=1)
 
-    def c_mean_axis(rng, s):
+    def c_mean_axis(rng):
         x = _rand(rng, 3, 4, 5)
-        return [x], lambda: s(x.mean(axis=(0, 2))), None
+        return [x], lambda: x.mean(axis=(0, 2))
 
-    def c_amax(rng, s):
+    def c_amax(rng):
         # spread values so the max stays unique under the FD perturbation
         base = rng.permutation(20).reshape(4, 5) * 0.5
         x = Tensor(base + 0.01 * rng.standard_normal((4, 5)), requires_grad=True)
-        return [x], lambda: s(T.amax(x, axis=1)), None
+        return [x], lambda: T.amax(x, axis=1)
 
-    def c_reshape(rng, s):
+    def c_reshape(rng):
         x = _rand(rng, 3, 8)
-        return [x], lambda: s(T.reshape(x, (2, 3, 4))), None
+        return [x], lambda: T.reshape(x, (2, 3, 4))
 
-    def c_transpose(rng, s):
+    def c_transpose(rng):
         x = _rand(rng, 2, 3, 4)
-        return [x], lambda: s(T.transpose(x, (2, 0, 1))), None
+        return [x], lambda: T.transpose(x, (2, 0, 1))
 
-    def c_clip(rng, s):
+    def c_clip(rng):
         x = Tensor(away_from(2.0 * rng.standard_normal((4, 5)), [-1.0, 1.0]), requires_grad=True)
-        return [x], lambda: s(T.clip(x, -1.0, 1.0)), None
+        return [x], lambda: T.clip(x, -1.0, 1.0)
 
-    def c_log(rng, s):
+    def c_log(rng):
         x = Tensor(0.5 + rng.random((4, 5)), requires_grad=True)
-        return [x], lambda: s(T.log(x)), None
+        return [x], lambda: T.log(x)
 
-    def c_matmul_bias(rng, s):
+    def c_matmul_bias(rng):
         a, w, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 5), _rand(rng, 5)
-        return [a, w, b], lambda: s(T.matmul(a, w, b)), None
+        return [a, w, b], lambda: T.matmul(a, w, b)
 
-    def c_attention(rng, s):
+    def c_attention(rng):
         q, k, v = _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4)
-        return [q, k, v], lambda: s(T.attention(q, k, v)), None
+        return [q, k, v], lambda: T.attention(q, k, v)
 
-    def c_mlp(rng, s):
+    def c_mlp(rng):
         x, w1, b1 = _rand(rng, 2, 3, 4), _rand(rng, 4, 6), _rand(rng, 6)
         w2, b2 = _rand(rng, 6, 4), _rand(rng, 4)
-        return [x, w1, b1, w2, b2], lambda: s(T.mlp(x, w1, b1, w2, b2)), None
+        return [x, w1, b1, w2, b2], lambda: T.mlp(x, w1, b1, w2, b2)
 
     fns = [
         c_add, c_sub, c_mul, c_div, c_neg, c_matmul, c_matmul_batched,
@@ -343,8 +322,10 @@ def run_op_suite(seed: int = 0, inputs_per_op: int = 5) -> list[OpCheckResult]:
         worst = 0.0
         for trial in range(inputs_per_op):
             rng = np.random.default_rng([seed, ci, trial])
-            params, loss_fn, reset = build(rng, _Scalarizer(rng))
-            err = check_function(loss_fn, params, rng, reset=reset)
+            params, op = build(rng)
+            # fixed random weights reduce the output to one deterministic scalar
+            w = rng.standard_normal(op().shape)
+            err = check_function(lambda: (op() * w).sum(), params, rng)
             worst = max(worst, err)
         results.append(OpCheckResult(name, worst))
     return results
@@ -355,18 +336,13 @@ def check_model_end_to_end(seed: int = 0, n_samples: int = 50) -> float:
 
     The loss is the mean of the three view losses on one synthetic batch,
     so every parameter of both branches and the fusion path is live.
-    Batchnorm running buffers are snapshot-restored around each evaluation.
+    The model runs in training mode, whose batchnorm writes its running
+    buffers but never reads them, so every evaluation sees the same function.
     Probes that straddle a relu/amax/clip kink are redrawn: with a quarter
     million relu activations some pre-activation always sits within h of
     zero, making a handful of finite-difference quotients meaningless
     regardless of gradient correctness.
     """
-    from .config import toy_config
-    from .data import synth_dataset
-    from .model import SegmentationModel
-    from .train import view_loss
-    from .tensor import Tensor
-
     cfg = toy_config(
         seed=seed, dtype="float64", d_model=48, stem_channels=8,
         stage_units=1, c4=16, c8=24, c16=32, batch_size=2,
@@ -377,17 +353,10 @@ def check_model_end_to_end(seed: int = 0, n_samples: int = 50) -> float:
     images = Tensor(np.stack([s.image for s in samples]))
     masks = Tensor(np.stack([s.mask for s in samples]))
 
-    buffers = dict(model.named_buffers())
-    saved = {name: buf.copy() for name, buf in buffers.items()}
-
-    def reset():
-        for name, buf in buffers.items():
-            buf[...] = saved[name]
-
     def loss():
         outs = model(images)
         total = sum(view_loss(pre, masks) for pre in outs)
         return total * (1.0 / 3.0)
 
     rng = np.random.default_rng(seed)
-    return check_function(loss, model.parameters(), rng, n_samples=n_samples, reset=reset)
+    return check_function(loss, model.parameters(), rng, n_samples=n_samples)

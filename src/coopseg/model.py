@@ -52,12 +52,9 @@ class SegmentationModel(Module):
         cf16, cf8, cf4 = FUSED_CHANNELS
         t_ch = (cfg.d_model, TransformerBranch.T1_CHANNELS, TransformerBranch.T2_CHANNELS)
         c_ch = (cfg.c16, cfg.c8, cfg.c4)
-        self.glff16 = GlffBlock(t_ch[0], c_ch[0], cf16, rng_f, attention=cfg.glff_on,
-                                reduction=cfg.cbam_reduction)
-        self.glff8 = GlffBlock(t_ch[1], c_ch[1], cf8, rng_f, attention=cfg.glff_on,
-                               reduction=cfg.cbam_reduction)
-        self.glff4 = GlffBlock(t_ch[2], c_ch[2], cf4, rng_f, attention=cfg.glff_on,
-                               reduction=cfg.cbam_reduction)
+        self.glff16 = GlffBlock(t_ch[0], c_ch[0], cf16, rng_f, attention=cfg.glff_on)
+        self.glff8 = GlffBlock(t_ch[1], c_ch[1], cf8, rng_f, attention=cfg.glff_on)
+        self.glff4 = GlffBlock(t_ch[2], c_ch[2], cf4, rng_f, attention=cfg.glff_on)
         if cfg.dfm_on:
             self.decoder = DenseFusionDecoder(rng_f)
         else:

@@ -174,7 +174,7 @@ def train_epoch(
                     raise RuntimeError(f"non-finite loss in view {name!r}; aborting")
             vals = [float(lk.item()) for lk in losses]
             w = solve_weights(vals, lam)
-            per_batch_w.append(w.w.copy())
+            per_batch_w.append(w.w)
             # python floats keep the weighted sum in the losses' dtype
             weighted = sum(lk * float(wk) for lk, wk in zip(losses, w.w))
             T.backward(weighted)
@@ -185,7 +185,7 @@ def train_epoch(
     model.view_weights[...] = w_epoch.w
     return EpochReport(
         losses=means,
-        weights=w_epoch.w.copy(),
+        weights=w_epoch.w,
         objective=total_objective(w_epoch, means),
         batch_weights=per_batch_w,
     )

@@ -6,6 +6,7 @@ import pytest
 from coopseg.config import ConfigError, RunConfig, toy_config
 from coopseg.model import VIEW_NAMES, SegmentationModel
 from coopseg.tensor import Tensor
+from coopseg.train import view_loss
 
 
 def tiny_cfg(**kw):
@@ -76,6 +77,24 @@ class TestForwardContract:
         model = SegmentationModel(tiny_cfg())
         buffers = dict(model.named_buffers())
         assert np.array_equal(buffers["view_weights"], np.full(3, 1.0 / 3.0))
+
+    def test_training_forward_never_reads_running_buffers(self):
+        # why gradcheck restores nothing between evaluations of a training-mode model
+        cfg = tiny_cfg(dtype="float64")
+        model = SegmentationModel(cfg).train()
+        x = Tensor(tiny_batch(cfg).data.astype(np.float64))
+        masks = Tensor((np.random.default_rng(3).random((2, 1, 32, 32)) > 0.5).astype(np.float64))
+
+        def losses():
+            return [view_loss(pre, masks).item() for pre in model(x)]
+
+        before = losses()
+        for name, buf in model.named_buffers():
+            if name.endswith("running_mean"):
+                buf[...] = 123.0
+            elif name.endswith("running_var"):
+                buf[...] = 1e-3
+        assert losses() == before
 
 
 @pytest.fixture(scope="module")
