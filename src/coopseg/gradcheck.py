@@ -56,20 +56,14 @@ def _sample_entries(params: Sequence[Tensor], n_samples: Optional[int], rng: np.
 
 def _branch_pattern(tape: T.GradTape) -> list:
     """Fingerprint of the linear piece every taped relu / amax / clip took,
-    in tape order. Read it before ``backward`` spends the tape."""
-    pattern = []
-    for node in tape.nodes:
-        if node.op == "relu":
-            mask = node.out.data > 0  # exactly a > 0
-        elif node.op == "clip":
-            mask = node.out.data == node.inputs[0].data  # exactly lo <= a <= hi, NaN included
-        elif node.op == "amax":
-            # the tied winners; only the op's own rule knows the reduced axes
-            (mask,) = node.backward_fn(np.ones_like(node.out.data))
-        else:
-            continue
-        pattern.append(hash(mask.tobytes()))
-    return pattern
+    in tape order. Read it before ``backward`` spends the tape.
+
+    Each piece is what the node's own rule passes back for an all-ones upstream
+    gradient (0-d, as the output tensor may be gone): the relu mask a > 0, the
+    clip mask lo <= a <= hi (NaN outside it), and the amax winners' tie shares,
+    which only the rule knows the reduced axes of."""
+    return [hash(node.backward_fn(np.ones(()))[0].tobytes())
+            for node in tape.nodes if node.op in ("relu", "clip", "amax")]
 
 
 def check_function(

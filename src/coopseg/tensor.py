@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
@@ -34,26 +35,39 @@ class GradientError(RuntimeError):
 
 
 class TapeNode:
-    """One executed op: its output, its tensor inputs, and a backward rule.
+    """One executed op: its parents, a backward rule, and a weak reference to
+    its output.
+
+    ``inputs`` is aligned with the op's tensor arguments: an argument that an
+    op recorded is held as its ``TapeNode``, one with no node (a leaf, whether
+    or not it requires grad) as the Tensor itself, and a raw argument as None.
+    No node holds an output or an input Tensor, so an intermediate array lives
+    only while a backward rule's closure holds it; each rule holds the arrays
+    it reads and no others. ``out`` is the output while it lives, else None.
 
     ``backward_fn`` maps the upstream gradient (an ndarray shaped like the
     output) to a tuple of gradients aligned with ``inputs``; entries may be
     None for non-differentiable arguments.
     """
 
-    __slots__ = ("op", "inputs", "backward_fn", "out", "tape")
+    __slots__ = ("op", "inputs", "backward_fn", "_out", "tape")
 
     def __init__(self, op: str, inputs, backward_fn, out, tape):
         self.op = op
         self.inputs = inputs
         self.backward_fn = backward_fn
-        self.out = out
+        self._out = weakref.ref(out)
         self.tape = tape
 
+    @property
+    def out(self):
+        return None if self._out is None else self._out()
+
     def release(self):
-        """Drop the output, inputs and backward rule (and with them the saved
-        arrays); ``op`` and ``tape`` stay for inspection."""
-        self.out = None
+        """Drop the parents and the backward rule (and with it the saved
+        arrays); ``op`` and ``tape`` stay for inspection, ``out`` reads None,
+        and ``backward_fn`` None is how a spent graph is recognised."""
+        self._out = None
         self.inputs = ()
         self.backward_fn = None
 
@@ -72,12 +86,11 @@ class GradTape:
     def release(self):
         """Free the recorded graph by reference counting alone.
 
-        A live graph holds two reference cycles (``Tensor.node`` <->
-        ``TapeNode.out`` and ``TapeNode.tape`` <-> ``GradTape.nodes``) that
-        only the cyclic GC could reclaim. Emptying every node breaks both,
-        so saved activations go as soon as nothing else holds them. A
-        released node keeps ``op`` and ``tape``; its ``out`` is None, which
-        is how ``backward`` recognises a spent graph.
+        One reference cycle is left in a live graph: ``TapeNode.tape`` <->
+        ``GradTape.nodes``. Through it any live output tensor (``Tensor.node``)
+        keeps every node, and so every saved array, alive. Emptying every node
+        and the node list breaks it, so saved arrays go as soon as nothing else
+        holds them.
         """
         for node in self.nodes:
             node.release()
@@ -98,11 +111,13 @@ _state = _EngineState()
 def step():
     """Record gradful ops inside the block on a fresh tape, which is yielded.
 
-    On exit, normal or by exception, the tape's graph is released (saved
-    arrays go by refcount) and the previously active tape, if any, records
-    again. A ``backward`` inside the block spends what was recorded so far;
-    ops after it record on the same, now empty tape. An op on a tensor that
-    another step recorded, or that a ``backward`` spent, raises GradientError.
+    Inside the block an intermediate array lives only while the caller, or a
+    recorded backward rule that reads it, holds it. On exit, normal or by
+    exception, the tape's graph is released (the saved arrays go by refcount)
+    and the previously active tape, if any, records again. A ``backward``
+    inside the block spends what was recorded so far; ops after it record on
+    the same, now empty tape. An op on a tensor that another step recorded,
+    or that a ``backward`` spent, raises GradientError.
     """
     prev = _state.tape
     tape = _state.tape = GradTape()
@@ -133,7 +148,7 @@ def _record(op, inputs, backward_fn, out):
 class Tensor:
     """Dense N-d array of reals, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -227,17 +242,19 @@ def _needs_grad(*tensors: Optional[Tensor]) -> bool:
 def _from_op(op: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], backward_fn) -> Tensor:
     out = Tensor(data)
     if _needs_grad(*inputs):
+        parents = []
         for t in inputs:
+            node = t.node if t is not None else None
             # a node replayed by backward, or recorded by another step, is one this
             # step's backward never visits: the gradient would stop there unseen
-            node = t.node if t is not None else None
-            if node is not None and (node.out is None or node.tape is not _state.tape):
+            if node is not None and (node.backward_fn is None or node.tape is not _state.tape):
                 raise GradientError(
                     f"{op}: an input comes from another step or from a graph spent by backward; "
                     "recompute it inside this step"
                 )
+            parents.append(t if node is None else node)
         out.requires_grad = True
-        _record(op, tuple(inputs), backward_fn, out)
+        _record(op, tuple(parents), backward_fn, out)
     return out
 
 
@@ -264,30 +281,35 @@ def _raw(x):
     return x if isinstance(x, (int, float)) else np.asarray(x)
 
 
-def _binary(op: str, a, b, fn, grad_a, grad_b) -> Tensor:
+def _binary(op: str, a, b, fn, grad_a, grad_b, reads_operands: bool = True) -> Tensor:
     """A broadcasting binary op: ``fn(da, db)`` on the operands' arrays, and in backward
     ``grad_a(g, da, db)`` / ``grad_b(g, da, db)`` summed back to each operand's shape.
-    Only a Tensor operand gets a gradient; a raw value (None on the tape) gets none."""
-    ta = a if isinstance(a, Tensor) else None
-    tb = b if isinstance(b, Tensor) else None
-    da = ta.data if ta is not None else _raw(a)
-    db = tb.data if tb is not None else _raw(b)
+    Only a Tensor operand gets a gradient; a raw value (None on the tape) gets none.
+    The rule keeps the operands only if it ``reads_operands``; otherwise the grad
+    functions get None for both and the rule keeps just their shapes."""
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    da = a.data if ta else _raw(a)
+    db = b.data if tb else _raw(b)
+    shape_a, shape_b = np.shape(da), np.shape(db)
+    saved = (da, db) if reads_operands else (None, None)
 
     def bw(g):
         return (
-            _unbroadcast(grad_a(g, da, db), da.shape) if ta is not None else None,
-            _unbroadcast(grad_b(g, da, db), db.shape) if tb is not None else None,
+            _unbroadcast(grad_a(g, *saved), shape_a) if ta else None,
+            _unbroadcast(grad_b(g, *saved), shape_b) if tb else None,
         )
 
-    return _from_op(op, fn(da, db), (ta, tb), bw)
+    return _from_op(op, fn(da, db), (a if ta else None, b if tb else None), bw)
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, operator.add, lambda g, da, db: g, lambda g, da, db: g)
+    return _binary("add", a, b, operator.add, lambda g, da, db: g, lambda g, da, db: g,
+                   reads_operands=False)
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, operator.sub, lambda g, da, db: g, lambda g, da, db: -g)
+    return _binary("sub", a, b, operator.sub, lambda g, da, db: g, lambda g, da, db: -g,
+                   reads_operands=False)
 
 
 def mul(a, b) -> Tensor:
@@ -341,13 +363,15 @@ def matmul(a, b, bias: Optional[Tensor] = None) -> Tensor:
         bias = as_tensor(bias)
         if bias.shape != (b.shape[-1],):
             raise ShapeError(f"matmul: bias must have shape ({b.shape[-1]},), got {bias.shape}")
-    out = np.matmul(a.data, b.data)
+    da, db = a.data, b.data
+    bias_shape = bias.shape if bias is not None else None
+    out = np.matmul(da, db)
     if bias is not None:
         out += bias.data
 
     def bw(g):
-        gbias = _unbroadcast(g, bias.shape) if bias is not None else None
-        return (*_matmul_grads(g, a.data, b.data), gbias)
+        gbias = _unbroadcast(g, bias_shape) if bias_shape is not None else None
+        return (*_matmul_grads(g, da, db), gbias)
 
     return _from_op("matmul", out, (a, b, bias), bw)
 
@@ -394,7 +418,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     Backward keeps only the operands and rebuilds the input's windows, image by image, for the
     kernel gradient (images summed in a fixed order). Its input gradient correlates the upstream
     gradient, padded the same way, with the flipped, channel-swapped kernel; it is None when the
-    input neither requires grad nor has a tape node."""
+    input neither required grad nor had a tape node when the op ran."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -408,17 +432,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         bias = as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d: bias must have shape ({cout},), got {bias.shape}")
-    out = _correlate(kernel.data.reshape(cout, -1), x.data, kh, kw)
-    if bias is not None:
+    xd, kd, has_bias = x.data, kernel.data, bias is not None
+    x_needs_grad = x.requires_grad or x.node is not None
+    out = _correlate(kd.reshape(cout, -1), xd, kh, kw)
+    if has_bias:
         out += bias.data[:, None]
 
     def bw(g):
-        cols = _im2col(x.data, kh, kw)
-        gw = sum(gi @ next(cols).T for gi in g.reshape(b, cout, h * w)).reshape(kernel.shape)
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
-        if not (x.requires_grad or x.node is not None):
+        cols = _im2col(xd, kh, kw)
+        gw = sum(gi @ next(cols).T for gi in g.reshape(b, cout, h * w)).reshape(kd.shape)
+        gb = g.sum(axis=(0, 2, 3)) if has_bias else None
+        if not x_needs_grad:
             return None, gw, gb
-        w_flip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+        w_flip = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
         return _correlate(w_flip, g, kh, kw).reshape(b, cin, h, w), gw, gb
 
     return _from_op("conv2d", out.reshape(b, cout, h, w), (x, kernel, bias), bw)
@@ -449,7 +475,7 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
         raise ShapeError("concat: need at least one tensor")
     out = np.concatenate([x.data for x in xs], axis=axis)
     sizes = [x.shape[axis] for x in xs]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum(sizes)[:-1].tolist()
 
     def bw(g):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
@@ -520,42 +546,45 @@ def _norm_axes(axis, ndim):
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
+    axes, shape = _norm_axes(axis, a.ndim), a.shape
     out = a.data.sum(axis=axes, keepdims=keepdims)
 
     def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _from_op("sum", out, (a,), bw)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    count = math.prod(a.shape[ax] for ax in axes)
+    axes, shape = _norm_axes(axis, a.ndim), a.shape
+    count = math.prod(shape[ax] for ax in axes)
     out = a.data.mean(axis=axes, keepdims=keepdims)
 
     def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape) / count,)
+        return (np.broadcast_to(g, shape) / count,)
 
     return _from_op("mean", out, (a,), bw)
 
 
 def amax(a: Tensor, axis, keepdims: bool = False) -> Tensor:
-    """Maximum over axes; ties share the gradient equally."""
+    """Maximum over axes; ties share the gradient equally. Backward also takes
+    any upstream gradient that broadcasts to the output, such as a 0-d one."""
     a = as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    mx = a.data.max(axis=axes, keepdims=True)
+    x, axes = a.data, _norm_axes(axis, a.ndim)
+    mx = x.max(axis=axes, keepdims=True)
     out = mx if keepdims else mx.squeeze(axis=axes)
+    out_shape = out.shape
 
     def bw(g):
+        g = np.broadcast_to(g, out_shape)
         if not keepdims:
             g = np.expand_dims(g, axes)
-        mask = (a.data == mx).astype(a.data.dtype)
+        mask = (x == mx).astype(x.dtype)
         mask /= mask.sum(axis=axes, keepdims=True)
         return (mask * g,)
 
@@ -570,8 +599,8 @@ def amax(a: Tensor, axis, keepdims: bool = False) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0)
-    # subgradient at 0 is defined as 0
-    return _from_op("relu", out, (a,), lambda g: (g * (a.data > 0),))
+    mask = a.data > 0  # subgradient at 0 is defined as 0
+    return _from_op("relu", out, (a,), lambda g: (g * mask,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -628,18 +657,19 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             f"mlp: shapes x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape} "
             "do not chain as (..., d_in) @ (d_in, hidden) @ (hidden, d_out)"
         )
-    h = np.matmul(x.data, w1.data)
+    xd, w1d, w2d, b1_shape, b2_shape = x.data, w1.data, w2.data, b1.shape, b2.shape
+    h = np.matmul(xd, w1d)
     h += b1.data
-    out = np.matmul(h * _normal_cdf(h), w2.data)
+    out = np.matmul(h * _normal_cdf(h), w2d)
     out += b2.data
 
     def bw(g):
         cdf = _normal_cdf(h)
         # the rebuilt GELU output lives only for the GEMM pair of the fc2 gradients
-        gh, gw2 = _matmul_grads(g, h * cdf, w2.data)
+        gh, gw2 = _matmul_grads(g, h * cdf, w2d)
         gh = _gelu_grad(gh, h, cdf)
-        return (*_matmul_grads(gh, x.data, w1.data), _unbroadcast(gh, b1.shape),
-                gw2, _unbroadcast(g, b2.shape))
+        return (*_matmul_grads(gh, xd, w1d), _unbroadcast(gh, b1_shape),
+                gw2, _unbroadcast(g, b2_shape))
 
     return _from_op("mlp", out, (x, w1, b1, w2, b2), bw)
 
@@ -665,15 +695,22 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _from_op("softmax_lastdim", out, (a,), lambda g: (_softmax_grad(g, out),))
 
 
+def _attention_rows(q: np.ndarray, k: np.ndarray, s: float):
+    """The scaled queries ``q * s``, the contiguous transposed keys and their softmax rows."""
+    qs, kt = q * s, np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    att = np.matmul(qs, kt)
+    return qs, kt, _softmax_rows(att, att)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention of B x heads x N x d queries, keys and values,
     heads concatenated into B x N x (heads*d), as one tape node.
 
     The queries are scaled by 1/sqrt(d), a power of two when d is a power of four (16,
     64), so that rounds as scaling the scores would. The softmax runs in place on the
-    scores. The tape keeps q, k and v only: backward rebuilds the softmax rows from the
-    scaled queries and transposed keys that its own gq and gk GEMMs take, through the
-    forward's expression. Both GEMM pairs are matmul's own ``_matmul_grads`` on the
+    scores. The rule keeps the arrays of q, k and v only: backward rebuilds the softmax
+    rows from the scaled queries and transposed keys that its own gq and gk GEMMs take,
+    through the forward's expression. Both GEMM pairs are matmul's own ``_matmul_grads`` on the
     operands, in the layouts, of the composed chain
     ``softmax_lastdim((q * s) @ transpose(k)) @ v`` (BLAS may round a transposed operand
     differently), so results are bitwise equal to that chain.
@@ -683,19 +720,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"attention: q, k, v must share one 4-d shape, got {q.shape}, {k.shape}, {v.shape}")
     b, h, n, d = q.shape
     s = 1.0 / math.sqrt(d)
-
-    def operands():
-        """The scaled queries, the contiguous transposed keys and their softmax rows."""
-        qs, kt = q.data * s, np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
-        att = np.matmul(qs, kt)
-        return qs, kt, _softmax_rows(att, att)
-
-    out = np.matmul(operands()[2], v.data).transpose(0, 2, 1, 3).reshape(b, n, h * d)
+    qd, kd, vd = q.data, k.data, v.data
+    out = np.matmul(_attention_rows(qd, kd, s)[2], vd).transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
     def bw(g):
-        qs, kt, att = operands()
+        qs, kt, att = _attention_rows(qd, kd, s)
         g = g.reshape(b, n, h, d).transpose(0, 2, 1, 3)
-        gatt, gv = _matmul_grads(g, att, v.data)
+        gatt, gv = _matmul_grads(g, att, vd)
         gqs, gkt = _matmul_grads(_softmax_grad(gatt, att), qs, kt)
         return gqs * s, np.swapaxes(gkt, -1, -2), gv
 
@@ -718,13 +749,14 @@ def _affine_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mu, inv, stat_
     shape[axis] = -1
     gamma_b, beta_b = gamma.data.reshape(shape), beta.data.reshape(shape)
     param_axes = tuple(i for i in range(x.ndim) if i != axis % x.ndim)
-    out = x.data - mu
+    xd = x.data
+    out = xd - mu
     out *= inv
     out *= gamma_b
     out += beta_b
 
     def bw(g):
-        xhat = (x.data - mu) * inv
+        xhat = (xd - mu) * inv
         gg = (g * xhat).sum(axis=param_axes)
         gb = g.sum(axis=param_axes)
         gxhat = g * gamma_b
@@ -805,7 +837,8 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    return _from_op("log", np.log(a.data), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return _from_op("log", np.log(x), (a,), lambda g: (g / x,))
 
 
 # --------------------------------------------------------------------------
@@ -819,6 +852,8 @@ def backward(loss: Tensor) -> None:
     The loss must be a scalar produced by taped ops inside a ``step()``, or a
     ``requires_grad`` leaf. Nodes are visited in exact reverse execution
     order; a node is skipped when no gradient has reached its output.
+    Pending gradients are keyed by the node that produced the array, or by
+    the leaf tensor, so the replay needs no output or input tensor alive.
 
     The graph is spent afterwards: each node is released as soon as it has
     been visited, the rest of the tape when the replay ends, and a second
@@ -833,25 +868,25 @@ def backward(loss: Tensor) -> None:
         g = np.ones_like(loss.data)
         loss.grad = g if loss.grad is None else loss.grad + g
         return
-    if loss.node.out is not loss:
+    if loss.node.backward_fn is None:
         raise GradientError(
             f"backward: graph already released (its {loss.node.op!r} node was "
             "replayed or its step ended); recompute the loss"
         )
     tape = loss.node.tape
-    # Tensor defines no __eq__, so it hashes by identity
-    pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    # neither TapeNode nor Tensor defines __eq__, so both hash by identity
+    pending: dict[TapeNode | Tensor, np.ndarray] = {loss.node: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = pending.pop(node.out, None)
+        g = pending.pop(node, None)
         if g is None:
             continue
         grads = node.backward_fn(g)
-        for t, ig in zip(node.inputs, grads):
-            if t is None or ig is None or not (t.requires_grad or t.node is not None):
+        for src, ig in zip(node.inputs, grads):
+            if src is None or ig is None or (isinstance(src, Tensor) and not src.requires_grad):
                 continue
-            pending[t] = pending[t] + ig if t in pending else ig
+            pending[src] = pending[src] + ig if src in pending else ig
         node.release()
     tape.release()
+    # every node of the tape was popped on its visit: only leaves are left
     for leaf, g in pending.items():
-        if leaf.node is None:
-            leaf.grad = g if leaf.grad is None else leaf.grad + g
+        leaf.grad = g if leaf.grad is None else leaf.grad + g

@@ -223,8 +223,9 @@ class TestTapeLifetime:
             a = x * 2.0
             b = T.gelu(a)
             ref = weakref.ref(b.data)
-            loss = b.sum()
+            loss = (b * b).sum()  # the mul rule keeps b's array until it is visited
             del b
+            assert ref() is not None
             seen = []
             inner = a.node.backward_fn
 
@@ -244,10 +245,11 @@ class TestTapeLifetime:
         with helpers.cyclic_gc_disabled():
             with pytest.raises(RuntimeError) if exit_by == "exception" else nullcontext():
                 with T.step():
-                    h = T.gelu(x @ w)
-                    refs = [weakref.ref(h.data), weakref.ref(h.node.inputs[0].data)]
+                    xw = x @ w
+                    h = T.gelu(xw)
+                    refs = [weakref.ref(h.data), weakref.ref(xw.data)]
                     loss = (h * h).sum()
-                    del h
+                    del h, xw
                     assert all(r() is not None for r in refs)  # the live graph holds them
                     if exit_by == "backward":
                         backward(loss)

@@ -410,16 +410,16 @@ class TestAttention:
             assert new.dtype == dtype
             np.testing.assert_array_equal(new, ref)
 
-    def test_backward_keeps_its_operands_and_no_array(self):
+    def test_backward_keeps_its_operands_and_no_other_array(self):
         # the softmax rows are rebuilt from q and k, not saved
         rng = np.random.default_rng(34)
         qkv = [Tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True) for _ in range(3)]
         with T.step():
             node = T.attention(*qkv).node
             values = helpers.closure_values(node)
-        assert not [v for v in values if isinstance(v, np.ndarray)]
-        tensors = [v for v in values if isinstance(v, Tensor)]
-        assert len(tensors) == 3 and all(any(t is u for u in qkv) for t in tensors)
+        assert not [v for v in values if isinstance(v, Tensor)]
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        assert sorted(map(id, arrays)) == sorted(id(t.data) for t in qkv)
         assert all(t is u for t, u in zip(node.inputs, qkv))
 
     @pytest.mark.parametrize(
@@ -464,10 +464,14 @@ class TestMlp:
             node = T.mlp(*ts).node
             values = helpers.closure_values(node)
         assert node.op == "mlp" and all(t is u for t, u in zip(node.inputs, ts))
+        assert not [v for v in values if isinstance(v, Tensor)]
         arrays = [v for v in values if isinstance(v, np.ndarray)]
-        assert [a.shape for a in arrays] == [(2, 5, 24)]
-        np.testing.assert_array_equal(arrays[0], ts[0].data @ ts[1].data + ts[2].data)
-        assert all(any(v is t for t in ts) for v in values if isinstance(v, Tensor))
+        # x and the two weight matrices, by identity; of the biases only the shapes
+        operands = [a for a in arrays if any(a is t.data for t in ts)]
+        assert sorted(map(id, operands)) == sorted(id(ts[i].data) for i in (0, 1, 3))
+        hidden = [a for a in arrays if not any(a is t.data for t in ts)]
+        assert [a.shape for a in hidden] == [(2, 5, 24)]
+        np.testing.assert_array_equal(hidden[0], ts[0].data @ ts[1].data + ts[2].data)
 
     def test_forward_allocates_no_more_than_the_chain(self):
         # paper geometry at batch 4: 484 tokens, d_model 384, hidden 1536
