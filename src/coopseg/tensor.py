@@ -441,6 +441,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     def bw(g):
         cols = _im2col(xd, kh, kw)
         gw = sum(gi @ next(cols).T for gi in g.reshape(b, cout, h * w)).reshape(kd.shape)
+        del cols  # the suspended generator holds the padded input and its window view
         gb = g.sum(axis=(0, 2, 3)) if has_bias else None
         if not x_needs_grad:
             return None, gw, gb
@@ -742,9 +743,9 @@ def _affine_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mu, inv, stat_
     """``(x - mu) * inv * gamma + beta`` as one tape node, with mu and inv broadcasting
     against x and gamma and beta laid along ``axis``. The output is the only full-size
     array made; backward rebuilds the normalized input ``xhat`` from x with the forward's
-    own expression. ``batch_stats`` says mu and inv are x's own statistics over
-    ``stat_axes``, so the input gradient carries their terms; otherwise it is
-    ``g * gamma * inv``."""
+    own expression and works in two input-sized arrays. ``batch_stats`` says mu and inv
+    are x's own statistics over ``stat_axes``, so the input gradient carries their terms;
+    otherwise it is ``g * gamma * inv``."""
     shape = [1] * x.ndim
     shape[axis] = -1
     gamma_b, beta_b = gamma.data.reshape(shape), beta.data.reshape(shape)
@@ -756,18 +757,27 @@ def _affine_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mu, inv, stat_
     out += beta_b
 
     def bw(g):
-        xhat = (xd - mu) * inv
-        gg = (g * xhat).sum(axis=param_axes)
+        # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)), its operations in its
+        # order, in two buffers: xhat's holds gxhat * xhat for its mean, then xhat again
+        xhat = xd - mu
+        xhat *= inv
+        gxhat = g * xhat
+        gg = gxhat.sum(axis=param_axes)
         gb = g.sum(axis=param_axes)
-        gxhat = g * gamma_b
+        np.multiply(g, gamma_b, out=gxhat)
         if not batch_stats:
-            return gxhat * inv, gg, gb
-        gx = inv * (
-            gxhat
-            - gxhat.mean(axis=stat_axes, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=stat_axes, keepdims=True)
-        )
-        return gx, gg, gb
+            gxhat *= inv
+            return gxhat, gg, gb
+        m1 = gxhat.mean(axis=stat_axes, keepdims=True)
+        np.multiply(gxhat, xhat, out=xhat)
+        m2 = xhat.mean(axis=stat_axes, keepdims=True)
+        np.subtract(xd, mu, out=xhat)
+        xhat *= inv
+        gxhat -= m1
+        xhat *= m2
+        gxhat -= xhat
+        gxhat *= inv
+        return gxhat, gg, gb
 
     return _from_op(op, out, (x, gamma, beta), bw)
 

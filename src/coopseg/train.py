@@ -105,8 +105,10 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        # np.zeros takes zero pages from calloc, not committed until the first step writes
+        # them; np.zeros_like would write every page now
+        self.m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        self.v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
 
     def step(self):
         self.step_count += 1

@@ -749,6 +749,29 @@ def test_forward_allocates_little_beyond_its_output(name):
     assert peak <= 1.5 * out.data.nbytes
 
 
+@pytest.mark.parametrize("name", ["batchnorm_train", "batchnorm_eval", "layernorm"])
+def test_backward_holds_two_input_sized_buffers(name):
+    rng = np.random.default_rng(22)
+
+    def f32(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+    x4, g16, b16 = f32(4, 16, 32, 32), f32(16), f32(16)
+    x3, g96, b96 = f32(4, 256, 96), f32(96), f32(96)
+    x, forward = {
+        "batchnorm_train": (x4, lambda: T.batchnorm_channel(x4, g16, b16, np.zeros(16), np.ones(16), training=True)),
+        "batchnorm_eval": (x4, lambda: T.batchnorm_channel(x4, g16, b16, np.zeros(16), np.ones(16), training=False)),
+        "layernorm": (x3, lambda: T.layernorm_lastdim(x3, g96, b96)),
+    }[name]
+    with T.step():
+        out = forward()
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        grads, peak = helpers.alloc_peak(lambda: out.node.backward_fn(g))
+    assert grads[0].dtype == np.float32
+    # the input gradient is one of the two
+    assert peak <= 2 * x.data.nbytes + 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # purity / finiteness invariants
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 Adam, the alternating epoch loop, and the weighted decision."""
 
 import math
+import os
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,26 @@ class TestAdam:
         p.grad = np.ones(p.shape, np.float32)
         _, peak = helpers.alloc_peak(opt.step)
         assert peak <= 2 * p.data.nbytes + 64 * 1024
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").is_file(), reason="needs /proc/self/statm")
+    def test_moments_stay_uncommitted_zero_pages_until_the_first_step(self):
+        def rss():
+            return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        p = Tensor(np.ones((4096, 4096), np.float32), requires_grad=True)  # 64 MB
+        before = rss()
+        opt = Adam([p], lr=1e-3)
+        assert rss() - before < 8 * 2**20
+        g = rng_of(9).standard_normal(p.shape).astype(np.float32)
+        p.grad = g
+        opt.step()
+        m = np.zeros_like(g)
+        m += (1.0 - 0.9) * (g - m)
+        np.testing.assert_array_equal(opt.m[0], m)
+        del m
+        v = np.zeros_like(g)
+        v += (1.0 - 0.999) * (g * g - v)
+        np.testing.assert_array_equal(opt.v[0], v)
 
     def test_zero_grad_clears_accumulated(self):
         p = Tensor(np.ones(2), requires_grad=True)
