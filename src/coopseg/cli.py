@@ -99,11 +99,8 @@ def _batches(samples, batch_size: int, dtype):
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".10g") if isinstance(v, float) else str(v) for v in row) + "\n")
+def _csv_line(row: list) -> str:
+    return ",".join(format(v, ".10g") if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
 def cmd_train(args) -> int:
@@ -116,12 +113,18 @@ def cmd_train(args) -> int:
     batches = _batches(samples, cfg.batch_size, dtype)
     model = SegmentationModel(cfg)
     optimizer = Adam(model.parameters(), lr=cfg.lr)
-    rows = []
+    log_path = out_dir / "train_log.csv"
+    with open(log_path, "w", newline="\n") as log:
+        log.write(_csv_line(["epoch", "loss_1", "loss_2", "loss_3", "w_1", "w_2", "w_3",
+                             "objective"]))
     best_obj, stale = float("inf"), 0
     for epoch in range(1, cfg.epochs + 1):
         report = train_epoch(model, optimizer, batches, cfg.lam)
-        rows.append([epoch, *report.losses.tolist(), *report.weights.tolist(), report.objective])
         save_checkpoint(out_dir / f"epoch_{epoch:04d}.ckpt", dict(model.named_state()))
+        # one row per finished epoch, closed at once, so a crash keeps the rows before it
+        with open(log_path, "a", newline="\n") as log:
+            log.write(_csv_line([epoch, *report.losses.tolist(), *report.weights.tolist(),
+                                 report.objective]))
         print(
             f"epoch {epoch}: losses "
             + " ".join(f"{v:.4f}" for v in report.losses)
@@ -136,19 +139,7 @@ def cmd_train(args) -> int:
                     print(f"objective plateaued for {stale} epochs, stopping early")
                     break
     save_checkpoint(out_dir / FINAL_CKPT, dict(model.named_state()))
-    _write_csv(
-        out_dir / "train_log.csv",
-        ["epoch", "loss_1", "loss_2", "loss_3", "w_1", "w_2", "w_3", "objective"],
-        rows,
-    )
     return 0
-
-
-def _load_model(cfg: RunConfig, ckpt_arg) -> SegmentationModel:
-    path = Path(ckpt_arg) if ckpt_arg else Path(cfg.out_dir) / FINAL_CKPT
-    model = SegmentationModel(cfg)
-    model.load_state(load_checkpoint(path))
-    return model.eval()
 
 
 def _decide(cfg: RunConfig, model: SegmentationModel, outs: ViewOutputs) -> Tensor:
@@ -157,42 +148,47 @@ def _decide(cfg: RunConfig, model: SegmentationModel, outs: ViewOutputs) -> Tens
     return getattr(outs, cfg.eval_view)
 
 
+def _decisions(cfg: RunConfig, checkpoint):
+    """The inference loop of eval and predict: load the samples and the
+    checkpoint, then yield each batch's sample ids, masks and decided maps."""
+    samples = _get_samples(cfg)
+    model = SegmentationModel(cfg).eval()
+    path = Path(checkpoint) if checkpoint else Path(cfg.out_dir) / FINAL_CKPT
+    model.load_state(load_checkpoint(path))
+    size = cfg.batch_size
+    for i, (images, masks) in enumerate(_batches(samples, size, np.dtype(cfg.dtype))):
+        ids = [s.id for s in samples[i * size : (i + 1) * size]]
+        yield ids, masks.data, _decide(cfg, model, model(images)).data
+
+
 def cmd_eval(args) -> int:
     cfg = _config_from_args(args, reuse_run_config=True)
-    samples = _get_samples(cfg)
-    model = _load_model(cfg, args.checkpoint)
-    dtype = np.dtype(cfg.dtype)
-    preds, gts = [], []
-    for images, masks in _batches(samples, cfg.batch_size, dtype):
-        out = _decide(cfg, model, model(images))
-        preds.extend(np.asarray(out.data, dtype=np.float64))
-        gts.extend(masks.data.astype(np.float64))
-    ids = [s.id for s in samples]
+    ids, preds, gts = [], [], []
+    for batch_ids, masks, maps in _decisions(cfg, args.checkpoint):
+        ids += batch_ids
+        preds.extend(np.asarray(maps, dtype=np.float64))
+        gts.extend(masks.astype(np.float64))
     report = evaluate_pairs(ids, preds, gts)
     rows = [[i, d, j, m] for i, d, j, m in zip(report.ids, report.dice, report.iou, report.mae)]
     rows.append(["mean", report.mean_dice, report.mean_iou, report.mean_mae])
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "eval.csv", ["id", "dice", "iou", "mae"], rows)
+    with open(out_dir / "eval.csv", "w", newline="\n") as fh:
+        fh.writelines(_csv_line(row) for row in [["id", "dice", "iou", "mae"], *rows])
     print(f"mDice {report.mean_dice:.4f}  mIoU {report.mean_iou:.4f}  MAE {report.mean_mae:.4f}")
     return 0
 
 
 def cmd_predict(args) -> int:
     cfg = _config_from_args(args, reuse_run_config=True)
-    samples = _get_samples(cfg)
-    model = _load_model(cfg, args.checkpoint)
-    dtype = np.dtype(cfg.dtype)
     pred_dir = Path(cfg.out_dir) / "predictions"
     pred_dir.mkdir(parents=True, exist_ok=True)
-    idx = 0
-    for images, _ in _batches(samples, cfg.batch_size, dtype):
-        out = _decide(cfg, model, model(images)).data
-        for b in range(out.shape[0]):
-            gray = np.rint(255.0 * out[b, 0]).astype(np.uint8)
-            write_gray(pred_dir / f"{samples[idx].id}.pgm", gray)
-            idx += 1
-    print(f"wrote {idx} mask images to {pred_dir}")
+    written = 0
+    for batch_ids, _, maps in _decisions(cfg, args.checkpoint):
+        for sample_id, prob in zip(batch_ids, maps):
+            write_gray(pred_dir / f"{sample_id}.pgm", np.rint(255.0 * prob[0]).astype(np.uint8))
+        written += len(batch_ids)
+    print(f"wrote {written} mask images to {pred_dir}")
     return 0
 
 

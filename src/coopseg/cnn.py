@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .nn import Conv2d, ConvUnit, Module, ModuleList, MultiScaleFeatures
+from .nn import Conv2d, ConvUnit, Module, ModuleList, MultiScaleFeatures, probability_map
 from .tensor import ShapeError, Tensor
 
 
@@ -69,7 +69,6 @@ class CnnViewHead(Module):
         self.out = Conv2d(merge, 1, 1, rng)
 
     def __call__(self, feats: MultiScaleFeatures) -> Tensor:
-        m8 = T.elementwise(T.upsample2x_nearest(self.proj16(feats.s16)), self.proj8(feats.s8), "add")
-        m4 = T.elementwise(T.upsample2x_nearest(m8), self.proj4(feats.s4), "add")
-        logits = T.upsample2x_nearest(T.upsample2x_nearest(self.out(m4)))
-        return T.sigmoid(logits)
+        m8 = T.upsample2x_nearest(self.proj16(feats.s16)) + self.proj8(feats.s8)
+        m4 = T.upsample2x_nearest(m8) + self.proj4(feats.s4)
+        return probability_map(self.out(m4))

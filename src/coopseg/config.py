@@ -5,12 +5,20 @@ typed override merging (file values first, then CLI flags).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     pass
+
+
+# RunConfig fields that must be 1 or more
+_POSITIVE_INTS = (
+    "image_size", "patch_size", "depth", "d_model", "heads", "stem_channels", "stage_units",
+    "c4", "c8", "c16", "epochs", "batch_size", "synth_samples",
+)
 
 
 @dataclass
@@ -47,21 +55,29 @@ class RunConfig:
     eval_view: str = "fused"  # fused | transformer | cnn | fusion
 
     def validate(self) -> "RunConfig":
+        # sizes and counts first: the divisibility rules below divide by them
+        for name in _POSITIVE_INTS:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("seed", "early_stop_patience"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not self.lam > 0:
+            raise ConfigError(f"lambda must be positive, got {self.lam}")
+        if not 1 <= self.d_model * self.mlp_ratio < math.inf:
+            raise ConfigError(
+                f"mlp_ratio {self.mlp_ratio} must give d_model {self.d_model} a finite MLP "
+                "hidden width of at least 1"
+            )
         if self.image_size % 16 or self.image_size % self.patch_size:
             raise ConfigError(
                 f"image_size {self.image_size} must be divisible by 16 and by "
                 f"patch_size {self.patch_size}"
             )
-        if self.lam <= 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
         if self.d_model % self.heads:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.eval_view not in ("fused", "transformer", "cnn", "fusion"):

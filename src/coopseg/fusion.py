@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .nn import Conv2d, ConvUnit, Linear, Module
+from .nn import Conv2d, ConvUnit, Linear, Module, probability_map
 from .tensor import ShapeError, Tensor
 
 FUSED_CHANNELS = (256, 128, 64)  # at scales 1/16, 1/8, 1/4
@@ -125,5 +125,4 @@ class DenseFusionDecoder(Module):
         _check_stage("sum4", lifted4, f4)
         sum4 = lifted4 + f4
         fused4 = self.refuse4(T.concat_channels([lifted4, sum4]))
-        logits = self.out(self.head2(self.head1(fused4)))
-        return T.sigmoid(T.upsample2x_nearest(T.upsample2x_nearest(logits)))
+        return probability_map(self.out(self.head2(self.head1(fused4))))

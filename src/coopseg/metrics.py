@@ -16,22 +16,23 @@ from .tensor import ShapeError
 THRESHOLD = 0.5
 
 
-def _binarize(pred: np.ndarray) -> np.ndarray:
-    return pred > THRESHOLD
-
-
 def _check_shapes(a: np.ndarray, b: np.ndarray):
     if a.shape != b.shape:
         raise ShapeError(f"metric operands differ: {a.shape} vs {b.shape}")
 
 
+def _counts(pred: np.ndarray, gt: np.ndarray) -> tuple[int, int, int]:
+    """(|P∩G|, |P|, |G|) of the two masks binarized at THRESHOLD."""
+    _check_shapes(pred, gt)
+    p = np.asarray(pred) > THRESHOLD
+    g = np.asarray(gt) > THRESHOLD
+    return int(np.count_nonzero(p & g)), int(np.count_nonzero(p)), int(np.count_nonzero(g))
+
+
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:
     """2|P∩G| / (|P|+|G|), with 0/0 := 1."""
-    _check_shapes(pred, gt)
-    p = _binarize(np.asarray(pred))
-    g = np.asarray(gt) > THRESHOLD
-    inter = int(np.count_nonzero(p & g))
-    total = int(np.count_nonzero(p)) + int(np.count_nonzero(g))
+    inter, n_p, n_g = _counts(pred, gt)
+    total = n_p + n_g
     if total == 0:
         return 1.0
     return 2.0 * inter / total
@@ -39,11 +40,8 @@ def dice(pred: np.ndarray, gt: np.ndarray) -> float:
 
 def iou(pred: np.ndarray, gt: np.ndarray) -> float:
     """|P∩G| / |P∪G|, with 0/0 := 1."""
-    _check_shapes(pred, gt)
-    p = _binarize(np.asarray(pred))
-    g = np.asarray(gt) > THRESHOLD
-    inter = int(np.count_nonzero(p & g))
-    union = int(np.count_nonzero(p | g))
+    inter, n_p, n_g = _counts(pred, gt)
+    union = n_p + n_g - inter
     if union == 0:
         return 1.0
     return inter / union

@@ -34,27 +34,31 @@ class Module:
         self._buffers[name] = value
         object.__setattr__(self, name, value)
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def modules(self) -> Iterator[tuple[str, "Module"]]:
+        """This module and its descendants, pre-order, each with its dotted name prefix."""
+        yield "", self
         for name, child in self._children.items():
-            yield from child.named_parameters(prefix + name + ".")
+            for prefix, module in child.modules():
+                yield f"{name}.{prefix}", module
+
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        for prefix, module in self.modules():
+            for name, p in module._params.items():
+                yield prefix + name, p
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for name, child in self._children.items():
-            yield from child.named_buffers(prefix + name + ".")
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        for prefix, module in self.modules():
+            for name, b in module._buffers.items():
+                yield prefix + name, b
 
     def named_state(self) -> Iterator[tuple[str, np.ndarray]]:
         """Parameters then buffers, each in insertion order: the full model state."""
         for name, p in self.named_parameters():
             yield name, p.data
-        for name, b in self.named_buffers():
-            yield name, b
+        yield from self.named_buffers()
 
     def load_state(self, state: dict[str, np.ndarray]):
         own = dict(self.named_state())
@@ -70,15 +74,13 @@ class Module:
             dst[...] = src
 
     def train(self):
-        object.__setattr__(self, "training", True)
-        for child in self._children.values():
-            child.train()
+        for _, module in self.modules():
+            object.__setattr__(module, "training", True)
         return self
 
     def eval(self):
-        object.__setattr__(self, "training", False)
-        for child in self._children.values():
-            child.eval()
+        for _, module in self.modules():
+            object.__setattr__(module, "training", False)
         return self
 
     def cast(self, dtype):
@@ -91,22 +93,20 @@ class Module:
 class ModuleList(Module):
     def __init__(self, modules=()):
         super().__init__()
-        self._items: list[Module] = []
         for m in modules:
             self.append(m)
 
     def append(self, module: Module):
-        self._children[str(len(self._items))] = module
-        self._items.append(module)
+        self._children[str(len(self._children))] = module
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._children.values())
 
     def __len__(self):
-        return len(self._items)
+        return len(self._children)
 
     def __getitem__(self, idx):
-        return self._items[idx]
+        return list(self._children.values())[idx]
 
 
 class Linear(Module):
@@ -169,6 +169,11 @@ class ConvUnit(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.relu(self.bn(self.conv(x)))
+
+
+def probability_map(logits: Tensor) -> Tensor:
+    """Every view's output rule: 1/4-scale logits, 4x nearest upsampling, sigmoid."""
+    return T.sigmoid(T.upsample2x_nearest(T.upsample2x_nearest(logits)))
 
 
 class MultiScaleFeatures(NamedTuple):

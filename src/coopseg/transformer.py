@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .nn import Conv2d, LayerNorm, Linear, Module, ModuleList, MultiScaleFeatures
+from .nn import Conv2d, LayerNorm, Linear, Module, ModuleList, MultiScaleFeatures, probability_map
 from .tensor import ShapeError, Tensor
 
 
@@ -132,5 +132,4 @@ class ViewHead(Module):
         self.proj = Conv2d(channels, 1, 1, rng)
 
     def __call__(self, s4: Tensor) -> Tensor:
-        logits = T.upsample2x_nearest(T.upsample2x_nearest(self.proj(s4)))
-        return T.sigmoid(logits)
+        return probability_map(self.proj(s4))

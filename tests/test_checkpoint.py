@@ -1,5 +1,6 @@
 """Binary snapshot format: bit-exact round trips and corruption detection."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,18 @@ class TestCorruption:
 
 
 class TestModelState:
+    @pytest.mark.parametrize("ablation, count, digest", [
+        ({}, 147, "3d3b434d482613573b47a9f820bf21e74434a2701f607d2ad53b056e58c5bf0b"),
+        (dict(glff_on=False, dfm_on=False), 85,
+         "ff5e193ce486eac4a3769d26d56150825ded255f3b6a7ca4777abcebba50d634"),
+    ])
+    def test_state_names_keep_their_order(self, ablation, count, digest):
+        """Checkpoint bytes follow named_state() order; pin the toy models' names by hash."""
+        names = [name for name, _ in SegmentationModel(toy_config(**ablation)).named_state()]
+        assert names[:2] == ["transformer.embed.pos", "transformer.embed.proj.weight"]
+        assert len(names) == count
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == digest
+
     def test_model_round_trip_and_reload(self, tmp_path):
         cfg = toy_config(image_size=32, d_model=48, stem_channels=4,
                          stage_units=1, c4=8, c8=12, c16=16)

@@ -7,9 +7,11 @@ so the whole file stays in the seconds range.
 import numpy as np
 import pytest
 
+from coopseg import cli
 from coopseg.checkpoint import load_checkpoint
 from coopseg.cli import main
 from coopseg.data import read_raster
+from coopseg.train import train_epoch
 
 TINY = {
     "image_size": "32",
@@ -100,6 +102,23 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 0
         lines = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
         assert len(lines) - 1 < 30
+
+    def test_crash_keeps_the_finished_epochs_in_the_log(self, tmp_path, monkeypatch):
+        calls = []
+
+        def second_epoch_fails(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("injected failure in epoch 2")
+            return train_epoch(*args)
+
+        monkeypatch.setattr(cli, "train_epoch", second_epoch_fails)
+        cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "run"), epochs=3)
+        assert main(["train", "--config", cfg]) == 1
+        lines = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
+        assert lines[0] == "epoch,loss_1,loss_2,loss_3,w_1,w_2,w_3,objective"
+        assert len(lines) == 2
+        assert lines[1].startswith("1,")
 
 
 class TestEvalPredict:
@@ -216,6 +235,24 @@ class TestExitCodes:
         p = tmp_path / "c.cfg"
         p.write_text("image_size = 50\n")
         assert main(["train", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("heads", 0), ("patch_size", 0), ("d_model", 0), ("--image-size", 0), ("mlp_ratio", 0),
+        ("stage_units", 0), ("stem_channels", 0), ("depth", -1), ("c4", 0), ("c8", 0),
+        ("c16", -8), ("synth_samples", 0), ("--seed", -1), ("lr", -1), ("lr", 0),
+        ("lr", "nan"), ("mlp_ratio", "inf"), ("early_stop_patience", -1),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, key, value):
+        """Each value would otherwise divide by zero, build an empty layer or train with a
+        nonsense setting; it must stop as a one-line config error before any work."""
+        flags = [key, str(value)] if key.startswith("--") else []
+        cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "run"),
+                        **({} if flags else {key: value}))
+        assert main(["train", "--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_data_dir_exits_1(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "run"))
