@@ -23,7 +23,7 @@ def fused_mdice(model, images, masks, lam):
     """Eval-mode training mDice of the fused decision and of each view."""
     model.eval()
     outs = model(images)
-    fused = fuse_decision(ViewWeights(model.view_weights.copy(), lam), outs)
+    fused = fuse_decision(ViewWeights(model.view_weights, lam), outs)
     model.train()
 
     def mdice(pred):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import COARSEST, RunConfig
 from .nn import Conv2d, ConvUnit, Module, ModuleList, MultiScaleFeatures, probability_map
 from .tensor import ShapeError, Tensor
 
@@ -46,8 +46,8 @@ class CnnBranch(Module):
 
     def __call__(self, image: Tensor) -> MultiScaleFeatures:
         _, _, h, w = image.shape
-        if h % 16 or w % 16:
-            raise ShapeError(f"image dims {h}x{w} must be divisible by 16")
+        if h % COARSEST or w % COARSEST:
+            raise ShapeError(f"image dims {h}x{w} must be divisible by {COARSEST}")
         x = T.avgpool2x(self.stem(image))          # 1/2
         c_quarter = self.stage4(T.avgpool2x(x))    # 1/4
         c_eighth = self.stage8(T.avgpool2x(c_quarter))   # 1/8

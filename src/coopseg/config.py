@@ -14,9 +14,13 @@ class ConfigError(ValueError):
     pass
 
 
+# the coarsest feature map is 1/16 of the image: the transformer's 16-px patches
+# and the CNN's four 2x poolings both land there
+COARSEST = 16
+
 # RunConfig fields that must be 1 or more
 _POSITIVE_INTS = (
-    "image_size", "patch_size", "depth", "d_model", "heads", "stem_channels", "stage_units",
+    "image_size", "depth", "d_model", "heads", "stem_channels", "stage_units",
     "c4", "c8", "c16", "epochs", "batch_size", "synth_samples",
 )
 
@@ -25,12 +29,10 @@ _POSITIVE_INTS = (
 class RunConfig:
     # geometry
     image_size: int = 352
-    patch_size: int = 16
     # transformer encoder
     depth: int = 12
     d_model: int = 384
     heads: int = 6
-    mlp_ratio: float = 4.0
     # cnn encoder
     stem_channels: int = 32
     stage_units: int = 3
@@ -62,20 +64,12 @@ class RunConfig:
         for name in ("seed", "early_stop_patience"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not self.lam > 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if not 1 <= self.d_model * self.mlp_ratio < math.inf:
-            raise ConfigError(
-                f"mlp_ratio {self.mlp_ratio} must give d_model {self.d_model} a finite MLP "
-                "hidden width of at least 1"
-            )
-        if self.image_size % 16 or self.image_size % self.patch_size:
-            raise ConfigError(
-                f"image_size {self.image_size} must be divisible by 16 and by "
-                f"patch_size {self.patch_size}"
-            )
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 < self.lam < math.inf:
+            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
+        if self.image_size % COARSEST:
+            raise ConfigError(f"image_size {self.image_size} must be divisible by {COARSEST}")
         if self.d_model % self.heads:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.dtype not in ("float32", "float64"):

@@ -15,12 +15,12 @@ FUSED_CHANNELS = (256, 128, 64)  # at scales 1/16, 1/8, 1/4
 
 
 class ChannelGate(Module):
-    """Channel attention: shared bias-free 2-layer MLP over spatial avg- and
-    max-pooled descriptors, summed, squashed."""
+    """Channel attention: shared bias-free 2-layer MLP (reduction 16) over spatial
+    avg- and max-pooled descriptors, summed, squashed."""
 
-    def __init__(self, channels: int, reduction: int, rng: np.random.Generator):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        hidden = max(channels // max(min(reduction, channels), 1), 1)
+        hidden = max(channels // 16, 1)
         self.fc1 = Linear(channels, hidden, rng, bias=False)
         self.fc2 = Linear(hidden, channels, rng, bias=False)
 
@@ -52,9 +52,9 @@ class SpatialGate(Module):
 class Cbam(Module):
     """Sequential channel-then-spatial attention refinement."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, reduction: int = 16):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        self.channel = ChannelGate(channels, reduction, rng)
+        self.channel = ChannelGate(channels, rng)
         self.spatial = SpatialGate(rng)
 
     def __call__(self, x: Tensor) -> Tensor:

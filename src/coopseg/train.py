@@ -101,7 +101,7 @@ def fuse_decision(w: ViewWeights, outs: ViewOutputs) -> Tensor:
 class Adam:
     """Bias-corrected Adam over a fixed parameter list."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 7e-5):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
         self.step_count = 0

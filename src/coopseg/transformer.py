@@ -7,30 +7,26 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import COARSEST, RunConfig
 from .nn import Conv2d, LayerNorm, Linear, Module, ModuleList, MultiScaleFeatures, probability_map
 from .tensor import ShapeError, Tensor
 
 
 class PatchEmbed(Module):
-    """Split the RGB image into P x P patches, project each to d_model, add a
-    learned positional embedding."""
+    """Split the RGB image into P x P patches (P = ``COARSEST``), project each to
+    d_model, add a learned positional embedding."""
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
-        s, p = cfg.image_size, cfg.patch_size
-        if s % p:
-            raise ShapeError(f"image {s}x{s} not divisible by patch size {p}")
-        g = s // p
+        g = cfg.image_size // COARSEST
         self.grid = (g, g)
-        self.patch_size = p
-        self.proj = Linear(p * p * 3, cfg.d_model, rng)
+        self.proj = Linear(COARSEST * COARSEST * 3, cfg.d_model, rng)
         self.pos = Tensor(rng.standard_normal((g * g, cfg.d_model)) * 0.02, requires_grad=True)
 
     def __call__(self, image: Tensor) -> Tensor:
         """B x N x d_model tokens, row-major over ``self.grid``."""
         b, c, h, w = image.shape
-        p = self.patch_size
+        p = COARSEST
         gh, gw = self.grid
         if (c, h, w) != (3, gh * p, gw * p):
             raise ShapeError(f"expected 3x{gh * p}x{gw * p} image, got {c}x{h}x{w}")
@@ -68,7 +64,7 @@ class MlpBlock(Module):
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         super().__init__()
-        hidden = int(cfg.d_model * cfg.mlp_ratio)
+        hidden = 4 * cfg.d_model
         self.fc1 = Linear(cfg.d_model, hidden, rng)
         self.fc2 = Linear(hidden, cfg.d_model, rng)
 

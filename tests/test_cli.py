@@ -236,11 +236,20 @@ class TestExitCodes:
         p.write_text("image_size = 50\n")
         assert main(["train", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("key, value", [("patch_size", 8), ("mlp_ratio", 4.0)])
+    def test_removed_geometry_key_is_unknown_key_error(self, tmp_path, capsys, key, value):
+        """The patch size (16) and MLP ratio (4) are fixed: a config that still sets one
+        is an unknown-key error that stops before any work."""
+        cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "run"), **{key: value})
+        assert main(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown config key")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key, value", [
-        ("heads", 0), ("patch_size", 0), ("d_model", 0), ("--image-size", 0), ("mlp_ratio", 0),
+        ("heads", 0), ("d_model", 0), ("--image-size", 0),
         ("stage_units", 0), ("stem_channels", 0), ("depth", -1), ("c4", 0), ("c8", 0),
         ("c16", -8), ("synth_samples", 0), ("--seed", -1), ("lr", -1), ("lr", 0),
-        ("lr", "nan"), ("mlp_ratio", "inf"), ("early_stop_patience", -1),
+        ("lr", "nan"), ("lr", "inf"), ("--lambda", "inf"), ("early_stop_patience", -1),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, key, value):
         """Each value would otherwise divide by zero, build an empty layer or train with a

@@ -31,7 +31,7 @@ def toy_maps(seed, b=1, dtype=np.float64):
 class TestCbam:
     def test_saturated_gates_pass_input_through(self):
         # positive input and weight choices that drive every gate to sigma~1
-        cbam = Cbam(8, rng_of(0), reduction=16)
+        cbam = Cbam(8, rng_of(0))
         cbam.channel.fc1.weight.data[...] = 1.0
         cbam.channel.fc2.weight.data[...] = 20.0
         cbam.spatial.conv.weight.data[...] = 0.0
@@ -41,7 +41,7 @@ class TestCbam:
         np.testing.assert_allclose(out, x, atol=1e-12, rtol=0)
 
     def test_matches_straight_line_oracle(self):
-        cbam = Cbam(6, rng_of(2), reduction=2)
+        cbam = Cbam(6, rng_of(2))
         x = rng_of(3).standard_normal((2, 6, 4, 4))
         out = cbam(Tensor(x)).data
 
@@ -69,7 +69,7 @@ class TestCbam:
 
     def test_identical_channels_stay_identical(self):
         # equal treatment of equal content: symmetrize the MLP for channels 0,1
-        cbam = Cbam(5, rng_of(4), reduction=1)
+        cbam = Cbam(5, rng_of(4))
         fc1 = cbam.channel.fc1.weight.data
         fc2 = cbam.channel.fc2.weight.data
         fc1[1, :] = fc1[0, :]

@@ -23,7 +23,7 @@ from coopseg.transformer import (
 
 
 def small_cfg(**kw):
-    base = dict(depth=2, d_model=8, heads=2, mlp_ratio=2.0, patch_size=16)
+    base = dict(depth=2, d_model=8, heads=2)
     base.update(kw)
     return RunConfig(**base)
 
@@ -45,8 +45,11 @@ class TestPatchEmbed:
         assert tokens.shape == (2, 16, 8)
 
     def test_indivisible_size_rejected(self):
-        with pytest.raises(ShapeError):
-            PatchEmbed(small_cfg(image_size=50), rng_of(0))
+        # RunConfig.validate rejects 50 px; unvalidated, the grid floors to 3x3 and
+        # the forward rejects a 50-px image
+        pe = PatchEmbed(small_cfg(image_size=50), rng_of(0))
+        with pytest.raises(ShapeError, match="expected 3x48x48 image"):
+            pe(Tensor(np.zeros((1, 3, 50, 50))))
 
     def test_wrong_image_rejected(self):
         # sizes that floor to the same grid, and a gray image, are rejected too
@@ -58,11 +61,11 @@ class TestPatchEmbed:
     def test_patch_flatten_matches_manual_slice(self):
         # token j must be proj(flatten(patch_j)) + pos_j
         rng = rng_of(1)
-        pe = PatchEmbed(small_cfg(patch_size=2, image_size=4), rng)
-        img = rng.standard_normal((1, 3, 4, 4))
+        pe = PatchEmbed(small_cfg(image_size=32), rng)
+        img = rng.standard_normal((1, 3, 32, 32))
         tokens = pe(Tensor(img))
         w, b = pe.proj.weight.data, pe.proj.bias.data
-        patch01 = img[0, :, 0:2, 2:4].reshape(-1)  # row 0, col 1 of the grid
+        patch01 = img[0, :, 0:16, 16:32].reshape(-1)  # row 0, col 1 of the grid
         expected = patch01 @ w + b + pe.pos.data[1]
         np.testing.assert_allclose(tokens.data[0, 1], expected, atol=1e-12)
 
@@ -172,7 +175,7 @@ class TestAttention:
                     if isinstance(value, np.ndarray):
                         held[id(value)] = value
         assert not [a for a in held.values() if a.shape == (2, 2, 5, 5)]
-        hidden = [a for a in held.values() if a.shape == (2, 5, 16)]
+        hidden = [a for a in held.values() if a.shape == (2, 5, 32)]
         assert len(hidden) == len(pre_activations) == 2
         for a, h in zip(hidden, pre_activations):
             np.testing.assert_array_equal(a, h)
@@ -281,7 +284,7 @@ class TestViewHead:
 
 class TestBranchGradient:
     def test_end_to_end_sampled_params(self):
-        cfg = small_cfg(d_model=16, heads=2, depth=2, patch_size=16, image_size=32)
+        cfg = small_cfg(d_model=16, heads=2, depth=2, image_size=32)
         branch = TransformerBranch(cfg, rng_of(29))
         head = ViewHead(64, rng_of(30))
         img = Tensor(np.random.default_rng(31).standard_normal((1, 3, 32, 32)) * 0.3)
