@@ -9,6 +9,7 @@ atomically.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -96,7 +97,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype code {code}")
         dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank))
         dtype = _DTYPE_CODES[code]
-        n_items = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        n_items = math.prod(dims)  # python ints: huge dims cannot wrap past `take`
         offset = take(n_items * dtype.itemsize)
         state[name] = np.frombuffer(blob, dtype, n_items, offset).reshape(dims)
     if pos != end:

@@ -222,6 +222,9 @@ def main(argv=None) -> int:
     except (DataError, CheckpointError, RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a geometry that validates can still be too large to allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -381,33 +381,57 @@ def matmul(a, b, bias: Optional[Tensor] = None) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int):
-    """Yield, image by image, the stride-1 kh x kw windows of an NCHW array zero-padded
-    by kh // 2 rows and kw // 2 columns on each side, channel-major: (C*KH*KW) x (H*W),
-    where row (c, i, j) is channel c shifted by (i, j). The batch is padded once and
-    viewed once; each image's windows are copied only when its turn comes, so a caller
-    that drops them before taking the next holds one image's at a time. A 1x1 kernel
-    yields the images reshaped, without a copy when the input is contiguous."""
-    b, c, h, w = x.shape
+# the windows one GEMM takes: a conv on the paper's 88x88 maps copies this much at a time,
+# not an image's windows (up to 45 MB)
+WINDOW_BLOCK_BYTES = 4 * 2**20
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The stride-1 kh x kw windows of an NCHW array zero-padded by kh // 2 rows and
+    kw // 2 columns on each side, as a channel-major B x C x KH x KW x H x W view of one
+    padded copy: ``[n, c, i, j]`` is channel c of image n shifted by (i, j). A 1x1
+    kernel's windows are the input itself, made contiguous."""
     if kh == 1 and kw == 1:
-        yield from x.reshape(b, c, h * w)
-        return
+        return np.ascontiguousarray(x)[:, :, None, None]
     x = np.pad(x, ((0, 0), (0, 0), (kh // 2,) * 2, (kw // 2,) * 2))
-    # windows: B x C x H x W x KH x KW, each image copied as C x KH x KW x H x W
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    for wn in win.transpose(0, 1, 4, 5, 2, 3):
-        yield wn.reshape(c * kh * kw, h * w)
+    return np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+
+
+def _blocks(count: int, item_elems: int, dtype, least: int = 1):
+    """Bounds that cut ``count`` items of ``item_elems`` window elements each into as few
+    even blocks as keep a block within ``WINDOW_BLOCK_BYTES``, but none under ``least``
+    items (one block when all fit), and one buffer for the largest block: every block's
+    windows are copied into it, so a conv makes one window allocation, not one per block."""
+    per = max(1, WINDOW_BLOCK_BYTES // (item_elems * np.dtype(dtype).itemsize))
+    n = max(1, min(-(-count // per), count // least))
+    return [count * i // n for i in range(n + 1)], np.empty(-(-count // n) * item_elems, dtype)
+
+
+def _gather(view: np.ndarray, buf) -> np.ndarray:
+    """A C x KH x KW x rows x W slice of ``_im2col``'s view as the (C*KH*KW) x (rows*W)
+    matrix, copied into the head of buf; with no buf (a 1x1 kernel's windows, the
+    contiguous input) it is reshaped without a copy."""
+    c, kh, kw, rows, w = view.shape
+    if buf is None:
+        return view.reshape(c, rows * w)
+    cols = buf[: view.size].reshape(c * kh * kw, rows * w)
+    np.copyto(cols.reshape(view.shape), view)
+    return cols
 
 
 def _correlate(k2: np.ndarray, x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """``k2 @ cols_n`` for the ``_im2col`` windows of each image n of x, each GEMM
-    written straight into image n of one B x rows x (H*W) output."""
+    """``k2 @ cols_n`` for the ``_im2col`` windows of each image n of x, in ``_blocks`` of
+    output rows, each band's GEMM written straight into its columns of image n of one
+    B x rows x (H*W) output. A band splits only the GEMM's output columns, so each element
+    sums the same products in the same order as one GEMM over the image's windows."""
     b, _, h, w = x.shape
     out = np.empty((b, k2.shape[0], h * w), np.result_type(k2, x))
-    cols = _im2col(x, kh, kw)
-    for out_n in out:
-        # no name holds image n-1's windows while image n's are copied
-        np.matmul(k2, next(cols), out=out_n)
+    win = _im2col(x, kh, kw)
+    # a 1x1 kernel's windows are the input itself: nothing is copied, so nothing is split
+    rows, buf = _blocks(h, k2.shape[1] * w, x.dtype) if kh * kw > 1 else ([0, h], None)
+    for out_n, win_n in zip(out, win):
+        for r0, r1 in zip(rows, rows[1:]):
+            np.matmul(k2, _gather(win_n[..., r0:r1, :], buf), out=out_n[:, r0 * w : r1 * w])
     return out
 
 
@@ -415,10 +439,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Stride-1 2-d cross-correlation of B x Cin x H x W input with Cout x Cin x kh x kw kernel,
     zero-padded by kh // 2 and kw // 2 so the output is H x W, plus an optional (Cout,) bias: one
     GEMM per image with the channel-major ``_im2col`` windows, landing in contiguous NCHW.
-    Backward keeps only the operands and rebuilds the input's windows, image by image, for the
-    kernel gradient (images summed in a fixed order). Its input gradient correlates the upstream
-    gradient, padded the same way, with the flipped, channel-swapped kernel; it is None when the
-    input neither required grad nor had a tape node when the op ran."""
+    Backward keeps only the operands and rebuilds the input's windows for the kernel gradient,
+    in ``_blocks`` of at least 16 input channels (narrower GEMMs take another BLAS path and
+    change bits): each block's ``sum(g_n @ cols_n^T)`` over the images, in image order, fills
+    its columns of the gradient. Its input gradient correlates the upstream gradient, padded
+    the same way, with the flipped, channel-swapped kernel; it is None when the input neither
+    required grad nor had a tape node when the op ran."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -439,9 +465,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         out += bias.data[:, None]
 
     def bw(g):
-        cols = _im2col(xd, kh, kw)
-        gw = sum(gi @ next(cols).T for gi in g.reshape(b, cout, h * w)).reshape(kd.shape)
-        del cols  # the suspended generator holds the padded input and its window view
+        g3, win = g.reshape(b, cout, h * w), _im2col(xd, kh, kw)
+        gw = np.empty((cout, cin * kh * kw), np.result_type(g, xd))
+        chans, buf = (_blocks(cin, kh * kw * h * w, xd.dtype, least=16) if kh * kw > 1
+                      else ([0, cin], None))
+        for c0, c1 in zip(chans, chans[1:]):
+            # each image's product is made before the next image's windows overwrite buf
+            gw[:, c0 * kh * kw : c1 * kh * kw] = sum(
+                gi @ _gather(wn[c0:c1], buf).T for gi, wn in zip(g3, win))
+        del win, buf  # the padded input, its window view and the window copies
+        gw = gw.reshape(kd.shape)
         gb = g.sum(axis=(0, 2, 3)) if has_bias else None
         if not x_needs_grad:
             return None, gw, gb
@@ -856,7 +889,11 @@ def log(a: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def backward(loss: Tensor) -> None:
+def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
+    leaf.grad = g if leaf.grad is None else leaf.grad + g
+
+
+def backward(loss: Tensor, sink=None) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad leaf.
 
     The loss must be a scalar produced by taped ops inside a ``step()``, or a
@@ -864,6 +901,16 @@ def backward(loss: Tensor) -> None:
     order; a node is skipped when no gradient has reached its output.
     Pending gradients are keyed by the node that produced the array, or by
     the leaf tensor, so the replay needs no output or input tensor alive.
+
+    With a ``sink``, no leaf's ``.grad`` is touched: each leaf's complete
+    gradient goes to ``sink(leaf, grad)`` once, as soon as the last node that
+    takes the leaf as an input has been replayed or skipped, and is not kept.
+    A leaf that no gradient reaches never gets there. The sink may update the
+    leaf's array in place (``train.Adam`` does): a backward rule reads that
+    array, or a view of it, only if its node takes the leaf, or something
+    computed from it, as an input, and every such node was recorded after
+    the leaf's first consumer, so it has been replayed by then. A rule that
+    raises mid-replay leaves the leaves already handed over updated.
 
     The graph is spent afterwards: each node is released as soon as it has
     been visited, the rest of the tape when the replay ends, and a second
@@ -875,8 +922,7 @@ def backward(loss: Tensor) -> None:
     if loss.node is None:
         if not loss.requires_grad:
             raise GradientError("backward: loss has no graph; ops record only inside `with step():`")
-        g = np.ones_like(loss.data)
-        loss.grad = g if loss.grad is None else loss.grad + g
+        (sink or _accumulate)(loss, np.ones_like(loss.data))
         return
     if loss.node.backward_fn is None:
         raise GradientError(
@@ -884,19 +930,33 @@ def backward(loss: Tensor) -> None:
             "replayed or its step ended); recompute the loss"
         )
     tape = loss.node.tape
+    # uses left of each requires_grad leaf: its gradient is complete at 0
+    uses: dict[Tensor, int] = {}
+    if sink is not None:
+        for node in tape.nodes:
+            for src in node.inputs:
+                if isinstance(src, Tensor) and src.requires_grad:
+                    uses[src] = uses.get(src, 0) + 1
     # neither TapeNode nor Tensor defines __eq__, so both hash by identity
     pending: dict[TapeNode | Tensor, np.ndarray] = {loss.node: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
+        inputs = node.inputs
         g = pending.pop(node, None)
-        if g is None:
-            continue
-        grads = node.backward_fn(g)
-        for src, ig in zip(node.inputs, grads):
-            if src is None or ig is None or (isinstance(src, Tensor) and not src.requires_grad):
-                continue
-            pending[src] = pending[src] + ig if src in pending else ig
-        node.release()
+        if g is not None:
+            grads = node.backward_fn(g)
+            for src, ig in zip(inputs, grads):
+                if src is None or ig is None or (isinstance(src, Tensor) and not src.requires_grad):
+                    continue
+                pending[src] = pending[src] + ig if src in pending else ig
+            node.release()
+            g = grads = None  # hold no gradient of this node while the sink updates
+        for src in inputs:
+            if src in uses:
+                uses[src] -= 1
+                if not uses[src] and src in pending:
+                    sink(src, pending.pop(src))
     tape.release()
-    # every node of the tape was popped on its visit: only leaves are left
+    # every node of the tape was popped on its visit, and every leaf handed to a sink:
+    # only leaves are left, and only without a sink
     for leaf, g in pending.items():
-        leaf.grad = g if leaf.grad is None else leaf.grad + g
+        _accumulate(leaf, g)

@@ -99,7 +99,15 @@ def fuse_decision(w: ViewWeights, outs: ViewOutputs) -> Tensor:
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list."""
+    """Bias-corrected Adam over a fixed parameter list.
+
+    ``step()`` updates every parameter that has a ``.grad``. ``backward(loss)``
+    instead updates each parameter inside ``tensor.backward``, as soon as its
+    gradient is complete, and keeps no gradient: the parameter update is fused
+    into backward as LOMO fuses it (Lv et al., arXiv:2306.09782), so the
+    gradients are never all resident together. Both run one update body, so
+    they give the same bits; ``step_count`` advances once per step either way.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
@@ -109,31 +117,47 @@ class Adam:
         # them; np.zeros_like would write every page now
         self.m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
         self.v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        # Tensor hashes by identity
+        self._moments = {p: (m, v) for p, m, v in zip(self.params, self.m, self.v)}
+
+    def _advance(self):
+        self.step_count += 1
+        self._bias_corrections = (1.0 - ADAM_BETA1 ** self.step_count,
+                                  1.0 - ADAM_BETA2 ** self.step_count)
+
+    def _update(self, p: Tensor, g: np.ndarray):
+        """Apply this step's update to parameter p, given its gradient g."""
+        m, v = self._moments[p]
+        bc1, bc2 = self._bias_corrections
+        # m += (1 - b1)(g - m); v += (1 - b2)(g * g - v); p -= lr (m / bc1) / (sqrt(v / bc2) + eps):
+        # the operations of that expression form, in its order, through two temporaries
+        t = g - m
+        t *= 1.0 - ADAM_BETA1
+        m += t
+        np.multiply(g, g, out=t)
+        t -= v
+        t *= 1.0 - ADAM_BETA2
+        v += t
+        upd = m / bc1
+        upd *= self.lr
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += ADAM_EPS
+        upd /= t
+        p.data -= upd
 
     def step(self):
-        self.step_count += 1
-        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
-        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                continue
-            # m += (1 - b1)(g - m); v += (1 - b2)(g * g - v); p -= lr (m / bc1) / (sqrt(v / bc2) + eps):
-            # the operations of that expression form, in its order, through two temporaries
-            t = g - m
-            t *= 1.0 - ADAM_BETA1
-            m += t
-            np.multiply(g, g, out=t)
-            t -= v
-            t *= 1.0 - ADAM_BETA2
-            v += t
-            upd = m / bc1
-            upd *= self.lr
-            np.divide(v, bc2, out=t)
-            np.sqrt(t, out=t)
-            t += ADAM_EPS
-            upd /= t
-            p.data -= upd
+        self._advance()
+        for p in self.params:
+            if p.grad is not None:
+                self._update(p, p.grad)
+
+    def backward(self, loss: Tensor):
+        """Backpropagate the loss and take this step, each parameter's update applied
+        inside backward once its gradient is complete (``tensor.backward``'s sink).
+        Every requires_grad leaf of the loss's graph must be one of the parameters."""
+        self._advance()
+        T.backward(loss, sink=self._update)
 
     def zero_grad(self):
         for p in self.params:
@@ -158,7 +182,8 @@ def train_epoch(
 
     Per batch: forward the three views, solve the weights exactly from the
     detached losses, then step the parameters on the weighted sum with the
-    weights as constants. The epoch report re-solves the weights from the
+    weights as constants: Adam updates each parameter inside backward, so no
+    ``.grad`` is written. The epoch report re-solves the weights from the
     epoch-mean losses and stores them on the model for inference.
     """
     if not batches:
@@ -167,7 +192,6 @@ def train_epoch(
     sums = np.zeros(3)
     per_batch_w = []
     for images, masks in batches:
-        optimizer.zero_grad()
         # the step releases its graph on every exit, the non-finite-loss abort included
         with T.step():
             losses = [view_loss(pre, masks) for pre in model(images)]
@@ -179,8 +203,7 @@ def train_epoch(
             per_batch_w.append(w.w)
             # python floats keep the weighted sum in the losses' dtype
             weighted = sum(lk * float(wk) for lk, wk in zip(losses, w.w))
-            T.backward(weighted)
-        optimizer.step()
+            optimizer.backward(weighted)
         sums += vals
     means = sums / len(batches)
     w_epoch = solve_weights(means, lam)

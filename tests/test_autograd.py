@@ -200,6 +200,55 @@ class TestTapeSemantics:
         np.testing.assert_array_equal(x.grad, [5.0])
 
 
+class TestBackwardSink:
+    @staticmethod
+    def graph(a, b, c, d):
+        """loss = sum(v * v) * d with v = a*b + a, plus c * 2, which the loss never reads."""
+        u = a * b
+        _dead_end = c * 2.0
+        v = u + a
+        return (v * v).sum() * d
+
+    @staticmethod
+    def leaves():
+        return [Tensor(v, requires_grad=True) for v in ([1.0, -2.0], [3.0, 0.5], [7.0, 7.0], 1.5)]
+
+    def test_each_reached_leaf_gets_its_summed_gradient_once(self):
+        ref = self.leaves()
+        with T.step():
+            backward(self.graph(*ref))
+        leaves = self.leaves()
+        got = []
+        with T.step():
+            backward(self.graph(*leaves), sink=lambda leaf, g: got.append((leaf, g)))
+        # c's one consumer passes no gradient, so c never reaches the sink
+        assert [leaf for leaf, _ in got] == [leaves[3], leaves[0], leaves[1]]
+        for leaf, g in got:
+            np.testing.assert_array_equal(g, ref[leaves.index(leaf)].grad)
+        assert all(t.grad is None for t in leaves)
+
+    def test_sink_runs_right_after_the_last_consumer_rule(self):
+        order = []
+        with T.step():
+            loss = self.graph(*self.leaves())
+            for node in loss.node.tape.nodes:
+                def spy(g, op=node.op, inner=node.backward_fn):
+                    order.append(op)
+                    return inner(g)
+
+                node.backward_fn = spy
+            backward(loss, sink=lambda leaf, g: order.append("sink"))
+        # d's only consumer is the last node; a and b go once their first consumer, a * b,
+        # has run; the dead-end mul is skipped
+        assert order == ["mul", "sink", "sum", "mul", "add", "mul", "sink", "sink"]
+
+    def test_leaf_loss_goes_to_the_sink(self):
+        x = Tensor(2.0, requires_grad=True)
+        got = []
+        backward(x, sink=lambda leaf, g: got.append((leaf, g)))
+        assert len(got) == 1 and got[0][0] is x and got[0][1] == 1.0 and x.grad is None
+
+
 class TestTapeLifetime:
     """A spent graph frees itself by reference counting (the cyclic GC stays
     off in these tests) and cannot be replayed."""

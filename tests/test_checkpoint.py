@@ -1,6 +1,8 @@
 """Binary snapshot format: bit-exact round trips and corruption detection."""
 
 import hashlib
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +132,14 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
+
+    def test_dims_whose_product_overflows_int64_are_a_truncated_record(self, tmp_path):
+        # 2**31 * 2**31 * 4 items wrap to 0 in int64; the record has no payload at all
+        body = MAGIC + struct.pack("<IIH1sBB3I", 1, 1, 1, b"w", 0, 3, 2**31, 2**31, 4)
+        p = tmp_path / "huge.ckpt"
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match=f"{p}: truncated record"):
+            load_checkpoint(p)
 
 class TestModelState:
     @pytest.mark.parametrize("ablation, count, digest", [

@@ -121,6 +121,23 @@ class TestTrain:
         assert lines[1].startswith("1,")
 
 
+    def test_out_of_memory_is_a_runtime_error_that_keeps_the_log(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def second_epoch_runs_out(*args):  # raises without allocating anything
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate 16.0 TiB for an array")
+            return train_epoch(*args)
+
+        monkeypatch.setattr(cli, "train_epoch", second_epoch_runs_out)
+        cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "run"), epochs=3)
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 16.0 TiB for an array\n"
+        lines = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("1,")
+
 class TestEvalPredict:
     def test_eval_writes_csv_with_summary(self, trained_dir, capsys):
         cfg = write_cfg(trained_dir / "eval.cfg", out_dir=str(trained_dir / "run"))

@@ -319,6 +319,54 @@ class TestConv2d:
         one_image_windows = 16 * 9 * 32 * 32 * 4
         assert peak <= out.data.nbytes + padded + one_image_windows + 64 * 1024
 
+    # each shape's one-image windows exceed the block budget: the forward and the input
+    # gradient run in bands of rows and the kernel gradient in blocks of channels (at
+    # (1, 40, 64, 64) float64 the 16-channel floor sets them)
+    @pytest.mark.parametrize("xshape,cout,ksize,dtype", [
+        ((1, 160, 88, 88), 64, 3, np.float32),
+        ((2, 64, 44, 44), 64, 3, np.float32),
+        ((1, 40, 64, 64), 24, 3, np.float64),
+        ((1, 2, 160, 160), 3, 7, np.float32),
+    ])
+    def test_blocked_windows_equal_whole_window_gemms_bitwise(self, xshape, cout, ksize, dtype):
+        rng = np.random.default_rng(21)
+        b, cin, h, w = xshape
+        x = rng.standard_normal(xshape).astype(dtype)
+        k = rng.standard_normal((cout, cin, ksize, ksize)).astype(dtype)
+        g = rng.standard_normal((b, cout, h, w)).astype(dtype)
+        assert cin * ksize * ksize * h * w * x.itemsize > T.WINDOW_BLOCK_BYTES
+        with T.step():
+            out = T.conv2d(Tensor(x, requires_grad=True), Tensor(k))
+            gx, gk, _ = out.node.backward_fn(g)
+
+        def windows(a):  # every image's windows at once, each a contiguous (C*kh*kw) x (H*W)
+            p = ksize // 2
+            a = np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
+            view = np.lib.stride_tricks.sliding_window_view(a, (ksize, ksize), axis=(2, 3))
+            return view.transpose(0, 1, 4, 5, 2, 3).reshape(b, -1, h * w)
+
+        cols = windows(x)
+        np.testing.assert_array_equal(out.data, np.stack([k.reshape(cout, -1) @ c for c in cols])
+                                      .reshape(out.shape))
+        np.testing.assert_array_equal(gk, sum(gi @ c.T for gi, c in zip(g.reshape(b, cout, -1), cols))
+                                      .reshape(k.shape))
+        k_flip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        np.testing.assert_array_equal(gx, np.stack([k_flip @ c for c in windows(g)]).reshape(xshape))
+
+    def test_blocked_windows_hold_one_block_at_a_time(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((1, 160, 64, 64)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.standard_normal((64, 160, 3, 3)).astype(np.float32))
+        padded = 160 * 66 * 66 * 4  # the input's; the upstream gradient's, 64 * 66 * 66 * 4, is smaller
+        # the whole image's windows are 23.6 MB; the kernel-sized slack holds the flipped kernel
+        bound = padded + T.WINDOW_BLOCK_BYTES + k.data.nbytes + 256 * 1024
+        with T.step():
+            out, peak = helpers.alloc_peak(lambda: T.conv2d(x, k))
+            assert peak <= out.data.nbytes + bound
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            grads, peak = helpers.alloc_peak(lambda: out.node.backward_fn(g))
+        assert peak <= sum(a.nbytes for a in grads if a is not None) + bound
+
     def test_batch4_equals_four_batch1_calls_bitwise(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((4, 5, 9, 7)).astype(np.float32)

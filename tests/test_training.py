@@ -15,6 +15,7 @@ import helpers
 from coopseg import tensor as T
 from coopseg.config import toy_config
 from coopseg.data import synth_dataset
+from coopseg.fusion import ChannelGate
 from coopseg.model import SegmentationModel, ViewOutputs
 from coopseg.tensor import ShapeError, Tensor
 from coopseg.train import (
@@ -365,6 +366,37 @@ class TestTrainEpoch:
             with T.step() as tape:
                 model(batch[0])
                 assert len(tape) == step_nodes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_updates_inside_backward_equal_backward_then_step_bitwise(self, dtype):
+        cfg = tiny_cfg(dtype=np.dtype(dtype).name)
+        images, masks = (Tensor(t.data.astype(dtype)) for t in tiny_batch(cfg))
+        # a ChannelGate's fc1 and fc2 are shared: the avg- and the max-pooled descriptor
+        # each take them through a matmul node of their own
+        probe = SegmentationModel(cfg).eval()
+        gate = next(m for _, m in probe.modules() if isinstance(m, ChannelGate))
+        with T.step() as tape:
+            probe(images)
+            assert sum(src is gate.fc1.weight for n in tape.nodes for src in n.inputs) == 2
+
+        fused, ref = SegmentationModel(cfg), SegmentationModel(cfg)
+        fused_opt, ref_opt = Adam(fused.parameters(), lr=cfg.lr), Adam(ref.parameters(), lr=cfg.lr)
+        train_epoch(fused, fused_opt, [(images, masks)] * 2, lam=1.0)
+        for _ in range(2):
+            with T.step():
+                losses = [view_loss(pre, masks) for pre in ref(images)]
+                w = solve_weights([float(lk.item()) for lk in losses], 1.0)
+                T.backward(sum(lk * float(wk) for lk, wk in zip(losses, w.w)))
+            ref_opt.step()
+            ref_opt.zero_grad()
+        assert fused_opt.step_count == ref_opt.step_count == 2
+        assert all(p.grad is None for p in fused.parameters())
+        fused_arrays = [p.data for p in fused.parameters()] + fused_opt.m + fused_opt.v
+        ref_arrays = [p.data for p in ref.parameters()] + ref_opt.m + ref_opt.v
+        assert len(fused_arrays) == len(ref_arrays)
+        for got, want in zip(fused_arrays, ref_arrays):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_empty_batches_rejected(self):
         cfg = tiny_cfg()
