@@ -397,11 +397,15 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
 
 
-def _blocks(count: int, item_elems: int, dtype, least: int = 1):
+def _blocks(count: int, item_elems: int, dtype, taps: int, least: int = 1):
     """Bounds that cut ``count`` items of ``item_elems`` window elements each into as few
     even blocks as keep a block within ``WINDOW_BLOCK_BYTES``, but none under ``least``
     items (one block when all fit), and one buffer for the largest block: every block's
-    windows are copied into it, so a conv makes one window allocation, not one per block."""
+    windows are copied into it, so a conv makes one window allocation, not one per block.
+    A kernel of one tap copies nothing (its windows are the input itself), so its items
+    stay one block, with no buffer."""
+    if taps == 1:
+        return [0, count], None
     per = max(1, WINDOW_BLOCK_BYTES // (item_elems * np.dtype(dtype).itemsize))
     n = max(1, min(-(-count // per), count // least))
     return [count * i // n for i in range(n + 1)], np.empty(-(-count // n) * item_elems, dtype)
@@ -423,12 +427,12 @@ def _correlate(k2: np.ndarray, x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """``k2 @ cols_n`` for the ``_im2col`` windows of each image n of x, in ``_blocks`` of
     output rows, each band's GEMM written straight into its columns of image n of one
     B x rows x (H*W) output. A band splits only the GEMM's output columns, so each element
-    sums the same products in the same order as one GEMM over the image's windows."""
+    sums the same products as one GEMM over the image's windows; whether BLAS also keeps
+    their order, and so the bits, depends on the shape (README, "Convolution")."""
     b, _, h, w = x.shape
     out = np.empty((b, k2.shape[0], h * w), np.result_type(k2, x))
     win = _im2col(x, kh, kw)
-    # a 1x1 kernel's windows are the input itself: nothing is copied, so nothing is split
-    rows, buf = _blocks(h, k2.shape[1] * w, x.dtype) if kh * kw > 1 else ([0, h], None)
+    rows, buf = _blocks(h, k2.shape[1] * w, x.dtype, kh * kw)
     for out_n, win_n in zip(out, win):
         for r0, r1 in zip(rows, rows[1:]):
             np.matmul(k2, _gather(win_n[..., r0:r1, :], buf), out=out_n[:, r0 * w : r1 * w])
@@ -467,8 +471,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     def bw(g):
         g3, win = g.reshape(b, cout, h * w), _im2col(xd, kh, kw)
         gw = np.empty((cout, cin * kh * kw), np.result_type(g, xd))
-        chans, buf = (_blocks(cin, kh * kw * h * w, xd.dtype, least=16) if kh * kw > 1
-                      else ([0, cin], None))
+        chans, buf = _blocks(cin, kh * kw * h * w, xd.dtype, kh * kw, least=16)
         for c0, c1 in zip(chans, chans[1:]):
             # each image's product is made before the next image's windows overwrite buf
             gw[:, c0 * kh * kw : c1 * kh * kw] = sum(
@@ -893,8 +896,9 @@ def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
     leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
-def backward(loss: Tensor, sink=None) -> None:
-    """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad leaf.
+def backward(loss: Tensor, sink=_accumulate) -> None:
+    """Hand d(loss)/d(leaf) of every requires_grad leaf to ``sink(leaf, grad)``,
+    which by default adds it into the leaf's ``.grad``.
 
     The loss must be a scalar produced by taped ops inside a ``step()``, or a
     ``requires_grad`` leaf. Nodes are visited in exact reverse execution
@@ -902,15 +906,15 @@ def backward(loss: Tensor, sink=None) -> None:
     Pending gradients are keyed by the node that produced the array, or by
     the leaf tensor, so the replay needs no output or input tensor alive.
 
-    With a ``sink``, no leaf's ``.grad`` is touched: each leaf's complete
-    gradient goes to ``sink(leaf, grad)`` once, as soon as the last node that
-    takes the leaf as an input has been replayed or skipped, and is not kept.
-    A leaf that no gradient reaches never gets there. The sink may update the
-    leaf's array in place (``train.Adam`` does): a backward rule reads that
-    array, or a view of it, only if its node takes the leaf, or something
-    computed from it, as an input, and every such node was recorded after
-    the leaf's first consumer, so it has been replayed by then. A rule that
-    raises mid-replay leaves the leaves already handed over updated.
+    Each leaf's complete gradient, summed over its uses, goes to the sink
+    once, as soon as the last node that takes the leaf as an input has been
+    replayed or skipped, and is not kept. A leaf that no gradient reaches
+    never gets there. The sink may update the leaf's array in place
+    (``train.Adam`` does): a backward rule reads that array, or a view of
+    it, only if its node takes the leaf, or something computed from it, as
+    an input, and every such node was recorded after the leaf's first
+    consumer, so it has been replayed by then. A rule that raises mid-replay
+    leaves the leaves already handed over updated.
 
     The graph is spent afterwards: each node is released as soon as it has
     been visited, the rest of the tape when the replay ends, and a second
@@ -922,7 +926,7 @@ def backward(loss: Tensor, sink=None) -> None:
     if loss.node is None:
         if not loss.requires_grad:
             raise GradientError("backward: loss has no graph; ops record only inside `with step():`")
-        (sink or _accumulate)(loss, np.ones_like(loss.data))
+        sink(loss, np.ones_like(loss.data))
         return
     if loss.node.backward_fn is None:
         raise GradientError(
@@ -932,11 +936,10 @@ def backward(loss: Tensor, sink=None) -> None:
     tape = loss.node.tape
     # uses left of each requires_grad leaf: its gradient is complete at 0
     uses: dict[Tensor, int] = {}
-    if sink is not None:
-        for node in tape.nodes:
-            for src in node.inputs:
-                if isinstance(src, Tensor) and src.requires_grad:
-                    uses[src] = uses.get(src, 0) + 1
+    for node in tape.nodes:
+        for src in node.inputs:
+            if isinstance(src, Tensor) and src.requires_grad:
+                uses[src] = uses.get(src, 0) + 1
     # neither TapeNode nor Tensor defines __eq__, so both hash by identity
     pending: dict[TapeNode | Tensor, np.ndarray] = {loss.node: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
@@ -956,7 +959,3 @@ def backward(loss: Tensor, sink=None) -> None:
                 if not uses[src] and src in pending:
                     sink(src, pending.pop(src))
     tape.release()
-    # every node of the tape was popped on its visit, and every leaf handed to a sink:
-    # only leaves are left, and only without a sink
-    for leaf, g in pending.items():
-        _accumulate(leaf, g)
