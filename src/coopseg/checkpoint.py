@@ -90,8 +90,13 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", blob, take(2))
-        (name,) = struct.unpack_from(f"<{name_len}s", blob, take(name_len))
-        name = name.decode("utf-8")
+        start = take(name_len)
+        try:
+            name = blob[start : start + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name at byte {start} is not utf-8") from None
+        if name in state:  # a dict cannot save one name twice; never let the last record win
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
         code, rank = struct.unpack_from("<BB", blob, take(2))
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype code {code}")

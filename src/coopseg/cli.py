@@ -117,7 +117,6 @@ def cmd_train(args) -> int:
     with open(log_path, "w", newline="\n") as log:
         log.write(_csv_line(["epoch", "loss_1", "loss_2", "loss_3", "w_1", "w_2", "w_3",
                              "objective"]))
-    best_obj, stale = float("inf"), 0
     for epoch in range(1, cfg.epochs + 1):
         report = train_epoch(model, optimizer, batches, cfg.lam)
         save_checkpoint(out_dir / f"epoch_{epoch:04d}.ckpt", dict(model.named_state()))
@@ -130,22 +129,12 @@ def cmd_train(args) -> int:
             + " ".join(f"{v:.4f}" for v in report.losses)
             + f" obj {report.objective:.4f}"
         )
-        if cfg.early_stop_patience > 0:
-            if report.objective < best_obj - 1e-6:
-                best_obj, stale = report.objective, 0
-            else:
-                stale += 1
-                if stale >= cfg.early_stop_patience:
-                    print(f"objective plateaued for {stale} epochs, stopping early")
-                    break
     save_checkpoint(out_dir / FINAL_CKPT, dict(model.named_state()))
     return 0
 
 
 def _decide(cfg: RunConfig, model: SegmentationModel, outs: ViewOutputs) -> Tensor:
-    if cfg.eval_view == "fused":
-        return fuse_decision(ViewWeights(model.view_weights, cfg.lam), outs)
-    return getattr(outs, cfg.eval_view)
+    return fuse_decision(ViewWeights(model.view_weights, cfg.lam), outs)
 
 
 def _decisions(cfg: RunConfig, checkpoint):

@@ -48,22 +48,19 @@ class RunConfig:
     epochs: int = 200
     batch_size: int = 4
     seed: int = 0
-    early_stop_patience: int = 0  # 0 disables the plateau stop
     # data / io
     data_dir: str = ""
     out_dir: str = "runs"
     synth_samples: int = 8
     dtype: str = "float32"
-    eval_view: str = "fused"  # fused | transformer | cnn | fusion
 
     def validate(self) -> "RunConfig":
         # sizes and counts first: the divisibility rules below divide by them
         for name in _POSITIVE_INTS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("seed", "early_stop_patience"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0 < self.lam < math.inf:
@@ -74,8 +71,6 @@ class RunConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if self.eval_view not in ("fused", "transformer", "cnn", "fusion"):
-            raise ConfigError(f"unknown eval_view {self.eval_view!r}")
         return self
 
 

@@ -141,6 +141,22 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match=f"{p}: truncated record"):
             load_checkpoint(p)
 
+    def test_name_that_is_not_utf8_is_a_checkpoint_error(self, tmp_path):
+        body = MAGIC + struct.pack("<IIH1sBBIf", 1, 1, 1, b"\xff", 0, 1, 1, 0.5)
+        p = tmp_path / "name.ckpt"
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match=f"{p}: tensor name at byte 14 is not utf-8"):
+            load_checkpoint(p)
+
+    def test_name_saved_twice_is_a_checkpoint_error(self, tmp_path):
+        records = [struct.pack("<H1sBBIf", 1, b"w", 0, 1, 1, value) for value in (0.5, 1.5)]
+        body = MAGIC + struct.pack("<II", 1, 2) + b"".join(records)
+        p = tmp_path / "twice.ckpt"
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match=f"{p}: tensor 'w' appears twice"):
+            load_checkpoint(p)
+
+
 class TestModelState:
     @pytest.mark.parametrize("ablation, count, digest", [
         ({}, 147, "3d3b434d482613573b47a9f820bf21e74434a2701f607d2ad53b056e58c5bf0b"),

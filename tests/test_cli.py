@@ -91,18 +91,6 @@ class TestTrain:
         b = (tmp_path / "run_b" / "model_final.ckpt").read_bytes()
         assert a != b
 
-    def test_early_stop_plateau(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path / "p.cfg",
-            out_dir=str(tmp_path / "run"),
-            epochs=30,
-            lr="1e-12",  # nothing moves, objective plateaus immediately
-            early_stop_patience=2,
-        )
-        assert main(["train", "--config", cfg]) == 0
-        lines = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
-        assert len(lines) - 1 < 30
-
     def test_crash_keeps_the_finished_epochs_in_the_log(self, tmp_path, monkeypatch):
         calls = []
 
@@ -153,14 +141,6 @@ class TestEvalPredict:
             assert 0.0 <= float(m) <= 1.0
         assert "mDice" in capsys.readouterr().out
 
-    def test_eval_single_view_config(self, trained_dir):
-        cfg = write_cfg(
-            trained_dir / "eval_cnn.cfg",
-            out_dir=str(trained_dir / "run"),
-            eval_view="cnn",
-        )
-        assert main(["eval", "--config", cfg, "--seed", "3"]) == 0
-
     def test_predict_writes_masks(self, trained_dir):
         cfg = write_cfg(trained_dir / "pred.cfg", out_dir=str(trained_dir / "run"))
         assert main(["predict", "--config", cfg, "--seed", "3"]) == 0
@@ -180,6 +160,16 @@ class TestEvalPredict:
         assert len(lines) == 4
         assert main(["predict", "--out-dir", run]) == 0
         assert (trained_dir / "run" / "predictions" / "synth_0001.pgm").is_file()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_old_run_echo_with_a_removed_key_is_config_error(self, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        run.mkdir()
+        write_cfg(run / "config_used.cfg", out_dir=str(run), eval_view="cnn")
+        assert main([command, "--out-dir", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key 'eval_view'")
+        assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg"]
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "nope"))
@@ -253,10 +243,13 @@ class TestExitCodes:
         p.write_text("image_size = 50\n")
         assert main(["train", "--config", str(p)]) == 2
 
-    @pytest.mark.parametrize("key, value", [("patch_size", 8), ("mlp_ratio", 4.0)])
-    def test_removed_geometry_key_is_unknown_key_error(self, tmp_path, capsys, key, value):
-        """The patch size (16) and MLP ratio (4) are fixed: a config that still sets one
-        is an unknown-key error that stops before any work."""
+    @pytest.mark.parametrize("key, value", [
+        ("patch_size", 8), ("mlp_ratio", 4.0), ("early_stop_patience", 2), ("eval_view", "cnn"),
+    ])
+    def test_removed_key_is_unknown_key_error(self, tmp_path, capsys, key, value):
+        """The patch size (16) and MLP ratio (4) are fixed, train runs all its epochs and
+        eval/predict score the fused decision: a config that still sets one of the removed
+        keys is an unknown-key error that stops before any work."""
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "run"), **{key: value})
         assert main(["train", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error: unknown config key")
@@ -266,7 +259,7 @@ class TestExitCodes:
         ("heads", 0), ("d_model", 0), ("--image-size", 0),
         ("stage_units", 0), ("stem_channels", 0), ("depth", -1), ("c4", 0), ("c8", 0),
         ("c16", -8), ("synth_samples", 0), ("--seed", -1), ("lr", -1), ("lr", 0),
-        ("lr", "nan"), ("lr", "inf"), ("--lambda", "inf"), ("early_stop_patience", -1),
+        ("lr", "nan"), ("lr", "inf"), ("--lambda", "inf"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, key, value):
         """Each value would otherwise divide by zero, build an empty layer or train with a

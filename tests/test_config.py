@@ -31,7 +31,6 @@ class TestValidation:
             dict(d_model=100, heads=6),
             dict(batch_size=0),
             dict(dtype="float16"),
-            dict(eval_view="mean"),
         ],
     )
     def test_rejects(self, bad):
@@ -128,3 +127,12 @@ class TestRoundTrip:
         lines = config_lines(toy_config(lam=0.7))
         assert any(line.startswith("lambda = ") for line in lines)
         assert not any(line.startswith("lam ") for line in lines)
+
+    def test_echo_renders_exactly_the_config_keys_in_order(self):
+        # eval and predict read config_used.cfg back: its keys are an on-disk interface
+        keys = [line.split(" = ", 1)[0] for line in config_lines(RunConfig())]
+        assert keys == [
+            "image_size", "depth", "d_model", "heads", "stem_channels", "stage_units",
+            "c4", "c8", "c16", "glff_on", "dfm_on", "lr", "lambda", "epochs", "batch_size",
+            "seed", "data_dir", "out_dir", "synth_samples", "dtype",
+        ]
