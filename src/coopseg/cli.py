@@ -25,14 +25,11 @@ CONFIG_ECHO = "config_used.cfg"
 
 
 def _add_run_flags(p: argparse.ArgumentParser, config_help: str = "flat key = value config file"):
-    """The flags train, eval and predict share; train adds --epochs and --lambda."""
+    """The flags train, eval and predict share. Training fixes the model's shape, so only
+    train adds --image-size, --no-glff, --no-dfm, --epochs and --lambda; eval and predict
+    read the shape from the run's config."""
     p.add_argument("--config", help=config_help)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--image-size", dest="image_size", type=int, default=None)
-    p.add_argument("--no-glff", action="store_true",
-                   help="replace per-scale fusion with a plain 1x1 mix (ablation)")
-    p.add_argument("--no-dfm", action="store_true",
-                   help="replace the dense decoder with a plain head (ablation)")
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.add_argument("--data-dir", dest="data_dir", default=None)
 
@@ -45,6 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("train", help="train a model and write per-epoch checkpoints plus a log CSV")
     _add_run_flags(p)
+    p.add_argument("--image-size", dest="image_size", type=int, default=None)
+    p.add_argument("--no-glff", dest="glff_on", action="store_const", const=False,
+                   help="replace per-scale fusion with a plain 1x1 mix (ablation)")
+    p.add_argument("--no-dfm", dest="dfm_on", action="store_const", const=False,
+                   help="replace the dense decoder with a plain head (ablation)")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="entropy temperature of the view-weight solver")
@@ -68,15 +70,9 @@ def _config_from_args(args, reuse_run_config: bool = False) -> RunConfig:
         if echo.is_file():
             config_path = echo
     file_values = parse_config_file(config_path) if config_path else {}
-    # eval and predict take no --epochs or --lambda
-    overrides = {
-        name: getattr(args, name, None)
-        for name in ("seed", "epochs", "lam", "image_size", "out_dir", "data_dir")
-    }
-    if args.no_glff:
-        overrides["glff_on"] = False
-    if args.no_dfm:
-        overrides["dfm_on"] = False
+    # eval and predict lack the train-only flags, which read as None here
+    names = ("seed", "epochs", "lam", "image_size", "glff_on", "dfm_on", "out_dir", "data_dir")
+    overrides = {name: getattr(args, name, None) for name in names}
     return build_config(file_values, **overrides)  # it skips None overrides
 
 
@@ -155,8 +151,8 @@ def cmd_eval(args) -> int:
     ids, preds, gts = [], [], []
     for batch_ids, masks, maps in _decisions(cfg, args.checkpoint):
         ids += batch_ids
-        preds.extend(np.asarray(maps, dtype=np.float64))
-        gts.extend(masks.astype(np.float64))
+        preds.extend(maps)
+        gts.extend(masks)
     report = evaluate_pairs(ids, preds, gts)
     rows = [[i, d, j, m] for i, d, j, m in zip(report.ids, report.dice, report.iou, report.mae)]
     rows.append(["mean", report.mean_dice, report.mean_iou, report.mean_mae])

@@ -103,9 +103,9 @@ class DenseFusionDecoder(Module):
     upsamplings produces the full-resolution probability map.
     """
 
-    def __init__(self, rng: np.random.Generator, channels: tuple[int, int, int] = FUSED_CHANNELS):
+    def __init__(self, rng: np.random.Generator):
         super().__init__()
-        c16, c8, c4 = channels
+        c16, c8, c4 = FUSED_CHANNELS
         self.unit16 = ConvUnit(c16, c8, rng)
         self.adapt8 = Conv2d(c8, c8, 1, rng)
         self.refuse8 = ConvUnit(2 * c8, c8, rng)

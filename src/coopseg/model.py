@@ -27,9 +27,6 @@ class ViewOutputs(NamedTuple):
     fusion: Tensor
 
 
-VIEW_NAMES = ("transformer", "cnn", "fusion")
-
-
 class SegmentationModel(Module):
     def __init__(self, cfg: RunConfig):
         super().__init__()

@@ -234,9 +234,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _needs_grad(*tensors: Optional[Tensor]) -> bool:
-    return _state.tape is not None and any(
-        t is not None and (t.requires_grad or t.node is not None) for t in tensors
-    )
+    return _state.tape is not None and any(t is not None and t.requires_grad for t in tensors)
 
 
 def _from_op(op: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], backward_fn) -> Tensor:
@@ -447,8 +445,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     in ``_blocks`` of at least 16 input channels (narrower GEMMs take another BLAS path and
     change bits): each block's ``sum(g_n @ cols_n^T)`` over the images, in image order, fills
     its columns of the gradient. Its input gradient correlates the upstream gradient, padded
-    the same way, with the flipped, channel-swapped kernel; it is None when the input neither
-    required grad nor had a tape node when the op ran."""
+    the same way, with the flipped, channel-swapped kernel; it is None when the input did not
+    require grad."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -463,7 +461,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d: bias must have shape ({cout},), got {bias.shape}")
     xd, kd, has_bias = x.data, kernel.data, bias is not None
-    x_needs_grad = x.requires_grad or x.node is not None
+    x_needs_grad = x.requires_grad
     out = _correlate(kd.reshape(cout, -1), xd, kh, kw)
     if has_bias:
         out += bias.data[:, None]

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .model import VIEW_NAMES, SegmentationModel, ViewOutputs
+from .model import SegmentationModel, ViewOutputs
 from .tensor import ShapeError, Tensor
 
 CLIP_LO = 1e-7
@@ -195,7 +195,7 @@ def train_epoch(
         # the step releases its graph on every exit, the non-finite-loss abort included
         with T.step():
             losses = [view_loss(pre, masks) for pre in model(images)]
-            for name, lk in zip(VIEW_NAMES, losses):
+            for name, lk in zip(ViewOutputs._fields, losses):
                 if not np.isfinite(lk.data).all():
                     raise RuntimeError(f"non-finite loss in view {name!r}; aborting")
             vals = [float(lk.item()) for lk in losses]

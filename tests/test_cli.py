@@ -176,9 +176,9 @@ class TestEvalPredict:
         assert main(["eval", "--config", cfg]) == 1
 
     def test_state_mismatch_is_one_line_error(self, trained_dir, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "out"))
+        cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "out"), dfm_on="false")
         ckpt = str(trained_dir / "run" / "model_final.ckpt")
-        assert main(["eval", "--config", cfg, "--no-dfm", "--checkpoint", ckpt]) == 1
+        assert main(["eval", "--config", cfg, "--checkpoint", ckpt]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: state mismatch: missing [")
@@ -222,8 +222,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["gradcheck", "--seed", "3"], ["gradcheck", "--config", "c.cfg"],
         ["eval", "--epochs", "2"], ["eval", "--lambda", "0.5"], ["predict", "--epochs", "2"],
+        ["eval", "--image-size", "32"], ["eval", "--no-glff"], ["eval", "--no-dfm"],
+        ["predict", "--image-size", "32"], ["predict", "--no-glff"], ["predict", "--no-dfm"],
     ])
     def test_flag_the_command_does_not_read_is_usage_error(self, argv):
+        """The run's config fixes the model's shape: eval and predict take no geometry flag."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -141,23 +141,22 @@ class TestDenseFusionDecoder:
         assert (out.data > 0).all() and (out.data < 1).all()
 
     def test_zero_features_give_half(self):
-        dec = DenseFusionDecoder(rng_of(21), channels=(8, 6, 4))
-        z16 = Tensor(np.zeros((1, 8, 4, 4)))
-        z8 = Tensor(np.zeros((1, 6, 8, 8)))
-        z4 = Tensor(np.zeros((1, 4, 16, 16)))
+        dec = DenseFusionDecoder(rng_of(21))
+        z16, z8, z4 = (Tensor(np.zeros_like(f.data)) for f in toy_maps(21))
         for mode in ("train", "eval"):
             getattr(dec, mode)()
             out = dec(z16, z8, z4).data
             np.testing.assert_array_equal(out, np.full((1, 1, 64, 64), 0.5))
 
     def test_stage_named_shape_errors(self):
-        dec = DenseFusionDecoder(rng_of(22), channels=(8, 6, 4))
+        dec = DenseFusionDecoder(rng_of(22))
         dec.train()
-        f16 = Tensor(np.zeros((1, 8, 4, 4)))
-        good8 = Tensor(np.zeros((1, 6, 8, 8)))
-        bad8 = Tensor(np.zeros((1, 6, 4, 4)))
-        bad4 = Tensor(np.zeros((1, 4, 8, 8)))
-        good4 = Tensor(np.zeros((1, 4, 16, 16)))
+        c16, c8, c4 = FUSED_CHANNELS
+        f16 = Tensor(np.zeros((1, c16, 4, 4)))
+        good8 = Tensor(np.zeros((1, c8, 8, 8)))
+        bad8 = Tensor(np.zeros((1, c8, 4, 4)))
+        bad4 = Tensor(np.zeros((1, c4, 8, 8)))
+        good4 = Tensor(np.zeros((1, c4, 16, 16)))
         with pytest.raises(ShapeError, match="sum8"):
             dec(f16, bad8, good4)
         with pytest.raises(ShapeError, match="sum4"):
@@ -178,10 +177,11 @@ class TestDenseFusionDecoder:
 class TestFusionGradient:
     def test_glff_dfm_chain_finite_differences(self):
         rng = rng_of(25)
-        glff16 = GlffBlock(6, 5, 8, rng)
-        glff8 = GlffBlock(4, 4, 6, rng)
-        glff4 = GlffBlock(3, 3, 4, rng)
-        dec = DenseFusionDecoder(rng, channels=(8, 6, 4))
+        c16, c8, c4 = FUSED_CHANNELS
+        glff16 = GlffBlock(6, 5, c16, rng)
+        glff8 = GlffBlock(4, 4, c8, rng)
+        glff4 = GlffBlock(3, 3, c4, rng)
+        dec = DenseFusionDecoder(rng)
         mods = [glff16, glff8, glff4, dec]
         for m in mods:
             m.train()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coopseg.config import ConfigError, RunConfig, toy_config
-from coopseg.model import VIEW_NAMES, SegmentationModel
+from coopseg.model import SegmentationModel, ViewOutputs
 from coopseg.tensor import Tensor
 from coopseg.train import view_loss
 
@@ -38,7 +38,7 @@ class TestForwardContract:
             assert view.data.min() >= 0.0 and view.data.max() <= 1.0
 
     def test_view_names_match_tuple_order(self):
-        assert VIEW_NAMES == ("transformer", "cnn", "fusion")
+        assert ViewOutputs._fields == ("transformer", "cnn", "fusion")
         cfg = tiny_cfg()
         outs = SegmentationModel(cfg).eval()(tiny_batch(cfg))
         assert tuple(outs) == (outs.transformer, outs.cnn, outs.fusion)
