@@ -55,7 +55,8 @@ def save_checkpoint(path: str | Path, state: dict[str, np.ndarray]):
                     raise CheckpointError(f"tensor {name!r}: rank {arr.ndim} too large")
                 write(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded,
                                   code, arr.ndim, *arr.shape))
-                write(memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])).cast("B"))
+                # flat: memoryview cannot cast a view with a 0 in its shape
+                write(memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).reshape(-1)).cast("B"))
             fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:

@@ -134,12 +134,15 @@ def _decide(cfg: RunConfig, model: SegmentationModel, outs: ViewOutputs) -> Tens
 
 
 def _decisions(cfg: RunConfig, checkpoint):
-    """The inference loop of eval and predict: load the samples and the
-    checkpoint, then yield each batch's sample ids, masks and decided maps."""
+    """The inference loop of eval and predict: read the checkpoint first, so a
+    missing or corrupt file fails before any other work, then load the samples
+    and the model, and yield each batch's sample ids, masks and decided maps."""
+    path = Path(checkpoint) if checkpoint else Path(cfg.out_dir) / FINAL_CKPT
+    state = load_checkpoint(path)
     samples = _get_samples(cfg)
     model = SegmentationModel(cfg).eval()
-    path = Path(checkpoint) if checkpoint else Path(cfg.out_dir) / FINAL_CKPT
-    model.load_state(load_checkpoint(path))
+    model.load_state(state)
+    del state  # the file's buffer would otherwise stay alive through every forward
     size = cfg.batch_size
     for i, (images, masks) in enumerate(_batches(samples, size, np.dtype(cfg.dtype))):
         ids = [s.id for s in samples[i * size : (i + 1) * size]]
@@ -167,9 +170,9 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _config_from_args(args, reuse_run_config=True)
     pred_dir = Path(cfg.out_dir) / "predictions"
-    pred_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     for batch_ids, _, maps in _decisions(cfg, args.checkpoint):
+        pred_dir.mkdir(parents=True, exist_ok=True)
         for sample_id, prob in zip(batch_ids, maps):
             write_gray(pred_dir / f"{sample_id}.pgm", np.rint(255.0 * prob[0]).astype(np.uint8))
         written += len(batch_ids)

@@ -74,9 +74,9 @@ class RunConfig:
         return self
 
 
-# the 'lambda' keyword cannot be a field name; map it explicitly
-_KEY_TO_FIELD = {"lambda": "lam"}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+# config file key -> RunConfig field, in field order; the keyword 'lambda' cannot be a
+# field name, so it is the one key that differs from its field's name
+_KEY_FIELDS = {("lambda" if f.name == "lam" else f.name): f for f in dataclasses.fields(RunConfig)}
 
 
 def toy_config(**overrides) -> RunConfig:
@@ -91,9 +91,14 @@ def toy_config(**overrides) -> RunConfig:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read flat `key = value` lines; '#' starts a comment anywhere."""
+    """Read flat `key = value` lines of UTF-8 text; '#' starts a comment anywhere, and
+    a key may appear once."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -102,6 +107,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on an earlier line")
         values[key] = value
     return values
 
@@ -130,17 +137,17 @@ def _coerce(field: dataclasses.Field, key: str, text: str):
 
 def build_config(file_values: dict[str, str] | None = None, **overrides) -> RunConfig:
     """Merge file values then keyword overrides onto the defaults."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     merged: dict = {}
     for key, text in (file_values or {}).items():
-        name = _KEY_TO_FIELD.get(key, key)
-        if name not in fields:
+        field = _KEY_FIELDS.get(key)
+        if field is None:
             raise ConfigError(f"unknown config key {key!r}")
-        merged[name] = _coerce(fields[name], key, text)
+        merged[field.name] = _coerce(field, key, text)
+    names = {f.name for f in _KEY_FIELDS.values()}
     for name, value in overrides.items():
         if value is None:
             continue
-        if name not in fields:
+        if name not in names:
             raise ConfigError(f"unknown config override {name!r}")
         merged[name] = value
     return RunConfig(**merged).validate()
@@ -148,8 +155,4 @@ def build_config(file_values: dict[str, str] | None = None, **overrides) -> RunC
 
 def config_lines(cfg: RunConfig) -> list[str]:
     """Render a config back to parseable `key = value` lines."""
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        key = _FIELD_TO_KEY.get(f.name, f.name)
-        lines.append(f"{key} = {getattr(cfg, f.name)}")
-    return lines
+    return [f"{key} = {getattr(cfg, f.name)}" for key, f in _KEY_FIELDS.items()]

@@ -4,6 +4,9 @@ Tensors wrap numpy arrays. Inside a ``step()`` block every differentiable
 operation records a node on the step's gradient tape; ``backward`` replays the
 tape in exact reverse execution order and accumulates gradients into
 ``requires_grad`` leaves. Outside a step nothing is recorded.
+Ops take Tensors: every tensor argument of an op is a ``Tensor``. The one
+exception is the other operand of ``+ - * /`` (``add``, ``sub``, ``mul``,
+``div``), which may also be a Python number or an ndarray; it gets no gradient.
 The op set is intentionally small: just what a two-branch segmentation
 network with a fusion decoder needs. Everything runs on CPU; float64 is the
 test/verification precision and float32 the training precision.
@@ -229,17 +232,9 @@ class Tensor:
         backward(self)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _needs_grad(*tensors: Optional[Tensor]) -> bool:
-    return _state.tape is not None and any(t is not None and t.requires_grad for t in tensors)
-
-
 def _from_op(op: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _needs_grad(*inputs):
+    if _state.tape is not None and any(t is not None and t.requires_grad for t in inputs):
         parents = []
         for t in inputs:
             node = t.node if t is not None else None
@@ -326,7 +321,6 @@ def neg(a: Tensor) -> Tensor:
 
 def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
     """Pointwise add/mul with strictly identical shapes (no broadcasting)."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"elementwise '{op}': shapes {a.shape} and {b.shape} differ")
     if op == "add":
@@ -349,18 +343,15 @@ def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
     return ga, _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
 
 
-def matmul(a, b, bias: Optional[Tensor] = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading axes, plus an optional
     bias of shape (b.shape[-1],) added to every output row."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (b.shape[-1],):
-            raise ShapeError(f"matmul: bias must have shape ({b.shape[-1]},), got {bias.shape}")
+    if bias is not None and bias.shape != (b.shape[-1],):
+        raise ShapeError(f"matmul: bias must have shape ({b.shape[-1]},), got {bias.shape}")
     da, db = a.data, b.data
     bias_shape = bias.shape if bias is not None else None
     out = np.matmul(da, db)
@@ -447,7 +438,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     its columns of the gradient. Its input gradient correlates the upstream gradient, padded
     the same way, with the flipped, channel-swapped kernel; it is None when the input did not
     require grad."""
-    x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
     b, cin, h, w = x.shape
@@ -456,12 +446,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"conv2d: input has {cin} channels but kernel expects {kc}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv2d: bias must have shape ({cout},), got {bias.shape}")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv2d: bias must have shape ({cout},), got {bias.shape}")
     xd, kd, has_bias = x.data, kernel.data, bias is not None
-    x_needs_grad = x.requires_grad
+    x_requires_grad = x.requires_grad
     out = _correlate(kd.reshape(cout, -1), xd, kh, kw)
     if has_bias:
         out += bias.data[:, None]
@@ -477,7 +465,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         del win, buf  # the padded input, its window view and the window copies
         gw = gw.reshape(kd.shape)
         gb = g.sum(axis=(0, 2, 3)) if has_bias else None
-        if not x_needs_grad:
+        if not x_requires_grad:
             return None, gw, gb
         w_flip = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
         return _correlate(w_flip, g, kh, kw).reshape(b, cin, h, w), gw, gb
@@ -491,23 +479,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
     old = a.shape
     out = a.data.reshape(shape)
     return _from_op("reshape", out, (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return _from_op("transpose", np.ascontiguousarray(a.data.transpose(axes)), (a,), lambda g: (g.transpose(inv),))
 
 
 def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
-    xs = [as_tensor(x) for x in xs]
-    if not xs:
-        raise ShapeError("concat: need at least one tensor")
     out = np.concatenate([x.data for x in xs], axis=axis)
     sizes = [x.shape[axis] for x in xs]
     splits = np.cumsum(sizes)[:-1].tolist()
@@ -520,7 +502,6 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:
     """Channel-axis concatenation of B x Ci x H x W maps, in argument order."""
-    xs = [as_tensor(x) for x in xs]
     for x in xs:
         if x.ndim != 4:
             raise ShapeError(f"concat_channels: expected 4-d maps, got shape {x.shape}")
@@ -538,7 +519,6 @@ def _sum2x2(a: np.ndarray) -> np.ndarray:
 
 def upsample2x_nearest(x: Tensor) -> Tensor:
     """Replicate each pixel of a B x C x H x W map into a 2x2 block."""
-    x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"upsample2x_nearest: expected 4-d map, got shape {x.shape}")
     out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
@@ -551,7 +531,6 @@ def upsample2x_nearest(x: Tensor) -> Tensor:
 
 def avgpool2x(x: Tensor) -> Tensor:
     """Average non-overlapping 2x2 blocks; exact inverse of upsample2x_nearest."""
-    x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"avgpool2x: expected 4-d map, got shape {x.shape}")
     h, w = x.shape[2:]
@@ -580,7 +559,6 @@ def _norm_axes(axis, ndim):
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
     axes, shape = _norm_axes(axis, a.ndim), a.shape
     out = a.data.sum(axis=axes, keepdims=keepdims)
 
@@ -593,7 +571,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
     axes, shape = _norm_axes(axis, a.ndim), a.shape
     count = math.prod(shape[ax] for ax in axes)
     out = a.data.mean(axis=axes, keepdims=keepdims)
@@ -609,7 +586,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def amax(a: Tensor, axis, keepdims: bool = False) -> Tensor:
     """Maximum over axes; ties share the gradient equally. Backward also takes
     any upstream gradient that broadcasts to the output, such as a 0-d one."""
-    a = as_tensor(a)
     x, axes = a.data, _norm_axes(axis, a.ndim)
     mx = x.max(axis=axes, keepdims=True)
     out = mx if keepdims else mx.squeeze(axis=axes)
@@ -632,14 +608,12 @@ def amax(a: Tensor, axis, keepdims: bool = False) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = np.maximum(a.data, 0)
     mask = a.data > 0  # subgradient at 0 is defined as 0
     return _from_op("relu", out, (a,), lambda g: (g * mask,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     x = a.data
     out = np.empty_like(x)
     pos = x >= 0
@@ -668,7 +642,6 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """x * Phi(x) with the exact standard-normal CDF (erf form). Backward rebuilds
     the CDF from x with the forward's own expression instead of saving it."""
-    a = as_tensor(a)
     x = a.data
     out = x * _normal_cdf(x)
     return _from_op("gelu", out, (a,), lambda g: (_gelu_grad(g, x, _normal_cdf(x)),))
@@ -682,7 +655,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     GEMM pair is matmul's own ``_matmul_grads`` on the operands of the composed chain
     ``matmul(gelu(matmul(x, w1, b1)), w2, b2)``, so results are bitwise equal to that chain.
     """
-    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     if (
         x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2
         or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
@@ -725,7 +697,6 @@ def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Row-stable softmax along the last dimension."""
-    a = as_tensor(a)
     out = _softmax_rows(a.data, np.empty_like(a.data))
     return _from_op("softmax_lastdim", out, (a,), lambda g: (_softmax_grad(g, out),))
 
@@ -750,7 +721,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     ``softmax_lastdim((q * s) @ transpose(k)) @ v`` (BLAS may round a transposed operand
     differently), so results are bitwise equal to that chain.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention: q, k, v must share one 4-d shape, got {q.shape}, {k.shape}, {v.shape}")
     b, h, n, d = q.shape
@@ -819,7 +789,6 @@ def _affine_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mu, inv, stat_
 def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-token normalization over the last dim, then affine gamma/beta. The output is
     the only full-size array made; backward rebuilds the normalized input from x."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layernorm: gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}")
@@ -845,7 +814,6 @@ def batchnorm_channel(
     The output is the only full-size array made; backward rebuilds the
     normalized input from x with the forward's own expression.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
         raise ShapeError(f"batchnorm_channel: expected 4-d map, got shape {x.shape}")
     c = x.shape[1]
@@ -873,14 +841,12 @@ def batchnorm_channel(
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    a = as_tensor(a)
     out = np.clip(a.data, lo, hi)
     mask = (a.data >= lo) & (a.data <= hi)
     return _from_op("clip", out, (a,), lambda g: (g * mask,))
 
 
 def log(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     x = a.data
     return _from_op("log", np.log(x), (a,), lambda g: (g / x,))
 

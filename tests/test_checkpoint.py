@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coopseg.checkpoint import CheckpointError, MAGIC, load_checkpoint, save_checkpoint
 from coopseg.config import toy_config
@@ -50,6 +53,29 @@ class TestRoundTrip:
         p = tmp_path / "e.ckpt"
         save_checkpoint(p, {})
         assert load_checkpoint(p) == {}
+
+    def test_zero_size_array(self, tmp_path):
+        p = tmp_path / "z.ckpt"
+        save_checkpoint(p, {"e": np.zeros((0, 3), np.float32)})
+        loaded = load_checkpoint(p)["e"]
+        assert loaded.shape == (0, 3) and loaded.dtype == np.float32
+
+    @given(st.dictionaries(
+        st.text(max_size=6),
+        hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                   hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+                   elements=st.floats(width=32) | st.sampled_from([np.nan, -0.0])),
+        max_size=4,
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_any_float_state_round_trips_bitwise(self, tmp_path_factory, state):
+        p = tmp_path_factory.getbasetemp() / "any.ckpt"
+        save_checkpoint(p, state)
+        loaded = load_checkpoint(p)
+        assert list(loaded) == list(state)
+        for name, arr in state.items():
+            assert (loaded[name].dtype, loaded[name].shape) == (arr.dtype, arr.shape)
+            assert loaded[name].tobytes() == arr.tobytes()
 
 
 class TestAtomicWrite:

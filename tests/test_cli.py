@@ -4,13 +4,17 @@ Training runs here use a deliberately tiny model (32px, thin channels)
 so the whole file stays in the seconds range.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from coopseg import cli
 from coopseg.checkpoint import load_checkpoint
 from coopseg.cli import main
+from coopseg.config import RunConfig
 from coopseg.data import read_raster
+from coopseg.model import SegmentationModel, ViewOutputs
 from coopseg.train import train_epoch
 
 TINY = {
@@ -175,6 +179,23 @@ class TestEvalPredict:
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "nope"))
         assert main(["eval", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_is_read_before_any_other_work(self, tmp_path, monkeypatch, capsys, command):
+        """A missing checkpoint fails before a sample is made or a model drawn (seconds
+        and hundreds of MB at paper geometry), and leaves no output behind."""
+        def refuse(*args):
+            raise AssertionError("work started before the checkpoint was read")
+
+        monkeypatch.setattr(cli, "SegmentationModel", refuse)
+        monkeypatch.setattr(cli, "_get_samples", refuse)
+        run = tmp_path / "run"
+        run.mkdir()
+        write_cfg(run / "config_used.cfg", out_dir=str(run))
+        assert main([command, "--out-dir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(run / "model_final.ckpt") in err
+        assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg"]
+
     def test_state_mismatch_is_one_line_error(self, trained_dir, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "out"), dfm_on="false")
         ckpt = str(trained_dir / "run" / "model_final.ckpt")
@@ -213,6 +234,31 @@ class TestAblationFlags:
         assert echoed.lam == 0.5
 
 
+class TestBenchmarkHooks:
+    def test_train_eval_predict_call_the_hooked_names(self, tmp_path, monkeypatch):
+        """perfbench/workloads.py times the commands by replacing these cli globals, so
+        each must stay a global the commands look up at call time, called as pinned here."""
+        calls = {name: [] for name in ("train_epoch", "save_checkpoint", "load_checkpoint", "_decide")}
+        for name, log in calls.items():
+            def spy(*args, _real=getattr(cli, name), _log=log):
+                _log.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(run), synth_samples=3)  # 2 batches
+        assert main(["train", "--config", cfg]) == 0
+        assert len(calls["train_epoch"]) == 2  # one per epoch
+        assert [Path(args[0]).name for args in calls["save_checkpoint"]] == [
+            "epoch_0001.ckpt", "epoch_0002.ckpt", "model_final.ckpt"]
+        for command in ("eval", "predict"):
+            assert main([command, "--out-dir", str(run)]) == 0
+        assert calls["load_checkpoint"] == [(run / "model_final.ckpt",)] * 2
+        assert len(calls["_decide"]) == 4  # one per batch and command
+        for args in calls["_decide"]:
+            assert [type(a) for a in args] == [RunConfig, SegmentationModel, ViewOutputs]
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -245,6 +291,13 @@ class TestExitCodes:
         p = tmp_path / "c.cfg"
         p.write_text("image_size = 50\n")
         assert main(["train", "--config", str(p)]) == 2
+
+    def test_config_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"epochs = 3\n\xff\n")
+        assert main(["train", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("key, value", [
         ("patch_size", 8), ("mlp_ratio", 4.0), ("early_stop_patience", 2), ("eval_view", "cnn"),

@@ -1,6 +1,8 @@
 """Config file parsing, typed merging, and validation rules."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopseg.config import (
     ConfigError,
@@ -74,11 +76,23 @@ class TestParse:
         p.write_text("data_dir = a=b\n")
         assert parse_config_file(p)["data_dir"] == "a=b"
 
+    def test_repeated_key_names_its_line(self, tmp_path):
+        # the last value used to win silently
+        p = tmp_path / "c.cfg"
+        p.write_text("lambda = 0.5\nepochs = 3\nlambda = 2\n")
+        with pytest.raises(ConfigError, match=f"{p}:3: key 'lambda' is already set"):
+            parse_config_file(p)
+
 
 class TestBuild:
     def test_lambda_key_maps_to_field(self):
         cfg = build_config({"lambda": "2.5"})
         assert cfg.lam == 2.5
+
+    def test_field_name_lam_is_an_unknown_key(self):
+        # 'lambda' is the one spelling of the key; 'lam' is only the field's name
+        with pytest.raises(ConfigError, match="unknown config key 'lam'"):
+            build_config({"lam": "0.5"})
 
     def test_bool_spellings(self):
         for text, expected in (
@@ -136,3 +150,24 @@ class TestRoundTrip:
             "c4", "c8", "c16", "glff_on", "dfm_on", "lr", "lambda", "epochs", "batch_size",
             "seed", "data_dir", "out_dir", "synth_samples", "dtype",
         ]
+
+
+KEYS = [line.split(" = ", 1)[0] for line in config_lines(RunConfig())]
+VALUE_TEXT = st.sampled_from(["0", "1", "-1", "16", "352", "0.5", "nan", "inf", "true", "off",
+                              "float32", "float16", ""]) | st.text(max_size=12)
+CONFIG_LINE = st.builds("{} = {}".format, st.sampled_from(KEYS + ["lam"]) | st.text(max_size=8),
+                        VALUE_TEXT) | st.text(max_size=20)
+CONFIG_TEXT = st.lists(CONFIG_LINE, max_size=6).map(lambda lines: "\n".join(lines).encode())
+
+
+@given(CONFIG_TEXT | st.text(max_size=60).map(str.encode) | st.binary(max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_any_config_text_gives_a_config_or_a_config_error(tmp_path_factory, blob):
+    """A config file reads as a RunConfig or fails as a ConfigError, whatever its bytes."""
+    p = tmp_path_factory.getbasetemp() / "any.cfg"
+    p.write_bytes(blob)
+    try:
+        cfg = build_config(parse_config_file(p))
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
