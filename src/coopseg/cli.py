@@ -181,17 +181,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gc.run_op_suite(seed=0, inputs_per_op=5)
-    failed = False
+    results = [
+        *gc.run_op_suite(seed=0, inputs_per_op=5),
+        gc.OpCheckResult("model_end_to_end", gc.check_model_end_to_end(seed=0, n_samples=50)),
+    ]
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"{r.name:24s} max rel err {r.max_rel_err:.3e}  {status}")
-        failed = failed or not r.ok
-    err = gc.check_model_end_to_end(seed=0, n_samples=50)
-    status = "PASS" if err < gc.TOL_DEFAULT else "FAIL"
-    print(f"{'model_end_to_end':24s} max rel err {err:.3e}  {status}")
-    failed = failed or err >= gc.TOL_DEFAULT
-    return 1 if failed else 0
+        print(f"{r.name:24s} max rel err {r.max_rel_err:.3e}  {'PASS' if r.ok else 'FAIL'}")
+    return 0 if all(r.ok for r in results) else 1
 
 
 def main(argv=None) -> int:

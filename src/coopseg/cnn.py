@@ -17,7 +17,6 @@ class DenseStage(Module):
     all previous unit outputs; the last unit's map is the stage output."""
 
     def __init__(self, c_in: int, channels: int, units: int, rng: np.random.Generator):
-        super().__init__()
         self.units = ModuleList()
         width = c_in
         for _ in range(units):
@@ -38,7 +37,6 @@ class CnnBranch(Module):
     output, yielding maps at 1/4 (c4), 1/8 (c8), and 1/16 (c16)."""
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
-        super().__init__()
         self.stem = ConvUnit(3, cfg.stem_channels, rng)
         self.stage4 = DenseStage(cfg.stem_channels, cfg.c4, cfg.stage_units, rng)
         self.stage8 = DenseStage(cfg.c4, cfg.c8, cfg.stage_units, rng)
@@ -61,7 +59,6 @@ class CnnViewHead(Module):
     upsampling, then one-channel projection, 4x upsampling, sigmoid."""
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
-        super().__init__()
         merge = 64  # the common width
         self.proj16 = Conv2d(cfg.c16, merge, 1, rng)
         self.proj8 = Conv2d(cfg.c8, merge, 1, rng)

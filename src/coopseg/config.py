@@ -91,12 +91,14 @@ def toy_config(**overrides) -> RunConfig:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read flat `key = value` lines of UTF-8 text; '#' starts a comment anywhere, and
-    a key may appear once."""
+    """Read flat `key = value` lines of UTF-8 text (a leading byte-order mark is
+    skipped); '#' starts a comment anywhere, and a key may appear once."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -19,7 +19,6 @@ class ChannelGate(Module):
     avg- and max-pooled descriptors, summed, squashed."""
 
     def __init__(self, channels: int, rng: np.random.Generator):
-        super().__init__()
         hidden = max(channels // 16, 1)
         self.fc1 = Linear(channels, hidden, rng, bias=False)
         self.fc2 = Linear(hidden, channels, rng, bias=False)
@@ -39,7 +38,6 @@ class SpatialGate(Module):
     """Spatial attention: 7x7 conv over the channelwise avg/max pair."""
 
     def __init__(self, rng: np.random.Generator):
-        super().__init__()
         self.conv = Conv2d(2, 1, 7, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -53,7 +51,6 @@ class Cbam(Module):
     """Sequential channel-then-spatial attention refinement."""
 
     def __init__(self, channels: int, rng: np.random.Generator):
-        super().__init__()
         self.channel = ChannelGate(channels, rng)
         self.spatial = SpatialGate(rng)
 
@@ -71,7 +68,6 @@ class GlffBlock(Module):
 
     def __init__(self, t_channels: int, c_channels: int, out_channels: int,
                  rng: np.random.Generator, attention: bool = True):
-        super().__init__()
         self.attention = attention
         if attention:
             self.proj_t = Conv2d(t_channels, out_channels, 1, rng)
@@ -104,7 +100,6 @@ class DenseFusionDecoder(Module):
     """
 
     def __init__(self, rng: np.random.Generator):
-        super().__init__()
         c16, c8, c4 = FUSED_CHANNELS
         self.unit16 = ConvUnit(c16, c8, rng)
         self.adapt8 = Conv2d(c8, c8, 1, rng)

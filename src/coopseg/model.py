@@ -29,7 +29,6 @@ class ViewOutputs(NamedTuple):
 
 class SegmentationModel(Module):
     def __init__(self, cfg: RunConfig):
-        super().__init__()
         self.cfg = cfg.validate()
         # independent init streams: toggling fusion switches must not shift
         # the branches' initial weights
@@ -56,7 +55,7 @@ class SegmentationModel(Module):
             self.decoder = DenseFusionDecoder(rng_f)
         else:
             self.head_f = ViewHead(cf4, rng_f)
-        self.register_buffer("view_weights", np.full(3, 1.0 / 3.0))
+        self.view_weights = np.full(3, 1.0 / 3.0)
         self.cast(dtype)
 
     def fused_maps(self, t: MultiScaleFeatures, c: MultiScaleFeatures):

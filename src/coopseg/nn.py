@@ -1,8 +1,9 @@
 """Layer primitives on top of the tensor engine.
 
-Modules register parameters, submodules, and plain-array buffers through
-attribute assignment; ``named_state`` walks them in insertion order with
-dotted names, which fixes the serialization order of checkpoints.
+A module's state is its attributes: a ``requires_grad`` Tensor is a parameter,
+a ``Module`` is a child and an ndarray is a buffer. ``named_state`` walks them
+in assignment order with dotted names, which fixes the serialization order of
+checkpoints.
 """
 
 from __future__ import annotations
@@ -17,45 +18,33 @@ from .tensor import ShapeError, Tensor
 
 
 class Module:
-    def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_children", {})
-        object.__setattr__(self, "_buffers", {})
-        object.__setattr__(self, "training", True)
-
-    def __setattr__(self, name, value):
-        if isinstance(value, Tensor) and value.requires_grad:
-            self._params[name] = value
-        elif isinstance(value, Module):
-            self._children[name] = value
-        object.__setattr__(self, name, value)
-
-    def register_buffer(self, name: str, value: np.ndarray):
-        self._buffers[name] = value
-        object.__setattr__(self, name, value)
+    training = True  # train() and eval() set it on each instance
 
     def modules(self) -> Iterator[tuple[str, "Module"]]:
         """This module and its descendants, pre-order, each with its dotted name prefix."""
         yield "", self
-        for name, child in self._children.items():
-            for prefix, module in child.modules():
-                yield f"{name}.{prefix}", module
+        for name, child in vars(self).items():
+            if isinstance(child, Module):
+                for prefix, module in child.modules():
+                    yield f"{name}.{prefix}", module
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         for prefix, module in self.modules():
-            for name, p in module._params.items():
-                yield prefix + name, p
+            for name, p in vars(module).items():
+                if isinstance(p, Tensor) and p.requires_grad:
+                    yield prefix + name, p
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
     def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
         for prefix, module in self.modules():
-            for name, b in module._buffers.items():
-                yield prefix + name, b
+            for name, b in vars(module).items():
+                if isinstance(b, np.ndarray):
+                    yield prefix + name, b
 
     def named_state(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Parameters then buffers, each in insertion order: the full model state."""
+        """Parameters then buffers, each in assignment order: the full model state."""
         for name, p in self.named_parameters():
             yield name, p.data
         yield from self.named_buffers()
@@ -75,12 +64,12 @@ class Module:
 
     def train(self):
         for _, module in self.modules():
-            object.__setattr__(module, "training", True)
+            module.training = True
         return self
 
     def eval(self):
         for _, module in self.modules():
-            object.__setattr__(module, "training", False)
+            module.training = False
         return self
 
     def cast(self, dtype):
@@ -91,29 +80,29 @@ class Module:
 
 
 class ModuleList(Module):
+    """Children stored as attributes "0", "1", ... in order."""
+
     def __init__(self, modules=()):
-        super().__init__()
         for m in modules:
             self.append(m)
 
     def append(self, module: Module):
-        self._children[str(len(self._children))] = module
+        setattr(self, str(len(self)), module)
 
     def __iter__(self):
-        return iter(self._children.values())
+        return (m for m in vars(self).values() if isinstance(m, Module))
 
     def __len__(self):
-        return len(self._children)
+        return sum(1 for _ in self)
 
     def __getitem__(self, idx):
-        return list(self._children.values())[idx]
+        return list(self)[idx]
 
 
 class Linear(Module):
     """y = x @ W + b with W of shape (in, out)."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True):
-        super().__init__()
         self.weight = Tensor(rng.standard_normal((d_in, d_out)) * 0.02, requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
@@ -126,7 +115,6 @@ class Conv2d(Module):
 
     def __init__(self, c_in: int, c_out: int, kernel_size: int, rng: np.random.Generator,
                  bias: bool = True):
-        super().__init__()
         k = kernel_size
         std = np.sqrt(2.0 / (c_in * k * k))
         self.weight = Tensor(rng.standard_normal((c_out, c_in, k, k)) * std, requires_grad=True)
@@ -138,11 +126,10 @@ class Conv2d(Module):
 
 class BatchNorm2d(Module):
     def __init__(self, channels: int):
-        super().__init__()
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float64))
-        self.register_buffer("running_var", np.ones(channels, dtype=np.float64))
+        self.running_mean = np.zeros(channels, dtype=np.float64)
+        self.running_var = np.ones(channels, dtype=np.float64)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.batchnorm_channel(x, self.gamma, self.beta, self.running_mean,
@@ -151,7 +138,6 @@ class BatchNorm2d(Module):
 
 class LayerNorm(Module):
     def __init__(self, dim: int):
-        super().__init__()
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
@@ -163,7 +149,6 @@ class ConvUnit(Module):
     """3x3 conv + BatchNorm + ReLU, the decoder's unit block."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator):
-        super().__init__()
         self.conv = Conv2d(c_in, c_out, 3, rng, bias=False)
         self.bn = BatchNorm2d(c_out)
 

@@ -17,7 +17,6 @@ class PatchEmbed(Module):
     d_model, add a learned positional embedding."""
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
-        super().__init__()
         g = cfg.image_size // COARSEST
         self.grid = (g, g)
         self.proj = Linear(COARSEST * COARSEST * 3, cfg.d_model, rng)
@@ -44,7 +43,6 @@ class MultiHeadSelfAttention(Module):
     """
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
-        super().__init__()
         h, d = cfg.heads, cfg.d_model
         dh = d // h
         def proj():
@@ -63,7 +61,6 @@ class MlpBlock(Module):
     the parameters, so their names and the checkpoint layout are those of the chain."""
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
-        super().__init__()
         hidden = 4 * cfg.d_model
         self.fc1 = Linear(cfg.d_model, hidden, rng)
         self.fc2 = Linear(hidden, cfg.d_model, rng)
@@ -76,7 +73,6 @@ class EncoderBlock(Module):
     """Pre-norm residual block: x + MSA(LN(x)), then + MLP(LN(.))."""
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
-        super().__init__()
         self.norm1 = LayerNorm(cfg.d_model)
         self.attn = MultiHeadSelfAttention(cfg, rng)
         self.norm2 = LayerNorm(cfg.d_model)
@@ -95,7 +91,6 @@ class TransformerBranch(Module):
     T2_CHANNELS = 64
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
-        super().__init__()
         self.cfg = cfg
         self.embed = PatchEmbed(cfg, rng)
         self.blocks = ModuleList(EncoderBlock(cfg, rng) for _ in range(cfg.depth))
@@ -124,7 +119,6 @@ class ViewHead(Module):
     resolution, squash to (0,1)."""
 
     def __init__(self, channels: int, rng: np.random.Generator):
-        super().__init__()
         self.proj = Conv2d(channels, 1, 1, rng)
 
     def __call__(self, s4: Tensor) -> Tensor:

@@ -4,6 +4,9 @@ Training runs here use a deliberately tiny model (32px, thin channels)
 so the whole file stays in the seconds range.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from coopseg import cli
 from coopseg.checkpoint import load_checkpoint
 from coopseg.cli import main
-from coopseg.config import RunConfig
+from coopseg.config import RunConfig, parse_config_file
 from coopseg.data import read_raster
 from coopseg.model import SegmentationModel, ViewOutputs
 from coopseg.train import train_epoch
@@ -299,6 +302,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
+    def test_config_with_a_byte_order_mark_parses_and_trains(self, tmp_path):
+        p = Path(write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "run"), epochs=1))
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        assert parse_config_file(p)["image_size"] == "32"
+        assert main(["train", "--config", str(p)]) == 0
+        assert (tmp_path / "run" / "model_final.ckpt").is_file()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exits_2_naming_the_path(self, tmp_path, capsys, kind):
+        p = tmp_path / "c.cfg"
+        if kind == "directory":
+            p.mkdir()
+        assert main(["train", "--config", str(p), "--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: cannot read config file: ")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("patch_size", 8), ("mlp_ratio", 4.0), ("early_stop_patience", 2), ("eval_view", "cnn"),
     ])
@@ -362,3 +381,26 @@ class TestGradcheckCommand:
         monkeypatch.setattr(gc, "run_op_suite", lambda **kw: fake)
         monkeypatch.setattr(gc, "check_model_end_to_end", lambda **kw: 0.3)
         assert main(["gradcheck"]) == 1
+
+
+class TestEntryPoint:
+    """``python -m coopseg`` runs the same parser as ``main``."""
+
+    @staticmethod
+    def run(*args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run([sys.executable, "-m", "coopseg", *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    def test_help_lists_every_command(self):
+        proc = self.run("--help")
+        assert proc.returncode == 0, proc.stderr
+        for command in ("train", "eval", "predict", "gradcheck"):
+            assert command in proc.stdout
+
+    def test_no_command_is_usage_error(self):
+        proc = self.run()
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: coopseg")
