@@ -13,9 +13,8 @@ import time
 import numpy as np
 
 from coopseg.config import toy_config
-from coopseg.data import synth_dataset
+from coopseg.data import make_batches, synth_dataset
 from coopseg.model import SegmentationModel
-from coopseg.tensor import Tensor
 from coopseg.train import Adam, train_epoch
 from run_toy_overfit import fused_mdice
 
@@ -43,9 +42,7 @@ def main():
     ap.add_argument("--data-seed", type=int, default=32)
     args = ap.parse_args()
 
-    samples = synth_dataset(8, 64, args.data_seed)
-    images = Tensor(np.stack([s.image for s in samples]).astype(np.float32))
-    masks = Tensor(np.stack([s.mask for s in samples]).astype(np.float32))
+    [(_, images, masks)] = make_batches(synth_dataset(8, 64, args.data_seed), 8, np.float32)
 
     print(f"{'glff':>5s} {'dfm':>5s} | {'transformer':>11s} {'cnn':>8s} {'fusion':>8s} {'fused':>8s}")
     print("-" * 54)

@@ -12,10 +12,9 @@ import time
 import numpy as np
 
 from coopseg.config import toy_config
-from coopseg.data import synth_dataset
+from coopseg.data import make_batches, synth_dataset
 from coopseg.metrics import evaluate_pairs
 from coopseg.model import SegmentationModel
-from coopseg.tensor import Tensor
 from coopseg.train import Adam, ViewWeights, fuse_decision, train_epoch
 
 
@@ -43,8 +42,7 @@ def main():
 
     cfg = toy_config(batch_size=8, lr=args.lr, lam=args.lam, seed=args.seed)
     samples = synth_dataset(8, cfg.image_size, args.data_seed)
-    images = Tensor(np.stack([s.image for s in samples]).astype(np.float32))
-    masks = Tensor(np.stack([s.mask for s in samples]).astype(np.float32))
+    [(_, images, masks)] = make_batches(samples, cfg.batch_size, np.float32)
     model = SegmentationModel(cfg)
     opt = Adam(model.parameters(), lr=cfg.lr)
     batches = [(images, masks)]

@@ -14,7 +14,7 @@ import numpy as np
 from . import gradcheck as gc
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_config, config_lines, parse_config_file
-from .data import DataError, SegmentationSample, load_dataset, synth_dataset, write_gray
+from .data import DataError, SegmentationSample, load_dataset, make_batches, synth_dataset, write_gray
 from .metrics import evaluate_pairs
 from .model import SegmentationModel, ViewOutputs
 from .tensor import Tensor
@@ -85,16 +85,6 @@ def _get_samples(cfg: RunConfig) -> list[SegmentationSample]:
     return synth_dataset(cfg.synth_samples, cfg.image_size, cfg.seed)
 
 
-def _batches(samples, batch_size: int, dtype):
-    out = []
-    for i in range(0, len(samples), batch_size):
-        chunk = samples[i : i + batch_size]
-        images = np.stack([s.image for s in chunk]).astype(dtype)
-        masks = np.stack([s.mask for s in chunk]).astype(dtype)
-        out.append((Tensor(images), Tensor(masks)))
-    return out
-
-
 def _csv_line(row: list) -> str:
     return ",".join(format(v, ".10g") if isinstance(v, float) else str(v) for v in row) + "\n"
 
@@ -104,9 +94,8 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / CONFIG_ECHO).write_text("\n".join(config_lines(cfg)) + "\n")
-    samples = _get_samples(cfg)
-    dtype = np.dtype(cfg.dtype)
-    batches = _batches(samples, cfg.batch_size, dtype)
+    # the float64 samples are dropped once batched: the run holds its data once
+    batches = [(x, y) for _, x, y in make_batches(_get_samples(cfg), cfg.batch_size, cfg.dtype)]
     model = SegmentationModel(cfg)
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     log_path = out_dir / "train_log.csv"
@@ -135,35 +124,31 @@ def _decide(cfg: RunConfig, model: SegmentationModel, outs: ViewOutputs) -> Tens
 
 def _decisions(cfg: RunConfig, checkpoint):
     """The inference loop of eval and predict: read the checkpoint first, so a
-    missing or corrupt file fails before any other work, then load the samples
-    and the model, and yield each batch's sample ids, masks and decided maps."""
+    missing or corrupt file fails before any other work, then batch the samples
+    and build the model, and yield each batch's sample ids, masks and decided maps."""
     path = Path(checkpoint) if checkpoint else Path(cfg.out_dir) / FINAL_CKPT
     state = load_checkpoint(path)
-    samples = _get_samples(cfg)
+    batches = make_batches(_get_samples(cfg), cfg.batch_size, cfg.dtype)
     model = SegmentationModel(cfg).eval()
     model.load_state(state)
     del state  # the file's buffer would otherwise stay alive through every forward
-    size = cfg.batch_size
-    for i, (images, masks) in enumerate(_batches(samples, size, np.dtype(cfg.dtype))):
-        ids = [s.id for s in samples[i * size : (i + 1) * size]]
+    for ids, images, masks in batches:
         yield ids, masks.data, _decide(cfg, model, model(images)).data
 
 
 def cmd_eval(args) -> int:
     cfg = _config_from_args(args, reuse_run_config=True)
-    ids, preds, gts = [], [], []
+    rows = []  # per image only: each batch's maps and masks are dropped once scored
     for batch_ids, masks, maps in _decisions(cfg, args.checkpoint):
-        ids += batch_ids
-        preds.extend(maps)
-        gts.extend(masks)
-    report = evaluate_pairs(ids, preds, gts)
-    rows = [[i, d, j, m] for i, d, j, m in zip(report.ids, report.dice, report.iou, report.mae)]
-    rows.append(["mean", report.mean_dice, report.mean_iou, report.mean_mae])
+        report = evaluate_pairs(batch_ids, maps, masks)
+        rows += zip(report.ids, report.dice, report.iou, report.mae)
+    means = [float(np.mean(col)) for col in list(zip(*rows))[1:]]
+    rows.append(["mean", *means])
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "eval.csv", "w", newline="\n") as fh:
         fh.writelines(_csv_line(row) for row in [["id", "dice", "iou", "mae"], *rows])
-    print(f"mDice {report.mean_dice:.4f}  mIoU {report.mean_iou:.4f}  MAE {report.mean_mae:.4f}")
+    print("mDice {:.4f}  mIoU {:.4f}  MAE {:.4f}".format(*means))
     return 0
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import COARSEST, RunConfig
-from .nn import Conv2d, ConvUnit, Module, ModuleList, MultiScaleFeatures, probability_map
+from .nn import Conv2d, ConvUnit, Module, MultiScaleFeatures, probability_map
 from .tensor import ShapeError, Tensor
 
 
@@ -17,7 +17,7 @@ class DenseStage(Module):
     all previous unit outputs; the last unit's map is the stage output."""
 
     def __init__(self, c_in: int, channels: int, units: int, rng: np.random.Generator):
-        self.units = ModuleList()
+        self.units = []
         width = c_in
         for _ in range(units):
             self.units.append(ConvUnit(width, channels, rng))

@@ -1,6 +1,7 @@
 """Dataset plumbing: PPM/PGM raster I/O (PNG reading via Pillow when
-present), resizing, mask binarization, directory loading, and the
-synthetic ellipse dataset used for desk-scale training runs.
+present), resizing, mask binarization, directory loading, the synthetic
+ellipse dataset used for desk-scale training runs, and the batches a run
+holds its data in.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .tensor import Tensor
 
 try:  # optional decoder for real datasets
     from PIL import Image as _PILImage
@@ -264,3 +267,22 @@ def synth_dataset(n: int, size: int, seed: int) -> list[SegmentationSample]:
             )
         )
     return samples
+
+
+# ---------------------------------------------------------------------------
+# Batches
+# ---------------------------------------------------------------------------
+
+
+def make_batches(samples, batch_size: int, dtype) -> list[tuple[list[str], Tensor, Tensor]]:
+    """The samples in order, ``batch_size`` at a time (the last batch may be short), as
+    (sample ids, B x 3 x H x W images, B x 1 x H x W masks) with images and masks stacked
+    in ``dtype``. The batches hold copies: once the caller drops ``samples``, a run holds
+    its data once, in its own precision."""
+    out = []
+    for i in range(0, len(samples), batch_size):
+        chunk = samples[i : i + batch_size]
+        images = np.stack([s.image for s in chunk]).astype(dtype, copy=False)
+        masks = np.stack([s.mask for s in chunk]).astype(dtype, copy=False)
+        out.append(([s.id for s in chunk], Tensor(images), Tensor(masks)))
+    return out

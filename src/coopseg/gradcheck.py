@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import toy_config
-from .data import synth_dataset
+from .data import make_batches, synth_dataset
 from .model import SegmentationModel
 from .tensor import Tensor, backward
 from .train import view_loss
@@ -343,9 +343,7 @@ def check_model_end_to_end(seed: int = 0, n_samples: int = 50) -> float:
     )
     model = SegmentationModel(cfg)
     model.train()
-    samples = synth_dataset(2, cfg.image_size, seed)
-    images = Tensor(np.stack([s.image for s in samples]))
-    masks = Tensor(np.stack([s.mask for s in samples]))
+    [(_, images, masks)] = make_batches(synth_dataset(2, cfg.image_size, seed), 2, cfg.dtype)
 
     def loss():
         outs = model(images)

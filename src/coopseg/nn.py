@@ -1,7 +1,8 @@
 """Layer primitives on top of the tensor engine.
 
 A module's state is its attributes: a ``requires_grad`` Tensor is a parameter,
-a ``Module`` is a child and an ndarray is a buffer. ``named_state`` walks them
+a ``Module`` is a child and an ndarray is a buffer; each ``Module`` in a list
+attribute is a child named by its position. ``named_state`` walks them
 in assignment order with dotted names, which fixes the serialization order of
 checkpoints.
 """
@@ -23,10 +24,15 @@ class Module:
     def modules(self) -> Iterator[tuple[str, "Module"]]:
         """This module and its descendants, pre-order, each with its dotted name prefix."""
         yield "", self
-        for name, child in vars(self).items():
-            if isinstance(child, Module):
-                for prefix, module in child.modules():
-                    yield f"{name}.{prefix}", module
+        for name, value in vars(self).items():
+            if isinstance(value, list):
+                named = [(f"{name}.{i}", v) for i, v in enumerate(value)]
+            else:
+                named = [(name, value)]
+            for child_name, child in named:
+                if isinstance(child, Module):
+                    for prefix, module in child.modules():
+                        yield f"{child_name}.{prefix}", module
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         for prefix, module in self.modules():
@@ -77,26 +83,6 @@ class Module:
         for p in self.parameters():
             p.data = p.data.astype(dtype, copy=False)
         return self
-
-
-class ModuleList(Module):
-    """Children stored as attributes "0", "1", ... in order."""
-
-    def __init__(self, modules=()):
-        for m in modules:
-            self.append(m)
-
-    def append(self, module: Module):
-        setattr(self, str(len(self)), module)
-
-    def __iter__(self):
-        return (m for m in vars(self).values() if isinstance(m, Module))
-
-    def __len__(self):
-        return sum(1 for _ in self)
-
-    def __getitem__(self, idx):
-        return list(self)[idx]
 
 
 class Linear(Module):

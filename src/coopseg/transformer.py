@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import COARSEST, RunConfig
-from .nn import Conv2d, LayerNorm, Linear, Module, ModuleList, MultiScaleFeatures, probability_map
+from .nn import Conv2d, LayerNorm, Linear, Module, MultiScaleFeatures, probability_map
 from .tensor import ShapeError, Tensor
 
 
@@ -93,7 +93,7 @@ class TransformerBranch(Module):
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.embed = PatchEmbed(cfg, rng)
-        self.blocks = ModuleList(EncoderBlock(cfg, rng) for _ in range(cfg.depth))
+        self.blocks = [EncoderBlock(cfg, rng) for _ in range(cfg.depth)]
         self.conv_t1 = Conv2d(cfg.d_model, self.T1_CHANNELS, 3, rng)
         self.conv_t2 = Conv2d(self.T1_CHANNELS, self.T2_CHANNELS, 3, rng)
 

@@ -12,8 +12,10 @@ import helpers
 from coopseg import gradcheck
 from coopseg import tensor as T
 from coopseg.config import toy_config
+from coopseg.data import make_batches, synth_dataset
 from coopseg.model import SegmentationModel
 from coopseg.tensor import GradientError, Tensor, backward, no_grad
+from coopseg.train import view_loss
 
 
 def log_visits(loss):
@@ -441,14 +443,26 @@ class TestOpSuite:
         assert not failures, "gradient mismatches: " + "; ".join(failures)
 
     def test_suite_covers_expected_ops(self):
-        names = {r.name for r in gradcheck.run_op_suite(seed=1, inputs_per_op=1)}
-        for required in [
-            "matmul", "matmul_bias", "conv2d", "conv2d_bias", "conv2d_7x7", "softmax", "upsample",
-            "avgpool", "concat",
-            "elementwise_add", "elementwise_mul", "relu", "gelu", "sigmoid",
-            "layernorm", "batchnorm_train", "batchnorm_eval", "attention", "mlp",
-        ]:
-            assert any(required in n for n in names), f"suite misses {required}"
+        """Every op a toy training step records, under each GLFF/DFM setting, is
+        recorded by some C1 case, so a new op in the model needs a case."""
+        checked = set()
+        for ci, (_, build) in enumerate(gradcheck._op_cases()):
+            _, op = build(np.random.default_rng([0, ci, 0]))
+            with T.step() as tape:
+                op()
+                checked.update(node.op for node in tape.nodes)
+        samples = synth_dataset(2, 32, seed=0)
+        [(_, images, masks)] = make_batches(samples, 2, np.float32)
+        for glff_on in (True, False):
+            for dfm_on in (True, False):
+                cfg = toy_config(image_size=32, d_model=48, stem_channels=4, stage_units=1,
+                                 c4=8, c8=12, c16=16, glff_on=glff_on, dfm_on=dfm_on)
+                model = SegmentationModel(cfg)
+                with T.step() as tape:
+                    losses = [view_loss(pre, masks) for pre in model(images)]
+                    sum(lk * (1.0 / 3.0) for lk in losses)
+                    recorded = {node.op for node in tape.nodes}
+                assert recorded <= checked, (glff_on, dfm_on, sorted(recorded - checked))
 
 
 class TestKinkDetection:

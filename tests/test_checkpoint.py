@@ -111,19 +111,28 @@ class TestAtomicWrite:
         np.testing.assert_array_equal(load_checkpoint(p)["w"], np.arange(6.0))
 
 
+def small_checkpoint(tmp_path) -> bytes:
+    """A saved two-record state (float32 matrix, float64 vector): 70 bytes."""
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.array([0.5])})
+    return p.read_bytes()
+
+
 class TestCorruption:
     def test_every_single_byte_flip_detected(self, tmp_path):
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(p, {"w": np.arange(6, dtype=np.float32)})
-        blob = bytearray(p.read_bytes())
-        # flipping any one byte must fail the load (CRC or header checks)
-        for pos in range(len(blob)):
-            corrupted = bytearray(blob)
-            corrupted[pos] ^= 0xFF
-            q = tmp_path / "c.ckpt"
-            q.write_bytes(bytes(corrupted))
-            with pytest.raises(CheckpointError):
-                load_checkpoint(q)
+        blob = small_checkpoint(tmp_path)
+        q = tmp_path / "c.ckpt"
+        q.write_bytes(blob)
+        # every other value of every one byte must fail the load (CRC or header checks)
+        with q.open("r+b", buffering=0) as fh:
+            for pos, byte in enumerate(blob):
+                for mask in range(1, 256):
+                    fh.seek(pos)
+                    fh.write(bytes([byte ^ mask]))
+                    with pytest.raises(CheckpointError):
+                        load_checkpoint(q)
+                fh.seek(pos)
+                fh.write(bytes([byte]))
 
     def test_payload_byte_flip_detected(self, tmp_path):
         p = tmp_path / "m.ckpt"
@@ -135,12 +144,12 @@ class TestCorruption:
             load_checkpoint(p)
 
     def test_truncation_detected(self, tmp_path):
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(p, sample_state())
-        blob = p.read_bytes()
-        p.write_bytes(blob[:-3])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(p)
+        blob = small_checkpoint(tmp_path)
+        q = tmp_path / "c.ckpt"
+        for length in range(len(blob)):  # the empty file included
+            q.write_bytes(blob[:length])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(q)
 
     def test_trailing_garbage_detected(self, tmp_path):
         p = tmp_path / "m.ckpt"

@@ -7,6 +7,7 @@ so the whole file stays in the seconds range.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from coopseg.cli import main
 from coopseg.config import RunConfig, parse_config_file
 from coopseg.data import read_raster
 from coopseg.model import SegmentationModel, ViewOutputs
-from coopseg.train import train_epoch
+from coopseg.train import EpochReport, train_epoch
 
 TINY = {
     "image_size": "32",
@@ -260,6 +261,50 @@ class TestBenchmarkHooks:
         assert len(calls["_decide"]) == 4  # one per batch and command
         for args in calls["_decide"]:
             assert [type(a) for a in args] == [RunConfig, SegmentationModel, ViewOutputs]
+
+
+class TestDataHeldOnce:
+    """A run holds each sample once, as its batch in the run's dtype: the float64
+    samples are dropped once batched, and eval keeps per-image rows, not maps."""
+
+    @staticmethod
+    def held(tmp_path, n):
+        """The most traced bytes held, above the level before each command, when a train
+        epoch starts and when eval decides a batch. Training is skipped: only the data
+        differs between two sample counts."""
+        held, base = {"train": 0, "eval": 0}, [0]
+
+        def note(phase):
+            held[phase] = max(held[phase], tracemalloc.get_traced_memory()[0] - base[0])
+
+        def epoch(*args):
+            note("train")
+            return EpochReport(np.ones(3), np.full(3, 1 / 3), 1.0)
+
+        def decide(*args, real=cli._decide):
+            note("eval")
+            return real(*args)
+
+        run = tmp_path / f"run{n}"
+        cfg = write_cfg(tmp_path / f"n{n}.cfg", out_dir=str(run), image_size=128,
+                        synth_samples=n, batch_size=8, epochs=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "train_epoch", epoch)
+            mp.setattr(cli, "_decide", decide)
+            tracemalloc.start()
+            try:
+                for argv in (["train", "--config", cfg], ["eval", "--out-dir", str(run)]):
+                    base[0] = tracemalloc.get_traced_memory()[0]
+                    assert main(argv) == 0
+            finally:
+                tracemalloc.stop()
+        return held
+
+    def test_held_data_grows_by_one_float32_sample_per_sample(self, tmp_path):
+        small, large = (self.held(tmp_path, n) for n in (16, 32))
+        sample_bytes = (3 + 1) * 128 * 128 * 4  # float32 image and mask
+        for phase in ("train", "eval"):
+            assert large[phase] - small[phase] <= 1.1 * 16 * sample_bytes, phase
 
 
 class TestExitCodes:

@@ -8,7 +8,7 @@ from coopseg import gradcheck
 from coopseg import tensor as T
 from coopseg.cnn import CnnBranch, CnnViewHead, DenseStage
 from coopseg.config import RunConfig, toy_config
-from coopseg.data import synth_dataset
+from coopseg.data import make_batches, synth_dataset
 from coopseg.metrics import dice
 from coopseg.tensor import ShapeError, Tensor
 from coopseg.train import Adam, view_loss
@@ -111,8 +111,7 @@ class TestFitCapacity:
     def test_branch_alone_overfits_toy_set(self):
         cfg = toy_config(stage_units=2, c4=32, c8=64, c16=128, stem_channels=16)
         samples = synth_dataset(cfg.synth_samples, cfg.image_size, seed=32)
-        images = Tensor(np.stack([s.image for s in samples]).astype(np.float32))
-        masks = Tensor(np.stack([s.mask for s in samples]).astype(np.float32))
+        [(_, images, masks)] = make_batches(samples, len(samples), np.float32)
 
         branch = CnnBranch(cfg, rng_of(12)).cast(np.float32)
         head = CnnViewHead(cfg, rng_of(13)).cast(np.float32)

@@ -7,6 +7,7 @@ from coopseg.data import (
     DataError,
     MASK_THRESHOLD,
     load_dataset,
+    make_batches,
     read_raster,
     resize_bilinear,
     resize_nearest,
@@ -229,3 +230,17 @@ class TestSynthetic:
     def test_needs_at_least_one(self):
         with pytest.raises(ValueError):
             synth_dataset(0, 32, seed=0)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batches_keep_order_and_ids_with_a_short_last_batch(self, dtype):
+        samples = synth_dataset(5, 16, seed=0)
+        batches = make_batches(samples, 2, dtype)
+        assert [ids for ids, _, _ in batches] == [
+            ["synth_0000", "synth_0001"], ["synth_0002", "synth_0003"], ["synth_0004"]]
+        for i, (_, images, masks) in enumerate(batches):
+            chunk = samples[2 * i : 2 * i + 2]
+            assert images.dtype == masks.dtype == dtype
+            np.testing.assert_array_equal(images.data, np.stack([s.image for s in chunk]).astype(dtype))
+            np.testing.assert_array_equal(masks.data, np.stack([s.mask for s in chunk]).astype(dtype))

@@ -3,7 +3,7 @@ what a checkpoint saves."""
 
 import numpy as np
 
-from coopseg.nn import BatchNorm2d, Linear, Module, ModuleList
+from coopseg.nn import BatchNorm2d, Linear, Module
 from coopseg.tensor import Tensor
 
 
@@ -42,12 +42,19 @@ def test_subclass_without_super_init_reports_its_state():
     assert Plain().training  # eval() set the instance, not the class
 
 
-def test_module_list_names_its_children_by_position():
-    rng = np.random.default_rng(0)
-    layers = ModuleList(Linear(2, 2, rng, bias=False) for _ in range(2))
-    layers.append(Linear(2, 2, rng, bias=False))
-    layers.eval()  # sets a `training` attribute, which is not a child
-    assert len(layers) == 3
-    assert list(layers) == [layers[0], layers[1], layers[2]]
-    assert layers[-1] is layers[2]
-    assert [name for name, _ in layers.named_parameters()] == ["0.weight", "1.weight", "2.weight"]
+class Stack(Module):
+    """Holds its layers in a plain list."""
+
+    def __init__(self, rng):
+        self.layers = [Linear(2, 2, rng, bias=False) for _ in range(2)]
+        self.layers.append(Linear(2, 2, rng, bias=False))
+        self.sizes = [2, 2]  # a list of non-modules holds no children
+
+
+def test_list_attribute_names_its_modules_by_position():
+    m = Stack(np.random.default_rng(0))
+    assert [name for name, _ in m.modules()] == ["", "layers.0.", "layers.1.", "layers.2."]
+    assert [name for name, _ in m.named_parameters()] == [
+        "layers.0.weight", "layers.1.weight", "layers.2.weight"]
+    m.eval()
+    assert not any(layer.training for layer in m.layers)

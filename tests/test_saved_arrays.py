@@ -9,7 +9,7 @@ import pytest
 import helpers
 from coopseg import tensor as T
 from coopseg.config import toy_config
-from coopseg.data import synth_dataset
+from coopseg.data import make_batches, synth_dataset
 from coopseg.model import SegmentationModel
 from coopseg.nn import ConvUnit
 from coopseg.tensor import Tensor
@@ -46,9 +46,8 @@ def held_arrays(tape: T.GradTape) -> tuple[dict, list]:
 def test_toy_step_keeps_only_what_backward_reads():
     cfg = toy_config(seed=0)
     model = SegmentationModel(cfg)
-    samples = synth_dataset(cfg.batch_size, cfg.image_size, 0)
-    images = Tensor(np.stack([s.image for s in samples]).astype(np.float32))
-    masks = Tensor(np.stack([s.mask for s in samples]).astype(np.float32))
+    [(_, images, masks)] = make_batches(synth_dataset(cfg.batch_size, cfg.image_size, 0),
+                                        cfg.batch_size, np.float32)
     with T.step() as tape:
         loss = sum(view_loss(pre, masks) for pre in model(images))
         held, tensors = held_arrays(tape)

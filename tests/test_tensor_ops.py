@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import helpers
+from coopseg import gradcheck
 from coopseg import tensor as T
 from coopseg.nn import Conv2d, Linear
 from coopseg.tensor import ShapeError, Tensor
@@ -352,6 +353,56 @@ class TestConv2d:
                                       .reshape(k.shape))
         k_flip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
         np.testing.assert_array_equal(gx, np.stack([k_flip @ c for c in windows(g)]).reshape(xshape))
+
+    # a block budget of a few bytes splits even small maps: every row its own band, the
+    # kernel gradient in channel blocks of 16 or more
+    @given(b=st.integers(1, 2), cin=st.integers(1, 40), cout=st.integers(1, 4),
+           h=st.integers(1, 7), w=st.integers(1, 7), ksize=st.sampled_from([1, 3, 5]),
+           block_bytes=st.integers(1, 4096), f32=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_blocked_windows_match_whole_window_on_small_shapes(self, b, cin, cout, h, w, ksize,
+                                                                block_bytes, f32, seed):
+        dtype = np.float32 if f32 else np.float64
+        rng = np.random.default_rng(seed)
+        x, k, bias, g = (rng.standard_normal(shape).astype(dtype) for shape in
+                         [(b, cin, h, w), (cout, cin, ksize, ksize), (cout,), (b, cout, h, w)])
+
+        def run():
+            with T.step():
+                out = T.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
+                               Tensor(bias, requires_grad=True))
+                return [out.data, *out.node.backward_fn(g)]
+
+        whole = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "WINDOW_BLOCK_BYTES", block_bytes)
+            blocked = run()
+        # equal sums, but BLAS may order a split GEMM's products differently: within
+        # about 100 units in the last place of each array's largest entry
+        tol = 1e-5 if f32 else 1e-13
+        for got, want in zip(blocked, whole):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max())
+
+    def test_finite_differences_pass_through_split_blocks(self, monkeypatch):
+        split = []
+
+        def spy(count, *args, real=T._blocks, **kwargs):
+            bounds, buf = real(count, *args, **kwargs)
+            split.append((count, len(bounds) - 1))
+            return bounds, buf
+
+        monkeypatch.setattr(T, "WINDOW_BLOCK_BYTES", 1)
+        monkeypatch.setattr(T, "_blocks", spy)
+        rng = np.random.default_rng(23)
+        x, k, bias = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for shape in [(2, 32, 5, 4), (3, 32, 3, 3), (3,)])
+        weights = Tensor(rng.standard_normal((2, 3, 5, 4)))
+        err = gradcheck.check_function(lambda: (T.conv2d(x, k, bias) * weights).sum(),
+                                       [x, k, bias], rng)
+        assert err < gradcheck.TOL_DEFAULT
+        assert (5, 5) in split  # forward and input gradient: one band per row
+        assert (32, 2) in split  # kernel gradient: two blocks of 16 channels
 
     def test_blocked_windows_hold_one_block_at_a_time(self):
         rng = np.random.default_rng(22)

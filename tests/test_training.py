@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import helpers
 from coopseg import tensor as T
 from coopseg.config import toy_config
-from coopseg.data import synth_dataset
+from coopseg.data import make_batches, synth_dataset
 from coopseg.fusion import ChannelGate
 from coopseg.model import SegmentationModel, ViewOutputs
 from coopseg.tensor import ShapeError, Tensor
@@ -42,8 +42,7 @@ def tiny_cfg(**kw):
 
 def tiny_batch(cfg, seed=5):
     samples = synth_dataset(cfg.synth_samples, cfg.image_size, seed=seed)
-    images = Tensor(np.stack([s.image for s in samples]).astype(np.float32))
-    masks = Tensor(np.stack([s.mask for s in samples]).astype(np.float32))
+    [(_, images, masks)] = make_batches(samples, len(samples), np.float32)
     return images, masks
 
 
