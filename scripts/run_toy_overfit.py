@@ -26,7 +26,8 @@ def fused_mdice(model, images, masks, lam):
     model.train()
 
     def mdice(pred):
-        return evaluate_pairs(range(len(pred.data)), pred.data[:, 0], masks.data[:, 0]).mean_dice
+        rows = evaluate_pairs(range(len(pred.data)), pred.data[:, 0], masks.data[:, 0])
+        return float(np.mean([d for _, d, _, _ in rows]))
 
     return mdice(fused), [mdice(o) for o in outs]
 

@@ -140,8 +140,7 @@ def cmd_eval(args) -> int:
     cfg = _config_from_args(args, reuse_run_config=True)
     rows = []  # per image only: each batch's maps and masks are dropped once scored
     for batch_ids, masks, maps in _decisions(cfg, args.checkpoint):
-        report = evaluate_pairs(batch_ids, maps, masks)
-        rows += zip(report.ids, report.dice, report.iou, report.mae)
+        rows += evaluate_pairs(batch_ids, maps, masks)
     means = [float(np.mean(col)) for col in list(zip(*rows))[1:]]
     rows.append(["mean", *means])
     out_dir = Path(cfg.out_dir)

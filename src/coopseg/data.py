@@ -125,8 +125,6 @@ def write_gray(path: Path, arr: np.ndarray):
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample of an H x W or H x W x C float array."""
     in_h, in_w = img.shape[:2]
-    if (in_h, in_w) == (out_h, out_w):
-        return img.astype(np.float64, copy=True)
     ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
     ys = np.clip(ys, 0, in_h - 1)

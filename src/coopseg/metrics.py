@@ -1,4 +1,4 @@
-"""Segmentation metrics: per-image Dice, IoU, and MAE, plus dataset means.
+"""Segmentation metrics: per-image Dice, IoU, and MAE.
 
 Dice and IoU work on masks binarized at 0.5 and are computed with integer
 pixel counts, so results are exact rational values; empty-vs-empty pairs
@@ -6,8 +6,6 @@ score 1.0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,35 +51,10 @@ def mae(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(np.mean(np.abs(np.asarray(pred, dtype=np.float64) - np.asarray(gt, dtype=np.float64))))
 
 
-@dataclass
-class MetricReport:
-    ids: list[str]
-    dice: list[float]
-    iou: list[float]
-    mae: list[float]
-
-    @property
-    def mean_dice(self) -> float:
-        return float(np.mean(self.dice))
-
-    @property
-    def mean_iou(self) -> float:
-        return float(np.mean(self.iou))
-
-    @property
-    def mean_mae(self) -> float:
-        return float(np.mean(self.mae))
-
-
-def evaluate_pairs(ids, preds, gts) -> MetricReport:
-    """Score each (prediction, mask) pair; means are per-image averages."""
+def evaluate_pairs(ids, preds, gts) -> list[tuple]:
+    """Score each (prediction, mask) pair: one (id, dice, iou, mae) row per pair."""
     if not len(ids) == len(preds) == len(gts):
         raise ValueError(
             f"evaluate_pairs: {len(ids)} ids, {len(preds)} predictions, {len(gts)} masks"
         )
-    report = MetricReport(ids=list(ids), dice=[], iou=[], mae=[])
-    for p, g in zip(preds, gts):
-        report.dice.append(dice(p, g))
-        report.iou.append(iou(p, g))
-        report.mae.append(mae(p, g))
-    return report
+    return [(i, dice(p, g), iou(p, g), mae(p, g)) for i, p, g in zip(ids, preds, gts)]

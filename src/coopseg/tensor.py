@@ -614,12 +614,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    # 1/(1 + e^-x) where x >= 0, else e^x/(1 + e^x); min(x, -x) is -|x| and keeps a NaN's sign
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return _from_op("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 

@@ -34,6 +34,9 @@ class ViewWeights:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
+        if not np.isfinite(self.w).all():  # NaN passes both checks below
+            raise ValueError(f"view weights must be finite, got {self.w!r} at lambda = {self.lam!r} "
+                             "(a lambda too small for the losses overflows -loss / lambda)")
         if abs(float(self.w.sum()) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {self.w.sum()!r}")
         if (self.w < 0).any():

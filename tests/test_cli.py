@@ -12,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopseg import cli
-from coopseg.checkpoint import load_checkpoint
+from coopseg.checkpoint import load_checkpoint, save_checkpoint
 from coopseg.cli import main
 from coopseg.config import RunConfig, parse_config_file
 from coopseg.data import read_raster
@@ -199,6 +201,19 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(run / "model_final.ckpt") in err
         assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg"]
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_nan_view_weights_are_runtime_error(self, trained_dir, tmp_path, capsys, command):
+        state = load_checkpoint(trained_dir / "run" / "model_final.ckpt")
+        state["view_weights"] = np.full(3, np.nan)
+        run = tmp_path / "run"
+        run.mkdir()
+        save_checkpoint(run / "model_final.ckpt", state)
+        write_cfg(run / "config_used.cfg", out_dir=str(run))
+        assert main([command, "--out-dir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: view weights must be finite") and "lambda" in err
+        assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg", "model_final.ckpt"]
 
     def test_state_mismatch_is_one_line_error(self, trained_dir, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "out"), dfm_on="false")
@@ -393,10 +408,68 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_lambda_that_overflows_the_solver_exits_1_before_any_update(self, tmp_path, capsys):
+        """lambda = 1e-310 validates, but -loss / lambda overflows and the solved view
+        weights are NaN: the run stops at the first batch, before a step or a save."""
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(run), depth=1, epochs=1,
+                        **{"lambda": "1e-310"})
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: view weights must be finite") and "lambda" in err
+        assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg", "train_log.csv"]
+        assert (run / "train_log.csv").read_text().splitlines() == [
+            "epoch,loss_1,loss_2,loss_3,w_1,w_2,w_3,objective"]
+
     def test_missing_data_dir_exits_1(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "run"))
         rc = main(["train", "--config", cfg, "--data-dir", str(tmp_path / "absent")])
         assert rc == 1
+
+
+@st.composite
+def small_train_config(draw):
+    """A small valid config: 16 or 32 px, depth <= 2, widths <= 8, <= 3 samples, 1-2
+    epochs, and lr and lambda anywhere in the positive floats up to 1e308."""
+    heads = draw(st.sampled_from([1, 2, 4]))
+    width = st.integers(1, 8)
+    positive = st.floats(min_value=5e-324, max_value=1e308, allow_subnormal=True)
+    return {
+        "image_size": draw(st.sampled_from([16, 32])),
+        "depth": draw(st.integers(1, 2)),
+        "d_model": heads * draw(st.integers(1, 8 // heads)),
+        "heads": heads,
+        "stem_channels": draw(width),
+        "stage_units": draw(st.integers(1, 2)),
+        "c4": draw(width),
+        "c8": draw(width),
+        "c16": draw(width),
+        "glff_on": draw(st.booleans()),
+        "dfm_on": draw(st.booleans()),
+        "lr": repr(draw(positive)),
+        "lambda": repr(draw(positive)),
+        "epochs": draw(st.integers(1, 2)),
+        "batch_size": draw(st.integers(1, 3)),
+        "synth_samples": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 3)),
+        "dtype": draw(st.sampled_from(["float32", "float64"])),
+    }
+
+
+@given(small_train_config())
+@settings(max_examples=50, deadline=None)
+def test_train_on_any_small_config_exits_cleanly(tmp_path_factory, values):
+    """``coopseg train`` returns 0, 1 or 2 and raises nothing; a run that exits 0 leaves
+    finite view weights on the simplex. (Parameters an overflowing lr made non-finite
+    are not checked here.)"""
+    root = tmp_path_factory.mktemp("prop")
+    cfg = root / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**values, "out_dir": root / "run"}.items()))
+    code = main(["train", "--config", str(cfg)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        w = load_checkpoint(root / "run" / "model_final.ckpt")["view_weights"]
+        assert np.isfinite(w).all() and abs(w.sum() - 1.0) <= 1e-9
 
 
 class TestGradcheckCommand:

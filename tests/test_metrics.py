@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from coopseg.metrics import MetricReport, THRESHOLD, dice, evaluate_pairs, iou, mae
+from coopseg.metrics import THRESHOLD, dice, evaluate_pairs, iou, mae
 
 
 def rng_of(seed):
@@ -107,18 +107,14 @@ class TestPairProperties:
 
 
 class TestReport:
-    def test_means_and_rows(self):
+    def test_one_row_per_pair(self):
         rng = rng_of(6)
         ids = [f"s{i}" for i in range(4)]
         preds = [rng.uniform(size=(6, 6)) for _ in ids]
         gts = [(rng.uniform(size=(6, 6)) > 0.5).astype(float) for _ in ids]
-        report = evaluate_pairs(ids, preds, gts)
-        assert isinstance(report, MetricReport)
-        assert report.ids == ids
-        assert report.mean_dice == pytest.approx(np.mean(report.dice))
-        assert report.mean_iou == pytest.approx(np.mean(report.iou))
-        assert report.mean_mae == pytest.approx(np.mean(report.mae))
-        for d, u in zip(report.dice, report.iou):
+        rows = evaluate_pairs(ids, preds, gts)
+        assert rows == [(i, dice(p, g), iou(p, g), mae(p, g)) for i, p, g in zip(ids, preds, gts)]
+        for _, d, u, _ in rows:
             assert d >= u
 
     @pytest.mark.parametrize("n_ids,n_preds,n_gts", [(3, 1, 1), (2, 2, 1), (1, 2, 2)])
@@ -127,9 +123,6 @@ class TestReport:
         with pytest.raises(ValueError, match="ids"):
             evaluate_pairs([f"s{i}" for i in range(n_ids)], [g] * n_preds, [g] * n_gts)
 
-    def test_perfect_report(self):
+    def test_perfect_rows(self):
         g = (rng_of(7).uniform(size=(8, 8)) > 0.5).astype(float)
-        report = evaluate_pairs(["a"], [g.copy()], [g])
-        assert report.mean_dice == 1.0
-        assert report.mean_iou == 1.0
-        assert report.mean_mae == 0.0
+        assert evaluate_pairs(["a"], [g.copy()], [g]) == [("a", 1.0, 1.0, 0.0)]

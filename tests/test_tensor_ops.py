@@ -721,6 +721,40 @@ class TestActivations:
         assert np.isfinite(out).all()
         assert out[0] == 0.0 and out[1] == 1.0
 
+    @staticmethod
+    def _two_branch_sigmoid(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_equals_the_two_branch_form_bitwise(self, dtype):
+        """One expression over e^-|x| gives the bits of 1 / (1 + e^-x) on x >= 0 and
+        e^x / (1 + e^x) below, ±0, ±inf and either sign of NaN included."""
+        rng = np.random.default_rng(37)
+        edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300,
+                         800.0, -800.0, 88.7, -88.7, 1e-45, -1e-45], dtype)
+        cases = [np.array(v, dtype) for v in edge]
+        for shape in [(16,), (3, 5), (2, 3, 17, 19), (4, 1, 352, 352)]:
+            x = (rng.standard_normal(shape) * 30).astype(dtype)
+            x.reshape(-1)[: edge.size] = edge
+            cases.append(x)
+        for x in cases:
+            out = T.sigmoid(Tensor(x)).data
+            ref = self._two_branch_sigmoid(x)
+            assert out.dtype == ref.dtype and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+
+    def test_sigmoid_transient_peak_below_two_and_a_half_inputs(self):
+        """e, the output and the x >= 0 mask: 2.25 inputs at float32 (the masked
+        gathers took 2.75)."""
+        x = Tensor(np.random.default_rng(38).standard_normal((4, 1, 352, 352)).astype(np.float32))
+        _, peak = helpers.alloc_peak(lambda: T.sigmoid(x))
+        assert peak <= 2.5 * x.data.nbytes
+
 
 # ---------------------------------------------------------------------------
 # norms

@@ -132,6 +132,17 @@ class TestSolveWeights:
         with pytest.raises(ValueError):
             solve_weights([1.0, 2.0, 3.0], 0.0)
 
+    def test_overflowing_lambda_is_rejected_naming_lambda(self):
+        """At lambda = 1e-310, -loss / lambda overflows to -inf and the max shift makes
+        every weight NaN; NaN passes both the sum and the sign check."""
+        with pytest.raises(ValueError, match="lambda"):
+            solve_weights([0.7, 0.9, 1.1], 1e-310)
+
+    @pytest.mark.parametrize("w", [np.full(3, np.nan), [np.inf, 0.0, 0.0], [np.nan, 0.5, 0.5]])
+    def test_non_finite_weights_rejected(self, w):
+        with pytest.raises(ValueError, match="lambda"):
+            ViewWeights(w, 1.0)
+
     def test_smaller_loss_never_gets_smaller_weight(self):
         rng = rng_of(6)
         for _ in range(20):
