@@ -1,9 +1,10 @@
 """Minimal dense tensor library with reverse-mode automatic differentiation.
 
 Tensors wrap numpy arrays. Inside a ``step()`` block every differentiable
-operation records a node on the step's gradient tape; ``backward`` replays the
-tape in exact reverse execution order and accumulates gradients into
-``requires_grad`` leaves. Outside a step nothing is recorded.
+operation of the thread that opened it records a node on the step's gradient
+tape; ``backward`` replays the tape in exact reverse execution order and
+accumulates gradients into ``requires_grad`` leaves. Outside a step, and in
+every other thread, nothing is recorded.
 Ops take Tensors: every tensor argument of an op is a ``Tensor``. The one
 exception is the other operand of ``+ - * /`` (``add``, ``sub``, ``mul``,
 ``div``), which may also be a Python number or an ndarray; it gets no gradient.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 import weakref
 from contextlib import contextmanager
 from typing import Optional, Sequence
@@ -100,14 +102,19 @@ class GradTape:
         self.nodes.clear()
 
 
-class _EngineState:
-    __slots__ = ("tape",)
+class _EngineState(threading.local):
+    """Recording is per thread: a step records only the ops of the thread that
+    opened it, and every other thread starts with no tape."""
 
-    def __init__(self):
-        self.tape: Optional[GradTape] = None  # the recording tape; None outside a step
+    tape: Optional[GradTape] = None  # the recording tape; None outside a step
 
 
 _state = _EngineState()
+
+
+def recording() -> bool:
+    """Whether this thread is inside a ``step()`` that records (not suspended by ``no_grad``)."""
+    return _state.tape is not None
 
 
 @contextmanager

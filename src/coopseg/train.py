@@ -70,8 +70,11 @@ def solve_weights(losses: Sequence[float], lam: float) -> ViewWeights:
     arr = np.asarray(losses, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"losses must be finite, got {arr}")
-    z = -arr / lam
-    z -= z.max()  # shift invariance, exact: exp cancels the common factor
+    # a lambda too small for the losses overflows here; ViewWeights' finiteness check
+    # is the one report of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = -arr / lam
+        z -= z.max()  # shift invariance, exact: exp cancels the common factor
     e = np.exp(z)
     return ViewWeights(e / e.sum(), lam)
 

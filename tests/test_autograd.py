@@ -1,5 +1,6 @@
 """Backward-pass contracts: tape order, accumulation, finite-difference checks."""
 
+import threading
 import weakref
 from contextlib import nullcontext
 
@@ -158,6 +159,42 @@ class TestStepScope:
                     raise RuntimeError("boom")
             assert T._state.tape is outer
         assert T._state.tape is None
+
+
+    def test_a_step_records_only_the_ops_of_its_own_thread(self):
+        x = Tensor([1.0], requires_grad=True)
+        seen = {}
+
+        def run_ops():
+            y = x * 2.0
+            seen["other"] = (T.recording(), y.node, y.requires_grad)
+
+        with T.step() as tape:
+            worker = threading.Thread(target=run_ops)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert T.recording() and len(tape) == 0
+        assert seen["other"] == (False, None, False)
+
+        opened, resume = threading.Event(), threading.Event()
+
+        def step_in_other_thread():
+            with T.step() as other_tape:
+                opened.set()
+                resume.wait(timeout=30)
+                y = x * 3.0
+                seen["step"] = ([n.op for n in other_tape.nodes], y.node.tape is other_tape)
+
+        worker = threading.Thread(target=step_in_other_thread)
+        worker.start()
+        assert opened.wait(timeout=30)
+        z = x * 4.0
+        assert not T.recording() and z.node is None and not z.requires_grad
+        resume.set()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen["step"] == (["mul"], True)
 
 
 class TestTapeSemantics:

@@ -20,7 +20,7 @@ from coopseg.checkpoint import load_checkpoint, save_checkpoint
 from coopseg.cli import main
 from coopseg.config import RunConfig, parse_config_file
 from coopseg.data import read_raster
-from coopseg.model import SegmentationModel, ViewOutputs
+from coopseg.model import BLAS_THREAD_VARS, SegmentationModel, ViewOutputs
 from coopseg.train import EpochReport, train_epoch
 
 TINY = {
@@ -45,6 +45,19 @@ def write_cfg(path, **extra):
     lines.update({k: str(v) for k, v in extra.items()})
     path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
     return str(path)
+
+
+def run_coopseg(*args, blas_threads=None):
+    """``python -m coopseg`` in a fresh process. ``blas_threads`` sets
+    OPENBLAS_NUM_THREADS; None leaves every BLAS thread variable unset, so BLAS
+    takes one thread per CPU."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, "-m", "coopseg", *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +183,25 @@ class TestEvalPredict:
         assert len(lines) == 4
         assert main(["predict", "--out-dir", run]) == 0
         assert (trained_dir / "run" / "predictions" / "synth_0001.pgm").is_file()
+
+    def test_outputs_do_not_depend_on_the_blas_threads(self, trained_dir, tmp_path):
+        """With one BLAS thread, eval and predict forward a batch's images on every CPU in
+        parallel; with BLAS unpinned it takes every CPU, and they run one by one."""
+        ckpt = str(trained_dir / "run" / "model_final.ckpt")
+        outputs = []
+        for blas in ("1", None):
+            run = tmp_path / f"blas_{blas}"
+            cfg = write_cfg(tmp_path / f"blas_{blas}.cfg", out_dir=str(run), seed=3,
+                            synth_samples=5, batch_size=3)
+            for command in ("eval", "predict"):
+                proc = run_coopseg(command, "--config", cfg, "--checkpoint", ckpt,
+                                   blas_threads=blas)
+                assert proc.returncode == 0, proc.stderr
+            preds = sorted((run / "predictions").iterdir())
+            outputs.append([(run / "eval.csv").read_bytes(),
+                            *((p.name, p.read_bytes()) for p in preds)])
+        assert len(outputs[0]) == 1 + 5
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_old_run_echo_with_a_removed_key_is_config_error(self, tmp_path, capsys, command):
@@ -408,15 +440,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
-    def test_lambda_that_overflows_the_solver_exits_1_before_any_update(self, tmp_path, capsys):
+    def test_lambda_that_overflows_the_solver_exits_1_before_any_update(self, tmp_path):
         """lambda = 1e-310 validates, but -loss / lambda overflows and the solved view
-        weights are NaN: the run stops at the first batch, before a step or a save."""
+        weights are NaN: the run stops at the first batch, before a step or a save, and
+        the one line of standard error is the report (numpy warns of no overflow)."""
         run = tmp_path / "run"
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(run), depth=1, epochs=1,
                         **{"lambda": "1e-310"})
-        assert main(["train", "--config", cfg]) == 1
-        err = capsys.readouterr().err
+        proc = run_coopseg("train", "--config", cfg)
+        assert proc.returncode == 1
+        err = proc.stderr
         assert err.startswith("error: view weights must be finite") and "lambda" in err
+        assert len(err.splitlines()) == 1, err
         assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg", "train_log.csv"]
         assert (run / "train_log.csv").read_text().splitlines() == [
             "epoch,loss_1,loss_2,loss_3,w_1,w_2,w_3,objective"]
@@ -504,21 +539,13 @@ class TestGradcheckCommand:
 class TestEntryPoint:
     """``python -m coopseg`` runs the same parser as ``main``."""
 
-    @staticmethod
-    def run(*args):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        return subprocess.run([sys.executable, "-m", "coopseg", *args], capture_output=True,
-                              text=True, env=env, timeout=120)
-
     def test_help_lists_every_command(self):
-        proc = self.run("--help")
+        proc = run_coopseg("--help")
         assert proc.returncode == 0, proc.stderr
         for command in ("train", "eval", "predict", "gradcheck"):
             assert command in proc.stdout
 
     def test_no_command_is_usage_error(self):
-        proc = self.run()
+        proc = run_coopseg()
         assert proc.returncode == 2
         assert proc.stderr.startswith("usage: coopseg")

@@ -1,11 +1,18 @@
-"""Whole-model wiring: three views, ablation switches, init isolation."""
+"""Whole-model wiring: three views, ablation switches, init isolation, and the
+eval-mode forward that runs each image alone on the CPUs BLAS leaves idle."""
+
+import gc
+import os
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
+from coopseg import tensor as T
 from coopseg.config import ConfigError, RunConfig, toy_config
-from coopseg.model import SegmentationModel, ViewOutputs
-from coopseg.tensor import Tensor
+from coopseg.model import BLAS_THREAD_VARS, SegmentationModel, ViewOutputs, idle_cpus
+from coopseg.tensor import ShapeError, Tensor
 from coopseg.train import view_loss
 
 
@@ -164,3 +171,116 @@ class TestInitIsolation:
         assert any(n.startswith("decoder.") for n in on_names)
         assert not any(n.startswith("decoder.") for n in off_names)
         assert any(n.startswith("head_f.") for n in off_names)
+
+
+def set_cpus(monkeypatch, cpus, **blas):
+    """This process sees ``cpus`` CPUs and the BLAS thread variables ``blas``, no others."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+
+
+def set_workers(monkeypatch, n):
+    set_cpus(monkeypatch, 6, OPENBLAS_NUM_THREADS=str(6 // n))
+    assert idle_cpus() == n
+
+
+@pytest.fixture
+def thread_log(monkeypatch):
+    """The thread of each ``_views`` call, with the batch size it was given."""
+    log, real = [], SegmentationModel._views
+
+    def views(model, image):
+        log.append((threading.get_ident(), image.shape[0]))
+        return real(model, image)
+
+    monkeypatch.setattr(SegmentationModel, "_views", views)
+    return log
+
+
+class TestParallelEvalForward:
+    @pytest.mark.parametrize("blas, workers", [
+        ({}, 1),  # unset: BLAS takes one thread per CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 6),
+        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 6),
+        ({"OPENBLAS_NUM_THREADS": "12"}, 1),
+    ])
+    def test_idle_cpus_reads_the_blas_threads_as_openblas_does(self, monkeypatch, blas, workers):
+        set_cpus(monkeypatch, 6, **blas)
+        assert idle_cpus() == workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 3, 4])
+    def test_views_equal_each_image_forwarded_alone(self, monkeypatch, thread_log, workers, batch):
+        cfg = tiny_cfg()
+        model = SegmentationModel(cfg).eval()
+        x = tiny_batch(cfg, n=batch)
+        alone = [model._views(Tensor(x.data[i : i + 1])) for i in range(batch)]
+        thread_log.clear()
+        set_workers(monkeypatch, workers)
+        outs = model(x)
+        for k, view in enumerate(outs):
+            assert view.shape == (batch, 1, 32, 32) and view.dtype == np.float32
+            want = np.concatenate([a[k].data for a in alone])
+            assert view.data.tobytes() == want.tobytes(), (ViewOutputs._fields[k], workers, batch)
+        threads = {ident for ident, _ in thread_log}
+        assert [b for _, b in thread_log] == [1] * batch
+        # this thread takes a share; which pool thread takes which image is up to the pool
+        assert threading.get_ident() in threads and len(threads) <= min(workers, batch)
+        assert (len(threads) > 1) == (min(workers, batch) > 1)
+
+    def test_a_worker_error_reaches_the_caller_unchanged(self, monkeypatch):
+        cfg = tiny_cfg()
+        model = SegmentationModel(cfg).eval()
+        raised, real, caller = [], SegmentationModel._views, threading.get_ident()
+
+        def views(model, image):
+            if threading.get_ident() == caller:
+                return real(model, image)
+            try:
+                return real(model, Tensor(image.data[..., 1:, 1:]))  # a wrong-size image
+            except ShapeError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(SegmentationModel, "_views", views)
+        set_workers(monkeypatch, 2)
+        with pytest.raises(ShapeError, match="expected 3x32x32 image, got 3x31x31") as info:
+            model(tiny_batch(cfg, n=4))
+        assert raised and info.value is raised[0]  # the first image the pool thread took
+
+    def test_a_forward_inside_a_step_takes_the_whole_batch_on_one_tape(self, monkeypatch,
+                                                                     thread_log):
+        cfg = tiny_cfg()
+        model = SegmentationModel(cfg).eval()
+        set_workers(monkeypatch, 2)
+        with T.step() as tape:
+            outs = model(tiny_batch(cfg, n=4))
+            assert len(tape) > 0 and all(node.tape is tape for node in tape.nodes)
+            assert all(view.node is not None and view.node.tape is tape for view in outs)
+        assert thread_log == [(threading.get_ident(), 4)]
+
+    def test_a_training_model_takes_the_whole_batch(self, monkeypatch, thread_log):
+        cfg = tiny_cfg()
+        set_workers(monkeypatch, 2)
+        SegmentationModel(cfg).train()(tiny_batch(cfg, n=4))
+        assert thread_log == [(threading.get_ident(), 4)]
+
+    def test_the_model_dies_with_its_last_reference(self, monkeypatch):
+        cfg = tiny_cfg()
+        model = SegmentationModel(cfg).eval()
+        set_workers(monkeypatch, 2)
+        gc.disable()  # only reference counting may free it
+        try:
+            ref = weakref.ref(model)
+            out = model(tiny_batch(cfg, n=4))
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert out.fusion.shape == (4, 1, 32, 32)
