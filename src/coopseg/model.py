@@ -7,8 +7,8 @@ model as a buffer so they persist through checkpoints.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -20,23 +20,6 @@ from .fusion import FUSED_CHANNELS, DenseFusionDecoder, GlffBlock
 from .nn import Module, MultiScaleFeatures
 from .tensor import Tensor
 from .transformer import TransformerBranch, ViewHead
-
-# OpenBLAS takes its thread count from the first of these set to a positive integer
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def idle_cpus() -> int:
-    """How many single-image forwards can run at once: this process's CPUs divided by
-    the threads each BLAS call already uses (one per CPU when no variable sets it)."""
-    cpus = len(os.sched_getaffinity(0))
-    for var in BLAS_THREAD_VARS:
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            return max(1, cpus // blas)
-    return 1
 
 
 class ViewOutputs(NamedTuple):
@@ -89,20 +72,22 @@ class SegmentationModel(Module):
         """The three views of a batch. In training mode, or inside a recording step, the
         batch goes through whole on this thread: BatchNorm's batch statistics and the tape
         need it. In eval mode no op mixes images, so each image is forwarded alone, and
-        the images are shared among ``idle_cpus()`` threads, this one included. An image's
-        views then depend on neither the batch size nor the CPU count: the batch is a GEMM
-        dimension in ``ChannelGate``, so batching would change the last bits."""
+        the images are cut into ``idle_cpus()`` even shares: this thread forwards the
+        first and the engine's pool the rest (``tensor.run_all``). An image's views then
+        depend on neither the batch size nor the CPU count: the batch is a GEMM dimension
+        in ``ChannelGate``, so batching would change the last bits."""
         if self.training or T.recording():
             return self._views(image)
         singles = [Tensor(image.data[i : i + 1]) for i in range(image.shape[0])]
-        n = min(idle_cpus(), len(singles))
-        own = len(singles) // n  # this thread's share; n - 1 pool threads take the rest
-        # a pool starts threads only as images are submitted: with n = 1 it starts none
-        with ThreadPoolExecutor(max(n - 1, 1)) as pool:
-            rest = pool.map(self._views, singles[own:])
-            views = [self._views(x) for x in singles[:own]]
-            views += rest
+        n = min(T.idle_cpus(), len(singles))
+        shares = [singles[len(singles) * i // n : len(singles) * (i + 1) // n] for i in range(n)]
+        # an image is always worth a thread
+        parts = T.run_all(math.inf, *(partial(self._views_of, share) for share in shares))
+        views = [v for part in parts for v in part]
         return ViewOutputs(*(Tensor(np.concatenate([v.data for v in maps])) for maps in zip(*views)))
+
+    def _views_of(self, images: list[Tensor]) -> list[ViewOutputs]:
+        return [self._views(x) for x in images]
 
     def _views(self, image: Tensor) -> ViewOutputs:
         t_feats = self.transformer(image)

@@ -11,15 +11,31 @@ exception is the other operand of ``+ - * /`` (``add``, ``sub``, ``mul``,
 The op set is intentionally small: just what a two-branch segmentation
 network with a fusion decoder needs. Everything runs on CPU; float64 is the
 test/verification precision and float32 the training precision.
+
+The engine owns one worker pool, sized by ``idle_cpus()``: the CPUs that BLAS
+leaves idle, less the calling thread. ``fork`` hands it a call worth at least
+``FORK_MIN_WORK`` and ``join`` collects the result. Backward forks the second
+GEMM of each ``_matmul_grads`` pair (matmul, mlp, attention) and conv2d's input
+gradient while the caller computes the other; ``_correlate`` forks the later half
+of its (image, band) GEMMs and ``_normal_cdf`` the later half of its elements, in
+forward and backward; ``train.Adam`` forks its updates and the eval-mode model its
+images. Each forked piece is the same one-thread call it would be alone, so
+results do not depend on the pool size. A caller
+that joins a task no pool thread has started runs it itself, and a fork asked
+for on a pool thread runs inline, so no thread ever waits behind queued work.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
+import os
+import queue
 import threading
 import weakref
 from contextlib import contextmanager
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -107,9 +123,150 @@ class _EngineState(threading.local):
     opened it, and every other thread starts with no tape."""
 
     tape: Optional[GradTape] = None  # the recording tape; None outside a step
+    on_pool: bool = False  # a pool thread: its forks run inline
 
 
 _state = _EngineState()
+
+
+# --------------------------------------------------------------------------
+# Worker pool
+# --------------------------------------------------------------------------
+
+
+# OpenBLAS takes its thread count from the first of these set to a positive integer
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# the least work, in one-thread GEMM multiply-adds or their time's worth (about 0.1 ms),
+# that a fork hands to the pool: below it a pool thread's wake-up (about 50 us) costs more
+# than running both halves at once saves (README, "Parallelism")
+FORK_MIN_WORK = 2**22
+
+
+def idle_cpus() -> int:
+    """How many one-BLAS-thread calls can run at once: this process's CPUs divided by
+    the threads each BLAS call already uses (one per CPU when no variable sets it)."""
+    cpus = len(os.sched_getaffinity(0))
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cpus // blas)
+    return 1
+
+
+class Task:
+    """``fn(*args)``, run once: by a pool thread, or by the thread that joins it if no
+    pool thread has started it by then. It holds neither once run."""
+
+    __slots__ = ("_call", "_taken", "_done", "_result", "_error")
+
+    def __init__(self, fn, args):
+        self._call = fn, args
+        self._taken = threading.Lock()  # acquired by the one thread that runs the task
+        self._done = threading.Event()
+        self._result = self._error = None
+
+    def _take(self) -> bool:
+        return self._taken.acquire(blocking=False)
+
+    def _run(self):
+        fn, args = self._call
+        self._call = None
+        try:
+            self._result = fn(*args)
+        except BaseException as exc:  # join raises it, the same object, in the caller
+            self._error = exc
+        del fn, args  # before the joiner wakes: a caller may count on its last reference
+        self._done.set()
+
+
+def _one_malloc_arena():
+    """Have every thread allocate from glibc's main arena (``M_ARENA_MAX`` = 1). A pool
+    thread would otherwise get an arena of its own, whose freed arrays stay resident:
+    17 MB more peak RSS over a paper-geometry training run. Where the C library has no
+    ``mallopt``, nothing changes."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-8, 1)  # M_ARENA_MAX
+
+
+class _Pool:
+    """Daemon threads, started as forks need them, that run queued Tasks."""
+
+    def __init__(self):
+        self._queue = queue.SimpleQueue()
+        self._threads = 0
+        self._lock = threading.Lock()
+
+    def put(self, task: Task, threads: int):
+        with self._lock:
+            if not self._threads:
+                _one_malloc_arena()
+            for _ in range(self._threads, threads):
+                threading.Thread(target=self._work, name="coopseg-pool", daemon=True).start()
+            self._threads = max(self._threads, threads)
+        self._queue.put(task)
+
+    def _work(self):
+        _state.on_pool = True
+        while True:
+            task = self._queue.get()
+            if task._take():
+                task._run()
+            del task  # a finished task's result must not outlive its joiner's use of it
+
+
+_pool = _Pool()
+
+
+def fork(work: float, fn, *args) -> Task:
+    """``fn(*args)`` as a Task that a pool thread may start at once. It is queued only
+    when ``work`` reaches ``FORK_MIN_WORK``, this thread is not itself a pool thread and
+    ``idle_cpus()`` leaves a CPU besides this thread's; otherwise ``join`` runs it."""
+    task = Task(fn, args)
+    if work >= FORK_MIN_WORK and not _state.on_pool:
+        threads = idle_cpus() - 1
+        if threads > 0:
+            _pool.put(task, threads)
+    return task
+
+
+def join(task: Task):
+    """The task's result, or its exception raised here, the same object. A task that no
+    pool thread has started is taken back and run here, so a caller never waits behind
+    queued work."""
+    if task._take():
+        task._run()
+    else:
+        task._done.wait()
+    result, error = task._result, task._error
+    task._result = task._error = None
+    if error is not None:
+        raise error
+    return result
+
+
+def run_all(work: float, *calls) -> list:
+    """``[call() for call in calls]``: every call but the first is forked (``fork``), this
+    thread runs the first, then joins the rest in order. Each call runs the same
+    operations, on one thread, as it would alone, so the results do not depend on the
+    pool. If a call raises, the forks no thread has started are dropped and the running
+    ones waited for, and then the first error in call order is raised."""
+    tasks = [fork(work, call) for call in calls[1:]]
+    try:
+        results = [calls[0]()]
+        for task in tasks:
+            results.append(join(task))
+    except BaseException:
+        for task in tasks:
+            if not task._take():
+                task._done.wait()
+        raise
+    return results
 
 
 def recording() -> bool:
@@ -344,10 +501,14 @@ def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
 
 def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The gradients of ``a @ b`` given the upstream gradient g: ``g @ b^T`` and
-    ``a^T @ g``, each summed back over broadcast leading axes to its operand's shape.
-    The one GEMM-gradient rule of matmul, mlp and attention."""
-    ga = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
-    return ga, _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
+    ``a^T @ g``, each summed back over broadcast leading axes to its operand's shape,
+    the second on the pool (``run_all``). The one GEMM-gradient rule of matmul, mlp and
+    attention."""
+    return run_all(
+        g.size * a.shape[-1],  # each GEMM's multiply-adds
+        lambda: _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape),
+        lambda: _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape),
+    )
 
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -397,7 +558,8 @@ def _blocks(count: int, item_elems: int, dtype, taps: int, least: int = 1):
     """Bounds that cut ``count`` items of ``item_elems`` window elements each into as few
     even blocks as keep a block within ``WINDOW_BLOCK_BYTES``, but none under ``least``
     items (one block when all fit), and one buffer for the largest block: every block's
-    windows are copied into it, so a conv makes one window allocation, not one per block.
+    windows are copied into it, so a conv makes one window allocation per thread that runs
+    its blocks, not one per block.
     A kernel of one tap copies nothing (its windows are the input itself), so its items
     stay one block, with no buffer."""
     if taps == 1:
@@ -424,14 +586,25 @@ def _correlate(k2: np.ndarray, x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     output rows, each band's GEMM written straight into its columns of image n of one
     B x rows x (H*W) output. A band splits only the GEMM's output columns, so each element
     sums the same products as one GEMM over the image's windows; whether BLAS also keeps
-    their order, and so the bits, depends on the shape (README, "Convolution")."""
+    their order, and so the bits, depends on the shape (README, "Convolution"). The later
+    half of the (image, band) GEMMs runs on the pool while this thread runs the first
+    (``run_all``); each is the same call either way."""
     b, _, h, w = x.shape
     out = np.empty((b, k2.shape[0], h * w), np.result_type(k2, x))
     win = _im2col(x, kh, kw)
     rows, buf = _blocks(h, k2.shape[1] * w, x.dtype, kh * kw)
-    for out_n, win_n in zip(out, win):
-        for r0, r1 in zip(rows, rows[1:]):
-            np.matmul(k2, _gather(win_n[..., r0:r1, :], buf), out=out_n[:, r0 * w : r1 * w])
+    bands = [(n, r0, r1) for n in range(b) for r0, r1 in zip(rows, rows[1:])]
+    owner = threading.get_ident()
+
+    def correlate(part):
+        # a part another thread runs at the same time copies its windows into a buffer of its own
+        own = buf if buf is None or threading.get_ident() == owner else np.empty_like(buf)
+        for n, r0, r1 in part:
+            np.matmul(k2, _gather(win[n][..., r0:r1, :], own), out=out[n][:, r0 * w : r1 * w])
+
+    cut = (len(bands) + 1) // 2
+    work = k2.size * w * sum(r1 - r0 for _, r0, r1 in bands[cut:])  # the later half's multiply-adds
+    run_all(work, partial(correlate, bands[:cut]), partial(correlate, bands[cut:]))
     return out
 
 
@@ -443,8 +616,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     in ``_blocks`` of at least 16 input channels (narrower GEMMs take another BLAS path and
     change bits): each block's ``sum(g_n @ cols_n^T)`` over the images, in image order, fills
     its columns of the gradient. Its input gradient correlates the upstream gradient, padded
-    the same way, with the flipped, channel-swapped kernel; it is None when the input did not
-    require grad."""
+    the same way, with the flipped, channel-swapped kernel, on the pool while this thread
+    makes the kernel gradient (``run_all``); it is None when the input did not require grad."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
     b, cin, h, w = x.shape
@@ -462,20 +635,25 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         out += bias.data[:, None]
 
     def bw(g):
-        g3, win = g.reshape(b, cout, h * w), _im2col(xd, kh, kw)
-        gw = np.empty((cout, cin * kh * kw), np.result_type(g, xd))
-        chans, buf = _blocks(cin, kh * kw * h * w, xd.dtype, kh * kw, least=16)
-        for c0, c1 in zip(chans, chans[1:]):
-            # each image's product is made before the next image's windows overwrite buf
-            gw[:, c0 * kh * kw : c1 * kh * kw] = sum(
-                gi @ _gather(wn[c0:c1], buf).T for gi, wn in zip(g3, win))
-        del win, buf  # the padded input, its window view and the window copies
-        gw = gw.reshape(kd.shape)
+        def kernel_grad():
+            g3, win = g.reshape(b, cout, h * w), _im2col(xd, kh, kw)
+            gw = np.empty((cout, cin * kh * kw), np.result_type(g, xd))
+            chans, buf = _blocks(cin, kh * kw * h * w, xd.dtype, kh * kw, least=16)
+            for c0, c1 in zip(chans, chans[1:]):
+                # each image's product is made before the next image's windows overwrite buf
+                gw[:, c0 * kh * kw : c1 * kh * kw] = sum(
+                    gi @ _gather(wn[c0:c1], buf).T for gi, wn in zip(g3, win))
+            return gw.reshape(kd.shape)
+
+        def input_grad():
+            w_flip = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+            return _correlate(w_flip, g, kh, kw).reshape(b, cin, h, w)
+
         gb = g.sum(axis=(0, 2, 3)) if has_bias else None
         if not x_requires_grad:
-            return None, gw, gb
-        w_flip = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
-        return _correlate(w_flip, g, kh, kw).reshape(b, cin, h, w), gw, gb
+            return None, kernel_grad(), gb
+        gw, gx = run_all(g.size * cin * kh * kw, kernel_grad, input_grad)  # multiply-adds each
+        return gx, gw, gb
 
     return _from_op("conv2d", out.reshape(b, cout, h, w), (x, kernel, bias), bw)
 
@@ -636,8 +814,20 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     """The exact standard-normal CDF (erf form): the one expression gelu and mlp
-    use in forward and again in backward, where they rebuild it."""
-    return 0.5 * (1.0 + special.erf(x * _INV_SQRT2))
+    use in forward and again in backward, where they rebuild it. The later half of
+    the elements runs on the pool while this thread computes the first (``run_all``);
+    the expression is elementwise, so the bits are those of one call."""
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+
+    def cdf(part):
+        out[part] = 0.5 * (1.0 + special.erf(flat[part] * _INV_SQRT2))
+
+    half = flat.size // 2
+    # scipy's erf takes about 13 ns per element: 650 one-thread multiply-adds' worth
+    run_all(650 * (flat.size - half), partial(cdf, slice(None, half)),
+            partial(cdf, slice(half, None)))
+    return out.reshape(x.shape)
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -107,12 +107,18 @@ def fuse_decision(w: ViewWeights, outs: ViewOutputs) -> Tensor:
 class Adam:
     """Bias-corrected Adam over a fixed parameter list.
 
-    ``step()`` updates every parameter that has a ``.grad``. ``backward(loss)``
+    ``step()`` updates every parameter that has a ``.grad``. ``backward(loss, names)``
     instead updates each parameter inside ``tensor.backward``, as soon as its
     gradient is complete, and keeps no gradient: the parameter update is fused
     into backward as LOMO fuses it (Lv et al., arXiv:2306.09782), so the
-    gradients are never all resident together. Both run one update body, so
-    they give the same bits; ``step_count`` advances once per step either way.
+    gradients are never all resident together, and large updates overlap the rest
+    of the replay on the engine's pool. Both run one update body, so they give the
+    same bits; ``step_count`` advances once per step either way.
+
+    An update refuses a gradient whose squared norm ``g·g`` is not finite: any NaN
+    or infinite element, and also a finite gradient so large that ``g·g`` overflows
+    the parameter's dtype. It raises a RuntimeError naming the parameter before it
+    writes m, v or the parameter; the leaves updated earlier in the step stay updated.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float):
@@ -131,8 +137,16 @@ class Adam:
         self._bias_corrections = (1.0 - ADAM_BETA1 ** self.step_count,
                                   1.0 - ADAM_BETA2 ** self.step_count)
 
-    def _update(self, p: Tensor, g: np.ndarray):
-        """Apply this step's update to parameter p, given its gradient g."""
+    def _update(self, p: Tensor, g: np.ndarray, name: str):
+        """Apply this step's update to parameter p, called ``name``, given its gradient g."""
+        flat = g.reshape(-1)
+        with np.errstate(over="ignore"):  # the error below reports an overflowing g·g
+            norm2 = np.dot(flat, flat)
+        if not math.isfinite(norm2):
+            raise RuntimeError(
+                f"gradient of parameter {name!r} is not finite, or its squared norm overflows "
+                f"{g.dtype}; the update is refused and {name!r} is unchanged"
+            )
         m, v = self._moments[p]
         bc1, bc2 = self._bias_corrections
         # m += (1 - b1)(g - m); v += (1 - b2)(g * g - v); p -= lr (m / bc1) / (sqrt(v / bc2) + eps):
@@ -154,16 +168,41 @@ class Adam:
 
     def step(self):
         self._advance()
-        for p in self.params:
+        for i, p in enumerate(self.params):
             if p.grad is not None:
-                self._update(p, p.grad)
+                self._update(p, p.grad, f"params[{i}]")
 
-    def backward(self, loss: Tensor):
+    def backward(self, loss: Tensor, names: Mapping[Tensor, str]):
         """Backpropagate the loss and take this step, each parameter's update applied
         inside backward once its gradient is complete (``tensor.backward``'s sink).
-        Every requires_grad leaf of the loss's graph must be one of the parameters."""
+        ``names`` maps each parameter to the name an error gives it. Every requires_grad
+        leaf of the loss's graph must be one of the parameters.
+
+        An update worth a hand-over is forked to the engine's pool, at most one at a
+        time, and overlaps the rest of the replay; a smaller one runs at once. An
+        update's error reaches the caller unchanged, the first in hand-over order, and
+        this returns or raises only once no update is running."""
         self._advance()
-        T.backward(loss, sink=self._update)
+        last = None  # the forked update in flight
+
+        def sink(p, g):
+            nonlocal last
+            # an element's update, 16 passes over the arrays, takes about as long as 200
+            # one-thread GEMM multiply-adds (README, "Parallelism")
+            work = 200 * g.size
+            if work < T.FORK_MIN_WORK:  # too small to hand over: run now, beside the one in flight
+                self._update(p, g, names[p])
+                return
+            if last is not None:
+                task, last = last, None
+                T.join(task)
+            last = T.fork(work, self._update, p, g, names[p])
+
+        try:
+            T.backward(loss, sink=sink)
+        finally:
+            if last is not None:  # an error it raises came first in hand-over order
+                T.join(last)
 
     def zero_grad(self):
         for p in self.params:
@@ -195,6 +234,7 @@ def train_epoch(
     if not batches:
         raise ValueError("train_epoch needs at least one batch")
     model.train()
+    names = {p: name for name, p in model.named_parameters()}
     sums = np.zeros(3)
     per_batch_w = []
     for images, masks in batches:
@@ -209,7 +249,7 @@ def train_epoch(
             per_batch_w.append(w.w)
             # python floats keep the weighted sum in the losses' dtype
             weighted = sum(lk * float(wk) for lk, wk in zip(losses, w.w))
-            optimizer.backward(weighted)
+            optimizer.backward(weighted, names)
         sums += vals
     means = sums / len(batches)
     w_epoch = solve_weights(means, lam)

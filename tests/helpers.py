@@ -7,10 +7,14 @@ forms that are easy to audit by eye.
 import gc
 import inspect
 import math
+import os
+import threading
 import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
+
+from coopseg import tensor as T
 
 
 def entropy_objective(w, losses, lam):
@@ -128,3 +132,40 @@ def closure_values(node):
             value = cell.cell_contents
             (fns if inspect.isfunction(value) else values).append(value)
     return values
+
+
+def set_workers(monkeypatch, n, cpus=6):
+    """The engine sees ``cpus`` CPUs and BLAS threads that leave ``n`` of them idle
+    (``idle_cpus() == n``)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for var in T.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cpus // n))
+    assert T.idle_cpus() == n
+
+
+def pool_runs_every_queued_task(monkeypatch):
+    """Make the pool run every task the engine queues: a caller that joins a queued task
+    no pool thread has started waits for one to run it, instead of taking it back, so
+    which thread runs what no longer depends on timing. Returns the idents of the threads
+    that ran queued tasks, one per task."""
+    queued, ran = set(), []
+    put, take, run = T._Pool.put, T.Task._take, T.Task._run
+
+    def put_and_mark(pool, task, threads):
+        queued.add(task)
+        put(pool, task, threads)
+
+    def take_on_the_pool(task):
+        return (T._state.on_pool or task not in queued) and take(task)
+
+    def run_and_log(task):
+        if task in queued:
+            queued.discard(task)
+            ran.append(threading.get_ident())
+        run(task)
+
+    monkeypatch.setattr(T._Pool, "put", put_and_mark)
+    monkeypatch.setattr(T.Task, "_take", take_on_the_pool)
+    monkeypatch.setattr(T.Task, "_run", run_and_log)
+    return ran

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from coopseg import cli
+from coopseg import tensor as T
 from coopseg.checkpoint import load_checkpoint, save_checkpoint
 from coopseg.cli import main
 from coopseg.config import RunConfig, parse_config_file
 from coopseg.data import read_raster
-from coopseg.model import BLAS_THREAD_VARS, SegmentationModel, ViewOutputs
+from coopseg.model import SegmentationModel, ViewOutputs
+from coopseg.tensor import BLAS_THREAD_VARS
 from coopseg.train import EpochReport, train_epoch
 
 TINY = {
@@ -47,17 +50,22 @@ def write_cfg(path, **extra):
     return str(path)
 
 
-def run_coopseg(*args, blas_threads=None):
-    """``python -m coopseg`` in a fresh process. ``blas_threads`` sets
-    OPENBLAS_NUM_THREADS; None leaves every BLAS thread variable unset, so BLAS
+def run_python(*args, blas_threads=None):
+    """``python *args`` in a fresh process that imports this coopseg. ``blas_threads``
+    sets OPENBLAS_NUM_THREADS; None leaves every BLAS thread variable unset, so BLAS
     takes one thread per CPU."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    return subprocess.run([sys.executable, "-m", "coopseg", *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def run_coopseg(*args, blas_threads=None):
+    """``python -m coopseg`` in a fresh process (``run_python``)."""
+    return run_python("-m", "coopseg", *args, blas_threads=blas_threads)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +156,62 @@ class TestTrain:
         assert err == "error: out of memory: Unable to allocate 16.0 TiB for an array\n"
         lines = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("1,")
+
+    def test_training_does_not_depend_on_the_blas_threads(self, tmp_path):
+        """With one BLAS thread every GEMM pair of backward and every Adam update is
+        handed to the pool (the work constant is set to 0 here; at this size none would
+        be); with BLAS unpinned it takes every CPU and the pool is not used."""
+        outputs = []
+        for blas in ("1", None):
+            run = tmp_path / f"blas_{blas}"
+            cfg = write_cfg(tmp_path / f"blas_{blas}.cfg", out_dir=str(run), seed=3)
+            proc = run_python("-c", "import sys; from coopseg import cli, tensor; "
+                              "tensor.FORK_MIN_WORK = 0; "
+                              f"sys.exit(cli.main(['train', '--config', {cfg!r}]))",
+                              blas_threads=blas)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(run / name).read_bytes()
+                            for name in ("model_final.ckpt", "train_log.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_non_finite_gradient_exits_1_naming_the_parameter(self, tmp_path, monkeypatch,
+                                                               capsys, workers):
+        """One batchnorm rule returns a NaN gamma gradient. Adam refuses it, on the pool at
+        two workers, and the run stops in epoch 1, before its checkpoint and log row."""
+        helpers.set_workers(monkeypatch, workers)
+        monkeypatch.setattr(T, "_pool", T._Pool())
+        monkeypatch.setattr(T, "FORK_MIN_WORK", 0)
+        ran = helpers.pool_runs_every_queued_task(monkeypatch)
+        models, poisoned, from_op = [], [], T._from_op
+
+        def nan_gamma_gradient(op, data, inputs, backward_fn):
+            if op == "batchnorm_channel" and not poisoned:
+                poisoned.append(inputs[1])
+
+                def rule(g):
+                    gx, gamma, beta = backward_fn(g)
+                    return gx, np.full_like(gamma, np.nan), beta
+
+                return from_op(op, data, inputs, rule)
+            return from_op(op, data, inputs, backward_fn)
+
+        monkeypatch.setattr(T, "_from_op", nan_gamma_gradient)
+        monkeypatch.setattr(cli, "SegmentationModel",
+                            lambda cfg: models.append(SegmentationModel(cfg)) or models[-1])
+        cfg = write_cfg(tmp_path / "nan.cfg", out_dir=str(tmp_path / "run"))
+        assert main(["train", "--config", cfg]) == 1
+        [model] = models
+        name = next(n for n, p in model.named_parameters() if p is poisoned[0])
+        assert capsys.readouterr().err == (
+            f"error: gradient of parameter {name!r} is not finite, or its squared norm "
+            f"overflows float32; the update is refused and {name!r} is unchanged\n")
+        assert (len(ran) > 0) == (workers == 2)
+        run = tmp_path / "run"
+        assert not (run / "epoch_0001.ckpt").exists() and not (run / "model_final.ckpt").exists()
+        header = "epoch,loss_1,loss_2,loss_3,w_1,w_2,w_3,objective\n"
+        assert (run / "train_log.csv").read_text() == header
+
 
 class TestEvalPredict:
     def test_eval_writes_csv_with_summary(self, trained_dir, capsys):

@@ -9,10 +9,11 @@ import weakref
 import numpy as np
 import pytest
 
+import helpers
 from coopseg import tensor as T
 from coopseg.config import ConfigError, RunConfig, toy_config
-from coopseg.model import BLAS_THREAD_VARS, SegmentationModel, ViewOutputs, idle_cpus
-from coopseg.tensor import ShapeError, Tensor
+from coopseg.model import SegmentationModel, ViewOutputs
+from coopseg.tensor import BLAS_THREAD_VARS, ShapeError, Tensor, idle_cpus
 from coopseg.train import view_loss
 
 
@@ -182,11 +183,6 @@ def set_cpus(monkeypatch, cpus, **blas):
         monkeypatch.setenv(var, value)
 
 
-def set_workers(monkeypatch, n):
-    set_cpus(monkeypatch, 6, OPENBLAS_NUM_THREADS=str(6 // n))
-    assert idle_cpus() == n
-
-
 @pytest.fixture
 def thread_log(monkeypatch):
     """The thread of each ``_views`` call, with the batch size it was given."""
@@ -222,7 +218,8 @@ class TestParallelEvalForward:
         x = tiny_batch(cfg, n=batch)
         alone = [model._views(Tensor(x.data[i : i + 1])) for i in range(batch)]
         thread_log.clear()
-        set_workers(monkeypatch, workers)
+        helpers.set_workers(monkeypatch, workers)
+        helpers.pool_runs_every_queued_task(monkeypatch)
         outs = model(x)
         for k, view in enumerate(outs):
             assert view.shape == (batch, 1, 32, 32) and view.dtype == np.float32
@@ -230,7 +227,7 @@ class TestParallelEvalForward:
             assert view.data.tobytes() == want.tobytes(), (ViewOutputs._fields[k], workers, batch)
         threads = {ident for ident, _ in thread_log}
         assert [b for _, b in thread_log] == [1] * batch
-        # this thread takes a share; which pool thread takes which image is up to the pool
+        # this thread takes a share; which pool thread takes which share is up to the pool
         assert threading.get_ident() in threads and len(threads) <= min(workers, batch)
         assert (len(threads) > 1) == (min(workers, batch) > 1)
 
@@ -249,16 +246,17 @@ class TestParallelEvalForward:
                 raise
 
         monkeypatch.setattr(SegmentationModel, "_views", views)
-        set_workers(monkeypatch, 2)
+        helpers.set_workers(monkeypatch, 2)
+        helpers.pool_runs_every_queued_task(monkeypatch)
         with pytest.raises(ShapeError, match="expected 3x32x32 image, got 3x31x31") as info:
             model(tiny_batch(cfg, n=4))
-        assert raised and info.value is raised[0]  # the first image the pool thread took
+        assert raised and info.value is raised[0]  # the first image of the pool's share
 
     def test_a_forward_inside_a_step_takes_the_whole_batch_on_one_tape(self, monkeypatch,
                                                                      thread_log):
         cfg = tiny_cfg()
         model = SegmentationModel(cfg).eval()
-        set_workers(monkeypatch, 2)
+        helpers.set_workers(monkeypatch, 2)
         with T.step() as tape:
             outs = model(tiny_batch(cfg, n=4))
             assert len(tape) > 0 and all(node.tape is tape for node in tape.nodes)
@@ -267,14 +265,14 @@ class TestParallelEvalForward:
 
     def test_a_training_model_takes_the_whole_batch(self, monkeypatch, thread_log):
         cfg = tiny_cfg()
-        set_workers(monkeypatch, 2)
+        helpers.set_workers(monkeypatch, 2)
         SegmentationModel(cfg).train()(tiny_batch(cfg, n=4))
         assert thread_log == [(threading.get_ident(), 4)]
 
     def test_the_model_dies_with_its_last_reference(self, monkeypatch):
         cfg = tiny_cfg()
         model = SegmentationModel(cfg).eval()
-        set_workers(monkeypatch, 2)
+        helpers.set_workers(monkeypatch, 2)
         gc.disable()  # only reference counting may free it
         try:
             ref = weakref.ref(model)

@@ -404,13 +404,17 @@ class TestConv2d:
         assert (5, 5) in split  # forward and input gradient: one band per row
         assert (32, 2) in split  # kernel gradient: two blocks of 16 channels
 
-    def test_blocked_windows_hold_one_block_at_a_time(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocked_windows_hold_one_block_at_a_time(self, monkeypatch, workers):
+        """Per thread: with two workers the pool's half of the bands, or the input
+        gradient beside the kernel gradient, holds one more block and padded array."""
+        helpers.set_workers(monkeypatch, workers)
         rng = np.random.default_rng(22)
         x = Tensor(rng.standard_normal((1, 160, 64, 64)).astype(np.float32), requires_grad=True)
         k = Tensor(rng.standard_normal((64, 160, 3, 3)).astype(np.float32))
         padded = 160 * 66 * 66 * 4  # the input's; the upstream gradient's, 64 * 66 * 66 * 4, is smaller
         # the whole image's windows are 23.6 MB; the kernel-sized slack holds the flipped kernel
-        bound = padded + T.WINDOW_BLOCK_BYTES + k.data.nbytes + 256 * 1024
+        bound = workers * (padded + T.WINDOW_BLOCK_BYTES) + k.data.nbytes + 256 * 1024
         with T.step():
             out, peak = helpers.alloc_peak(lambda: T.conv2d(x, k))
             assert peak <= out.data.nbytes + bound
@@ -572,18 +576,21 @@ class TestMlp:
         assert [a.shape for a in hidden] == [(2, 5, 24)]
         np.testing.assert_array_equal(hidden[0], ts[0].data @ ts[1].data + ts[2].data)
 
-    def test_forward_allocates_no_more_than_the_chain(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_forward_allocates_no_more_than_the_chain(self, monkeypatch, workers):
         # paper geometry at batch 4: 484 tokens, d_model 384, hidden 1536
+        helpers.set_workers(monkeypatch, workers)
         rng = np.random.default_rng(43)
         shapes = ((4, 484, 384), (384, 1536), (1536,), (1536, 384), (384,))
         ts = [Tensor((rng.standard_normal(s) * 0.05).astype(np.float32)) for s in shapes]
         out_chain, peak_chain = helpers.alloc_peak(lambda: _mlp_chain(*ts))
         out, peak = helpers.alloc_peak(lambda: T.mlp(*ts))
         np.testing.assert_array_equal(out.data, out_chain.data)
-        # both peak at three hidden-sized arrays (h and two of the CDF's temporaries);
-        # the op's closure cells add a few hundred bytes of Python objects
+        # both peak at three hidden-sized arrays (h and two of the CDF's temporaries), and
+        # at most one more when the two halves of the CDF run at once; the op's closure
+        # cells add a few hundred bytes of Python objects
         hidden = 4 * 484 * 1536 * 4
-        assert 3 * hidden <= peak_chain < 3 * hidden + 64 * 1024
+        assert 3 * hidden <= peak_chain < (2 + workers) * hidden + 64 * 1024
         assert peak <= peak_chain + 1024
 
     @pytest.mark.parametrize(

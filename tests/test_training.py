@@ -277,6 +277,27 @@ class TestAdam:
         v += (1.0 - 0.999) * (g * g - v)
         np.testing.assert_array_equal(opt.v[0], v)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_gradient_is_refused_naming_the_parameter(self, bad):
+        p = Tensor(np.ones(4, np.float32), requires_grad=True)
+        opt = Adam([p], lr=0.1)
+        p.grad = np.array([1.0, bad, 2.0, 3.0], np.float32)
+        with pytest.raises(RuntimeError, match=r"parameter 'params\[0\]' is not finite"):
+            opt.step()
+        assert (p.data == 1.0).all() and not opt.m[0].any() and not opt.v[0].any()
+
+    @pytest.mark.parametrize("dtype, big", [(np.float32, 1e19), (np.float64, 1e154)])
+    def test_a_finite_gradient_whose_squared_norm_overflows_is_refused(self, dtype, big, recwarn):
+        p = Tensor(np.ones(4, dtype), requires_grad=True)
+        opt = Adam([p], lr=0.1)
+        p.grad = np.full(4, big, dtype)
+        assert np.isfinite(p.grad * p.grad).all()  # each square is finite; their sum is not
+        name = np.dtype(dtype).name
+        with pytest.raises(RuntimeError, match=f"squared norm overflows {name}; the update is"):
+            opt.step()
+        assert (p.data == 1.0).all() and not opt.m[0].any() and not opt.v[0].any()
+        assert not recwarn.list  # the error is the one report
+
     def test_zero_grad_clears_accumulated(self):
         p = Tensor(np.ones(2), requires_grad=True)
         opt = Adam([p], lr=0.1)
