@@ -125,15 +125,19 @@ def _decide(cfg: RunConfig, model: SegmentationModel, outs: ViewOutputs) -> Tens
 def _decisions(cfg: RunConfig, checkpoint):
     """The inference loop of eval and predict: read the checkpoint first, so a
     missing or corrupt file fails before any other work, then batch the samples
-    and build the model, and yield each batch's sample ids, masks and decided maps."""
+    and fill the model from the state (no random draw), and yield each batch's
+    sample ids, masks and decided maps. A non-finite map stops the loop."""
     path = Path(checkpoint) if checkpoint else Path(cfg.out_dir) / FINAL_CKPT
     state = load_checkpoint(path)
     batches = make_batches(_get_samples(cfg), cfg.batch_size, cfg.dtype)
-    model = SegmentationModel(cfg).eval()
-    model.load_state(state)
+    model = SegmentationModel(cfg, state).eval()
     del state  # the file's buffer would otherwise stay alive through every forward
     for ids, images, masks in batches:
-        yield ids, masks.data, _decide(cfg, model, model(images)).data
+        maps = _decide(cfg, model, model(images)).data
+        if not np.isfinite(maps).all():
+            bad = next(i for i, m in zip(ids, maps) if not np.isfinite(m).all())
+            raise RuntimeError(f"non-finite decision for sample {bad!r} (checkpoint {path})")
+        yield ids, masks.data, maps
 
 
 def cmd_eval(args) -> int:

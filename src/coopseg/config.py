@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     pass
@@ -59,18 +61,22 @@ class RunConfig:
         for name in _POSITIVE_INTS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        # Adam scales its update by lr in the run's dtype, where a larger lr is inf
+        top = float(np.finfo(self.dtype).max)
+        if self.lr > top:
+            raise ConfigError(f"lr {self.lr} overflows {self.dtype} (largest finite value {top:g})")
         if not 0 < self.lam < math.inf:
             raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
         if self.image_size % COARSEST:
             raise ConfigError(f"image_size {self.image_size} must be divisible by {COARSEST}")
         if self.d_model % self.heads:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         return self
 
 

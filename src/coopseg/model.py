@@ -30,15 +30,32 @@ class ViewOutputs(NamedTuple):
     fusion: Tensor
 
 
+class _Zeros:
+    """Stands in for the init generators when a model is filled from a saved state.
+    The layers only ever call ``standard_normal``; zeros in the run's dtype are all
+    ``load_state`` needs to overwrite, so no weight is drawn in float64."""
+
+    def __init__(self, dtype: np.dtype):
+        self.dtype = dtype
+
+    def standard_normal(self, shape) -> np.ndarray:
+        return np.zeros(shape, self.dtype)
+
+
 class SegmentationModel(Module):
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, state: dict[str, np.ndarray] | None = None):
+        """A model drawn from ``cfg.seed`` or, given ``state``, filled from it without a
+        draw: ``load_state`` checks the state's names and shapes and copies it in."""
         self.cfg = cfg.validate()
-        # independent init streams: toggling fusion switches must not shift
-        # the branches' initial weights
-        rng_t, rng_c, rng_f = (
-            np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
-        )
         dtype = np.dtype(cfg.dtype)
+        if state is None:
+            # independent init streams: toggling fusion switches must not shift
+            # the branches' initial weights
+            rng_t, rng_c, rng_f = (
+                np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+            )
+        else:
+            rng_t = rng_c = rng_f = _Zeros(dtype)
         # layers draw float64 parameters and the model casts them to the run's
         # precision. The transformer holds four fifths of them, so it is cast
         # before the rest is drawn: the whole float64 draw (226 MB at paper
@@ -60,6 +77,8 @@ class SegmentationModel(Module):
             self.head_f = ViewHead(cf4, rng_f)
         self.view_weights = np.full(3, 1.0 / 3.0)
         self.cast(dtype)
+        if state is not None:
+            self.load_state(state)
 
     def fused_maps(self, t: MultiScaleFeatures, c: MultiScaleFeatures):
         return (

@@ -9,6 +9,7 @@ checkpoints.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -102,7 +103,8 @@ class Conv2d(Module):
     def __init__(self, c_in: int, c_out: int, kernel_size: int, rng: np.random.Generator,
                  bias: bool = True):
         k = kernel_size
-        std = np.sqrt(2.0 / (c_in * k * k))
+        # a Python float: zeros standing in for a draw keep their dtype when scaled
+        std = math.sqrt(2.0 / (c_in * k * k))
         self.weight = Tensor(rng.standard_normal((c_out, c_in, k, k)) * std, requires_grad=True)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
 

@@ -311,6 +311,22 @@ class TestEvalPredict:
         assert err.startswith("error: view weights must be finite") and "lambda" in err
         assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg", "model_final.ckpt"]
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_non_finite_decision_is_runtime_error(self, trained_dir, tmp_path, capsys, command):
+        """A finite checkpoint can still decide NaN: one LayerNorm gain of 1e30 makes the
+        attention rows inf - inf. The command stops at the first such sample and names it,
+        and writes no NaN rows to eval.csv and no PGM cast from NaN."""
+        state = load_checkpoint(trained_dir / "run" / "model_final.ckpt")
+        state["transformer.blocks.0.norm1.gamma"][0] = 1e30
+        run = tmp_path / "run"
+        run.mkdir()
+        save_checkpoint(run / "model_final.ckpt", state)
+        write_cfg(run / "config_used.cfg", out_dir=str(run))
+        assert main([command, "--out-dir", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite decision for sample 'synth_0000'")
+        assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg", "model_final.ckpt"]
+
     def test_state_mismatch_is_one_line_error(self, trained_dir, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "out"), dfm_on="false")
         ckpt = str(trained_dir / "run" / "model_final.ckpt")
@@ -490,11 +506,12 @@ class TestExitCodes:
         ("heads", 0), ("d_model", 0), ("--image-size", 0),
         ("stage_units", 0), ("stem_channels", 0), ("depth", -1), ("c4", 0), ("c8", 0),
         ("c16", -8), ("synth_samples", 0), ("--seed", -1), ("lr", -1), ("lr", 0),
-        ("lr", "nan"), ("lr", "inf"), ("--lambda", "inf"),
+        ("lr", "nan"), ("lr", "inf"), ("lr", "1e39"), ("--lambda", "inf"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, key, value):
         """Each value would otherwise divide by zero, build an empty layer or train with a
-        nonsense setting; it must stop as a one-line config error before any work."""
+        nonsense setting (lr = 1e39 is inf in float32, Adam's precision in this run); it
+        must stop as a one-line config error before any work."""
         flags = [key, str(value)] if key.startswith("--") else []
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "run"),
                         **({} if flags else {key: value}))

@@ -33,11 +33,17 @@ class TestValidation:
             dict(d_model=100, heads=6),
             dict(batch_size=0),
             dict(dtype="float16"),
+            dict(lr=1e39),
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
             RunConfig(**bad).validate()
+
+    def test_lr_is_bounded_by_the_run_dtype(self):
+        """Adam scales its update by lr in the run's dtype; float32 tops out near 3.4e38."""
+        assert RunConfig(lr=1e39, dtype="float64").validate().lr == 1e39
+        assert RunConfig(lr=3.4e38, dtype="float32").validate().lr == 3.4e38
 
     def test_toy_preset_is_valid_and_small(self):
         cfg = toy_config()

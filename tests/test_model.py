@@ -174,6 +174,53 @@ class TestInitIsolation:
         assert any(n.startswith("head_f.") for n in off_names)
 
 
+def saved_state(cfg):
+    """A drawn model's state, copied as a checkpoint would hold it, with buffers that
+    differ from a new model's."""
+    state = {name: a.copy() for name, a in SegmentationModel(cfg).named_state()}
+    state["view_weights"] = np.array([0.2, 0.3, 0.5])
+    state["cnn.stem.bn.running_mean"] += 0.25
+    return state
+
+
+class TestFillFromState:
+    """eval and predict fill the model from the checkpoint's state and draw nothing."""
+
+    @pytest.mark.parametrize("cfg", [
+        toy_config(), toy_config(dtype="float64"), toy_config(glff_on=False, dfm_on=False),
+        RunConfig(),
+    ], ids=["toy-float32", "toy-float64", "toy-no-fusion", "paper-float32"])
+    def test_named_state_is_the_state_bitwise(self, cfg):
+        state = saved_state(cfg)
+        model = SegmentationModel(cfg, state)
+        own = list(model.named_state())
+        assert [name for name, _ in own] == list(state)
+        for name, a in own:
+            assert a.dtype == state[name].dtype, name
+            assert a.tobytes() == state[name].tobytes(), name
+            assert not np.shares_memory(a, state[name]), name
+
+    def test_never_draws(self, monkeypatch):
+        cfg = tiny_cfg()
+        state = saved_state(cfg)
+
+        def refuse(*args):
+            raise AssertionError("a model filled from a state drew from a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        SegmentationModel(cfg, state)
+
+    def test_peak_memory_is_about_the_model_alone(self):
+        """Zeros in the run's dtype stand in for the draw; drawing holds float64 arrays."""
+        cfg = toy_config()
+        state = saved_state(cfg)
+        state_bytes = sum(a.nbytes for a in state.values())
+        _, peak = helpers.alloc_peak(lambda: SegmentationModel(cfg, state))
+        assert peak < 1.25 * state_bytes
+        _, peak_drawn = helpers.alloc_peak(lambda: SegmentationModel(cfg))
+        assert peak_drawn > 1.25 * state_bytes
+
+
 def set_cpus(monkeypatch, cpus, **blas):
     """This process sees ``cpus`` CPUs and the BLAS thread variables ``blas``, no others."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))

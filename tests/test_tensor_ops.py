@@ -717,6 +717,21 @@ class TestActivations:
             pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
             np.testing.assert_array_equal(xt.grad, g * (cdf + x * pdf))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_normal_cdf_is_the_erf_expression_computed_in_its_output(self, monkeypatch,
+                                                                     dtype, workers):
+        """The bits of 0.5 * (1 + erf(x / sqrt 2)), ±0, ±inf and NaN included, with the
+        output the only array it allocates (paper-geometry MLP hidden size, batch 4). The
+        pool's task objects and the halves' closures add a few KB of Python objects."""
+        helpers.set_workers(monkeypatch, workers)
+        x = (np.random.default_rng(39).standard_normal((4, 484, 1536)) * 3).astype(dtype)
+        x.reshape(-1)[:6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 40.0]
+        out, peak = helpers.alloc_peak(lambda: T._normal_cdf(x))
+        ref = 0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0))))
+        assert out.dtype == dtype and out.tobytes() == ref.tobytes()
+        assert peak <= out.nbytes + 16 * 1024
+
     def test_gelu_backward_keeps_no_array_but_its_input(self):
         x = Tensor(np.random.default_rng(36).standard_normal((4, 9)), requires_grad=True)
         with T.step():
