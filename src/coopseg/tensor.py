@@ -12,17 +12,16 @@ The op set is intentionally small: just what a two-branch segmentation
 network with a fusion decoder needs. Everything runs on CPU; float64 is the
 test/verification precision and float32 the training precision.
 
-The engine owns one worker pool, sized by ``idle_cpus()``: the CPUs that BLAS
-leaves idle, less the calling thread. ``fork`` hands it a call worth at least
-``FORK_MIN_WORK`` and ``join`` collects the result. Backward forks the second
-GEMM of each ``_matmul_grads`` pair (matmul, mlp, attention) and conv2d's input
-gradient while the caller computes the other; ``_correlate`` forks the later half
-of its (image, band) GEMMs and ``_normal_cdf`` the later half of its elements, in
-forward and backward; ``train.Adam`` forks its updates and the eval-mode model its
-images. Each forked piece is the same one-thread call it would be alone, so
-results do not depend on the pool size. A caller
-that joins a task no pool thread has started runs it itself, and a fork asked
-for on a pool thread runs inline, so no thread ever waits behind queued work.
+Importing this module sets numpy's OpenBLAS to one thread, process-wide. The engine's
+pool has ``idle_cpus() - 1`` threads, the process's CPUs less the caller's. ``fork``
+hands it a call worth at least ``FORK_MIN_WORK`` and ``join`` collects the result.
+Backward forks the second GEMM of each ``_matmul_grads`` pair (matmul, mlp, attention)
+and conv2d's input gradient while the caller computes the other; ``_correlate`` forks
+the later half of its (image, band) GEMMs and ``_normal_cdf`` the later half of its
+elements, in forward and backward; ``train.Adam`` forks its updates and the eval-mode
+model its images. Each forked piece is the one-thread call it would be alone, so results
+do not depend on the pool size. A caller joining a task no pool thread started runs it
+itself, and a fork on a pool thread runs inline, so no thread waits behind queued work.
 """
 
 from __future__ import annotations
@@ -134,27 +133,28 @@ _state = _EngineState()
 # --------------------------------------------------------------------------
 
 
-# OpenBLAS takes its thread count from the first of these set to a positive integer
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
 # the least work, in one-thread GEMM multiply-adds or their time's worth (about 0.1 ms),
 # that a fork hands to the pool: below it a pool thread's wake-up (about 50 us) costs more
 # than running both halves at once saves (README, "Parallelism")
 FORK_MIN_WORK = 2**22
 
 
+def pin_blas(lib) -> None:
+    """Set the OpenBLAS of numpy's library ``lib`` to one thread, or raise ImportError."""
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if set_threads is None:
+        raise ImportError("coopseg needs numpy's bundled OpenBLAS, but numpy's library has "
+                          "no scipy_openblas_set_num_threads64_ to set its threads")
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    set_threads(1)
+
+
+pin_blas(ctypes.CDLL(np._core._multiarray_umath.__file__))
+
+
 def idle_cpus() -> int:
-    """How many one-BLAS-thread calls can run at once: this process's CPUs divided by
-    the threads each BLAS call already uses (one per CPU when no variable sets it)."""
-    cpus = len(os.sched_getaffinity(0))
-    for var in BLAS_THREAD_VARS:
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            return max(1, cpus // blas)
-    return 1
+    """How many one-thread calls can run at once: this process's CPUs (``taskset`` sets them)."""
+    return len(os.sched_getaffinity(0))
 
 
 class Task:

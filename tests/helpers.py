@@ -134,13 +134,9 @@ def closure_values(node):
     return values
 
 
-def set_workers(monkeypatch, n, cpus=6):
-    """The engine sees ``cpus`` CPUs and BLAS threads that leave ``n`` of them idle
-    (``idle_cpus() == n``)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for var in T.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cpus // n))
+def set_workers(monkeypatch, n):
+    """The engine sees an affinity of ``n`` CPUs (``idle_cpus() == n``)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     assert T.idle_cpus() == n
 
 

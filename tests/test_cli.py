@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from coopseg.cli import main
 from coopseg.config import RunConfig, parse_config_file
 from coopseg.data import read_raster
 from coopseg.model import SegmentationModel, ViewOutputs
-from coopseg.tensor import BLAS_THREAD_VARS
 from coopseg.train import EpochReport, train_epoch
 
 TINY = {
@@ -42,6 +42,9 @@ TINY = {
     "lr": "0.0002",
 }
 
+# the variables OpenBLAS would read its thread count from, were coopseg not to set it
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def write_cfg(path, **extra):
     lines = dict(TINY)
@@ -52,8 +55,7 @@ def write_cfg(path, **extra):
 
 def run_python(*args, blas_threads=None):
     """``python *args`` in a fresh process that imports this coopseg. ``blas_threads``
-    sets OPENBLAS_NUM_THREADS; None leaves every BLAS thread variable unset, so BLAS
-    takes one thread per CPU."""
+    sets OPENBLAS_NUM_THREADS; None leaves every BLAS thread variable unset."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -158,9 +160,9 @@ class TestTrain:
         assert len(lines) == 2 and lines[1].startswith("1,")
 
     def test_training_does_not_depend_on_the_blas_threads(self, tmp_path):
-        """With one BLAS thread every GEMM pair of backward and every Adam update is
-        handed to the pool (the work constant is set to 0 here; at this size none would
-        be); with BLAS unpinned it takes every CPU and the pool is not used."""
+        """Whether OPENBLAS_NUM_THREADS is 1 or unset, coopseg runs BLAS on one thread
+        and hands every GEMM pair of backward and every Adam update to the pool (the work
+        constant is set to 0 here; at this size none would be)."""
         outputs = []
         for blas in ("1", None):
             run = tmp_path / f"blas_{blas}"
@@ -249,8 +251,8 @@ class TestEvalPredict:
         assert (trained_dir / "run" / "predictions" / "synth_0001.pgm").is_file()
 
     def test_outputs_do_not_depend_on_the_blas_threads(self, trained_dir, tmp_path):
-        """With one BLAS thread, eval and predict forward a batch's images on every CPU in
-        parallel; with BLAS unpinned it takes every CPU, and they run one by one."""
+        """Whether OPENBLAS_NUM_THREADS is 1 or unset, coopseg runs BLAS on one thread,
+        and eval and predict forward a batch's images on every CPU in parallel."""
         ckpt = str(trained_dir / "run" / "model_final.ckpt")
         outputs = []
         for blas in ("1", None):
@@ -630,3 +632,50 @@ class TestEntryPoint:
         proc = run_coopseg()
         assert proc.returncode == 2
         assert proc.stderr.startswith("usage: coopseg")
+
+
+# one paper-attention training step (352 px, 484 tokens, d_model 384), then the state's hash
+PAPER_STEP = """
+import hashlib
+from coopseg.config import toy_config
+from coopseg.data import make_batches, synth_dataset
+from coopseg.model import SegmentationModel
+from coopseg.train import Adam, train_epoch
+cfg = toy_config(image_size=352, depth=1, d_model=384, heads=6, stem_channels=8,
+                 stage_units=1, c4=16, c8=24, c16=32, batch_size=1, seed=3)
+model = SegmentationModel(cfg)
+[(_, x, y)] = make_batches(synth_dataset(1, cfg.image_size, seed=3), 1, cfg.dtype)
+train_epoch(model, Adam(model.parameters(), lr=cfg.lr), [(x, y)], cfg.lam)
+digest = hashlib.sha256()
+for name, a in model.named_state():
+    digest.update(name.encode() + a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestOneBlasThread:
+    """coopseg sets numpy's OpenBLAS to one thread when it is imported, so the BLAS thread
+    variables change neither the pool nor the bits."""
+
+    def test_import_pins_blas_and_the_pool_takes_every_cpu(self):
+        proc = run_python("-c", "import ctypes, os, numpy as np; from coopseg import tensor; "
+                          "lib = ctypes.CDLL(np._core._multiarray_umath.__file__); "
+                          "print(lib.scipy_openblas_get_num_threads64_(), tensor.idle_cpus(), "
+                          "len(os.sched_getaffinity(0)))")
+        assert proc.returncode == 0, proc.stderr
+        blas, idle, cpus = map(int, proc.stdout.split())
+        assert (blas, idle) == (1, cpus)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="with one CPU, unset BLAS variables mean one BLAS thread anyway")
+    def test_a_paper_attention_step_does_not_depend_on_the_blas_threads(self):
+        hashes = []
+        for blas in ("1", None):
+            proc = run_python("-c", PAPER_STEP, blas_threads=blas)
+            assert proc.returncode == 0, proc.stderr
+            hashes.append(proc.stdout.strip())
+        assert hashes[0] == hashes[1]
+
+    def test_a_numpy_without_the_setter_is_an_import_error(self):
+        with pytest.raises(ImportError, match="scipy_openblas_set_num_threads64_"):
+            T.pin_blas(SimpleNamespace())  # the symbols of a numpy built against another BLAS

@@ -1,8 +1,7 @@
 """Whole-model wiring: three views, ablation switches, init isolation, and the
-eval-mode forward that runs each image alone on the CPUs BLAS leaves idle."""
+eval-mode forward that runs each image alone, spread over the process's CPUs."""
 
 import gc
-import os
 import threading
 import weakref
 
@@ -13,7 +12,7 @@ import helpers
 from coopseg import tensor as T
 from coopseg.config import ConfigError, RunConfig, toy_config
 from coopseg.model import SegmentationModel, ViewOutputs
-from coopseg.tensor import BLAS_THREAD_VARS, ShapeError, Tensor, idle_cpus
+from coopseg.tensor import ShapeError, Tensor
 from coopseg.train import view_loss
 
 
@@ -221,15 +220,6 @@ class TestFillFromState:
         assert peak_drawn > 1.25 * state_bytes
 
 
-def set_cpus(monkeypatch, cpus, **blas):
-    """This process sees ``cpus`` CPUs and the BLAS thread variables ``blas``, no others."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    for var in BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in blas.items():
-        monkeypatch.setenv(var, value)
-
-
 @pytest.fixture
 def thread_log(monkeypatch):
     """The thread of each ``_views`` call, with the batch size it was given."""
@@ -244,19 +234,6 @@ def thread_log(monkeypatch):
 
 
 class TestParallelEvalForward:
-    @pytest.mark.parametrize("blas, workers", [
-        ({}, 1),  # unset: BLAS takes one thread per CPU
-        ({"OPENBLAS_NUM_THREADS": "1"}, 6),
-        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 3),
-        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 2),
-        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"}, 1),
-        ({"OMP_NUM_THREADS": "1"}, 6),
-        ({"OPENBLAS_NUM_THREADS": "12"}, 1),
-    ])
-    def test_idle_cpus_reads_the_blas_threads_as_openblas_does(self, monkeypatch, blas, workers):
-        set_cpus(monkeypatch, 6, **blas)
-        assert idle_cpus() == workers
-
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("batch", [1, 3, 4])
     def test_views_equal_each_image_forwarded_alone(self, monkeypatch, thread_log, workers, batch):
