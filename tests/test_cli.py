@@ -4,6 +4,7 @@ Training runs here use a deliberately tiny model (32px, thin channels)
 so the whole file stays in the seconds range.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -675,6 +676,16 @@ class TestOneBlasThread:
             assert proc.returncode == 0, proc.stderr
             hashes.append(proc.stdout.strip())
         assert hashes[0] == hashes[1]
+
+    def test_pin_blas_sets_one_thread(self):
+        calls = []
+
+        def set_threads(n):
+            calls.append(n)
+
+        T.pin_blas(SimpleNamespace(scipy_openblas_set_num_threads64_=set_threads))
+        assert calls == [1]
+        assert set_threads.argtypes == (ctypes.c_int,) and set_threads.restype is None
 
     def test_a_numpy_without_the_setter_is_an_import_error(self):
         with pytest.raises(ImportError, match="scipy_openblas_set_num_threads64_"):

@@ -2,6 +2,7 @@
 eval-mode forward that runs each image alone, spread over the process's CPUs."""
 
 import gc
+import os
 import threading
 import weakref
 
@@ -12,7 +13,7 @@ import helpers
 from coopseg import tensor as T
 from coopseg.config import ConfigError, RunConfig, toy_config
 from coopseg.model import SegmentationModel, ViewOutputs
-from coopseg.tensor import ShapeError, Tensor
+from coopseg.tensor import ShapeError, Tensor, idle_cpus
 from coopseg.train import view_loss
 
 
@@ -234,6 +235,24 @@ def thread_log(monkeypatch):
 
 
 class TestParallelEvalForward:
+    @pytest.mark.parametrize("blas", [
+        {},
+        {"OPENBLAS_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"},
+        {"OMP_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "12"},
+    ])
+    def test_idle_cpus_is_the_affinity_whatever_the_blas_threads(self, monkeypatch, blas):
+        """BLAS runs on one thread whatever these variables say, so every CPU is idle."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in blas.items():
+            monkeypatch.setenv(var, value)
+        assert idle_cpus() == 6
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("batch", [1, 3, 4])
     def test_views_equal_each_image_forwarded_alone(self, monkeypatch, thread_log, workers, batch):
