@@ -22,6 +22,9 @@ elements, in forward and backward; ``train.Adam`` forks its updates and the eval
 model its images. Each forked piece is the one-thread call it would be alone, so results
 do not depend on the pool size. A caller joining a task no pool thread started runs it
 itself, and a fork on a pool thread runs inline, so no thread waits behind queued work.
+numpy's floating-point errors are ignored on the importing thread and on each pool thread
+from its start; a thread the host starts itself keeps numpy's default. coopseg's checks are
+the reports: ``train.ViewWeights``, the per-view loss, Adam's ``g·g``, the CLI's decision.
 """
 
 from __future__ import annotations
@@ -150,6 +153,7 @@ def pin_blas(lib) -> None:
 
 
 pin_blas(ctypes.CDLL(np._core._multiarray_umath.__file__))
+np.seterr(all="ignore")  # the floating-point error policy (module docstring)
 
 
 def idle_cpus() -> int:
@@ -213,6 +217,7 @@ class _Pool:
 
     def _work(self):
         _state.on_pool = True
+        np.seterr(all="ignore")  # numpy's error state is per thread
         while True:
             task = self._queue.get()
             if task._take():

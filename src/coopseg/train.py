@@ -70,11 +70,8 @@ def solve_weights(losses: Sequence[float], lam: float) -> ViewWeights:
     arr = np.asarray(losses, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"losses must be finite, got {arr}")
-    # a lambda too small for the losses overflows here; ViewWeights' finiteness check
-    # is the one report of it
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = -arr / lam
-        z -= z.max()  # shift invariance, exact: exp cancels the common factor
+    z = -arr / lam
+    z -= z.max()  # shift invariance, exact: exp cancels the common factor
     e = np.exp(z)
     return ViewWeights(e / e.sum(), lam)
 
@@ -115,10 +112,9 @@ class Adam:
     of the replay on the engine's pool. Both run one update body, so they give the
     same bits; ``step_count`` advances once per step either way.
 
-    An update refuses a gradient whose squared norm ``g·g`` is not finite: any NaN
-    or infinite element, and also a finite gradient so large that ``g·g`` overflows
-    the parameter's dtype. It raises a RuntimeError naming the parameter before it
-    writes m, v or the parameter; the leaves updated earlier in the step stay updated.
+    An update refuses a gradient whose squared norm ``g·g`` is not finite (a NaN or infinite
+    element, or a finite ``g·g`` too large for the dtype): it raises a RuntimeError naming
+    the parameter before it writes m, v or the parameter; earlier updates of the step stay.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float):
@@ -140,8 +136,7 @@ class Adam:
     def _update(self, p: Tensor, g: np.ndarray, name: str):
         """Apply this step's update to parameter p, called ``name``, given its gradient g."""
         flat = g.reshape(-1)
-        with np.errstate(over="ignore"):  # the error below reports an overflowing g·g
-            norm2 = np.dot(flat, flat)
+        norm2 = np.dot(flat, flat)
         if not math.isfinite(norm2):
             raise RuntimeError(
                 f"gradient of parameter {name!r} is not finite, or its squared norm overflows "

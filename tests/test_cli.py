@@ -314,21 +314,43 @@ class TestEvalPredict:
         assert err.startswith("error: view weights must be finite") and "lambda" in err
         assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg", "model_final.ckpt"]
 
-    @pytest.mark.parametrize("command", ["eval", "predict"])
-    def test_non_finite_decision_is_runtime_error(self, trained_dir, tmp_path, capsys, command):
-        """A finite checkpoint can still decide NaN: one LayerNorm gain of 1e30 makes the
-        attention rows inf - inf. The command stops at the first such sample and names it,
-        and writes no NaN rows to eval.csv and no PGM cast from NaN."""
+    @staticmethod
+    def overflowing_run(trained_dir, tmp_path):
+        """A run directory whose finite checkpoint decides NaN: one LayerNorm gain of 1e30
+        makes the attention rows inf - inf."""
         state = load_checkpoint(trained_dir / "run" / "model_final.ckpt")
         state["transformer.blocks.0.norm1.gamma"][0] = 1e30
         run = tmp_path / "run"
         run.mkdir()
         save_checkpoint(run / "model_final.ckpt", state)
         write_cfg(run / "config_used.cfg", out_dir=str(run))
+        return run
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_non_finite_decision_is_runtime_error(self, trained_dir, tmp_path, capsys, command):
+        """The command stops at the first sample that decides NaN and names it, and writes
+        no NaN rows to eval.csv and no PGM cast from NaN."""
+        run = self.overflowing_run(trained_dir, tmp_path)
         assert main([command, "--out-dir", str(run)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite decision for sample 'synth_0000'")
         assert sorted(p.name for p in run.iterdir()) == ["config_used.cfg", "model_final.ckpt"]
+
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="the two-CPU case needs two CPUs"))])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_an_overflowing_forward_prints_one_line(self, trained_dir, tmp_path, command, cpus):
+        """numpy's warnings are off on the CLI's thread and on every pool thread, so the
+        command's error line is all of its stderr, at one worker and at two."""
+        run = self.overflowing_run(trained_dir, tmp_path)
+        affinity = sorted(os.sched_getaffinity(0))[:cpus]
+        proc = run_python("-c", f"import os, sys; os.sched_setaffinity(0, {affinity}); "
+                          "from coopseg import cli; "
+                          f"sys.exit(cli.main([{command!r}, '--out-dir', {str(run)!r}]))")
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1, proc.stderr
+        assert err[0].startswith("error: non-finite decision for sample 'synth_0000'")
 
     def test_state_mismatch_is_one_line_error(self, trained_dir, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", out_dir=str(tmp_path / "out"), dfm_on="false")

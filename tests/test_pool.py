@@ -35,6 +35,15 @@ def tiny_batches(cfg, n=2):
 
 
 class TestForkAndJoin:
+    def test_a_pool_thread_ignores_numpy_errors_whatever_the_callers_state(self, workers,
+                                                                          monkeypatch):
+        workers(2)
+        ran = helpers.pool_runs_every_queued_task(monkeypatch)
+        with np.errstate(all="warn"):
+            state = T.join(T.fork(1, np.geterr))
+        assert len(ran) == 1 and ran[0] != threading.get_ident()
+        assert [state[k] for k in ("over", "invalid", "divide")] == ["ignore"] * 3
+
     def test_a_queued_task_the_caller_joins_first_runs_on_the_caller(self, workers):
         workers(2)
         started, release = threading.Event(), threading.Event()
