@@ -13,8 +13,9 @@ network with a fusion decoder needs. Everything runs on CPU; float64 is the
 test/verification precision and float32 the training precision.
 
 Importing this module sets numpy's OpenBLAS to one thread, process-wide. The engine's
-pool has ``idle_cpus() - 1`` threads, the process's CPUs less the caller's. ``fork``
-hands it a call worth at least ``FORK_MIN_WORK`` and ``join`` collects the result.
+pool is a ``ThreadPoolExecutor`` of ``idle_cpus() - 1`` threads, the process's CPUs less
+the caller's, sized once by the first fork it queues; its threads are joined at exit.
+``fork`` hands it a call worth at least ``FORK_MIN_WORK`` and ``join`` collects the result.
 Backward forks the second GEMM of each ``_matmul_grads`` pair (matmul, mlp, attention)
 and conv2d's input gradient while the caller computes the other; ``_correlate`` forks
 the later half of its (image, band) GEMMs and ``_normal_cdf`` the later half of its
@@ -33,9 +34,9 @@ import ctypes
 import math
 import operator
 import os
-import queue
 import threading
 import weakref
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from functools import partial
 from typing import Optional, Sequence
@@ -161,32 +162,6 @@ def idle_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class Task:
-    """``fn(*args)``, run once: by a pool thread, or by the thread that joins it if no
-    pool thread has started it by then. It holds neither once run."""
-
-    __slots__ = ("_call", "_taken", "_done", "_result", "_error")
-
-    def __init__(self, fn, args):
-        self._call = fn, args
-        self._taken = threading.Lock()  # acquired by the one thread that runs the task
-        self._done = threading.Event()
-        self._result = self._error = None
-
-    def _take(self) -> bool:
-        return self._taken.acquire(blocking=False)
-
-    def _run(self):
-        fn, args = self._call
-        self._call = None
-        try:
-            self._result = fn(*args)
-        except BaseException as exc:  # join raises it, the same object, in the caller
-            self._error = exc
-        del fn, args  # before the joiner wakes: a caller may count on its last reference
-        self._done.set()
-
-
 def _one_malloc_arena():
     """Have every thread allocate from glibc's main arena (``M_ARENA_MAX`` = 1). A pool
     thread would otherwise get an arena of its own, whose freed arrays stay resident:
@@ -198,61 +173,49 @@ def _one_malloc_arena():
         mallopt(-8, 1)  # M_ARENA_MAX
 
 
-class _Pool:
-    """Daemon threads, started as forks need them, that run queued Tasks."""
-
-    def __init__(self):
-        self._queue = queue.SimpleQueue()
-        self._threads = 0
-        self._lock = threading.Lock()
-
-    def put(self, task: Task, threads: int):
-        with self._lock:
-            if not self._threads:
-                _one_malloc_arena()
-            for _ in range(self._threads, threads):
-                threading.Thread(target=self._work, name="coopseg-pool", daemon=True).start()
-            self._threads = max(self._threads, threads)
-        self._queue.put(task)
-
-    def _work(self):
-        _state.on_pool = True
-        np.seterr(all="ignore")  # numpy's error state is per thread
-        while True:
-            task = self._queue.get()
-            if task._take():
-                task._run()
-            del task  # a finished task's result must not outlive its joiner's use of it
+def _enter_pool():
+    """Each pool thread's initializer."""
+    _state.on_pool = True
+    np.seterr(all="ignore")  # numpy's error state is per thread
 
 
-_pool = _Pool()
+def _call_once(call: list):
+    """Empty the one-slot ``call`` and call what it held: neither the executor's queue
+    entry for it nor a take-back keeps the function or its arguments alive after that."""
+    return call.pop()()
 
 
-def fork(work: float, fn, *args) -> Task:
-    """``fn(*args)`` as a Task that a pool thread may start at once. It is queued only
+_pool: Optional[ThreadPoolExecutor] = None  # made by the first queued fork (_queue)
+_pool_lock = threading.Lock()
+
+
+def _queue(call: list) -> Future:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _one_malloc_arena()
+            _pool = ThreadPoolExecutor(idle_cpus() - 1, "coopseg-pool", initializer=_enter_pool)
+    try:
+        return _pool.submit(_call_once, call)
+    except RuntimeError:  # shut down at interpreter exit, before the host's threads end
+        return Future()  # join runs it
+
+
+def fork(work: float, fn, *args) -> tuple[Future, list]:
+    """``fn(*args)`` as a task that a pool thread may start at once. It is queued only
     when ``work`` reaches ``FORK_MIN_WORK``, this thread is not itself a pool thread and
     ``idle_cpus()`` leaves a CPU besides this thread's; otherwise ``join`` runs it."""
-    task = Task(fn, args)
-    if work >= FORK_MIN_WORK and not _state.on_pool:
-        threads = idle_cpus() - 1
-        if threads > 0:
-            _pool.put(task, threads)
-    return task
+    call = [partial(fn, *args)]
+    queued = work >= FORK_MIN_WORK and not _state.on_pool and idle_cpus() > 1
+    return (_queue(call) if queued else Future()), call
 
 
-def join(task: Task):
+def join(task: tuple[Future, list]):
     """The task's result, or its exception raised here, the same object. A task that no
     pool thread has started is taken back and run here, so a caller never waits behind
     queued work."""
-    if task._take():
-        task._run()
-    else:
-        task._done.wait()
-    result, error = task._result, task._error
-    task._result = task._error = None
-    if error is not None:
-        raise error
-    return result
+    future, call = task
+    return _call_once(call) if future.cancel() else future.result()
 
 
 def run_all(work: float, *calls) -> list:
@@ -267,9 +230,7 @@ def run_all(work: float, *calls) -> list:
         for task in tasks:
             results.append(join(task))
     except BaseException:
-        for task in tasks:
-            if not task._take():
-                task._done.wait()
+        wait([future for future, _ in tasks if not future.cancel()])
         raise
     return results
 

@@ -27,12 +27,18 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _check_lambda(lam: float):
+    if not 0 < lam < math.inf:  # the condition RunConfig.validate applies to its lambda
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+
+
 @dataclass
 class ViewWeights:
     w: np.ndarray
     lam: float
 
     def __post_init__(self):
+        _check_lambda(self.lam)
         self.w = np.asarray(self.w, dtype=np.float64)
         if not np.isfinite(self.w).all():  # NaN passes both checks below
             raise ValueError(f"view weights must be finite, got {self.w!r} at lambda = {self.lam!r} "
@@ -41,8 +47,6 @@ class ViewWeights:
             raise ValueError(f"weights must sum to 1, got {self.w.sum()!r}")
         if (self.w < 0).any():
             raise ValueError(f"weights must be non-negative, got {self.w!r}")
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
 
 
 def view_loss(pre: Tensor, gt: Tensor) -> Tensor:
@@ -65,8 +69,7 @@ def view_loss(pre: Tensor, gt: Tensor) -> Tensor:
 
 def solve_weights(losses: Sequence[float], lam: float) -> ViewWeights:
     """Closed-form minimizer of the entropy-regularized objective."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     arr = np.asarray(losses, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"losses must be finite, got {arr}")

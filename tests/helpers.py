@@ -143,25 +143,20 @@ def set_workers(monkeypatch, n):
 def pool_runs_every_queued_task(monkeypatch):
     """Make the pool run every task the engine queues: a caller that joins a queued task
     no pool thread has started waits for one to run it, instead of taking it back, so
-    which thread runs what no longer depends on timing. Returns the idents of the threads
-    that ran queued tasks, one per task."""
-    queued, ran = set(), []
-    put, take, run = T._Pool.put, T.Task._take, T.Task._run
+    which thread runs what no longer depends on timing. The engine makes a pool of its
+    own for this. Returns the idents of the threads that ran queued tasks, one per task."""
+    ran = []
 
-    def put_and_mark(pool, task, threads):
-        queued.add(task)
-        put(pool, task, threads)
+    class PoolRunsAll(T.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            def run_and_log():
+                ran.append(threading.get_ident())
+                return fn(*args)
 
-    def take_on_the_pool(task):
-        return (T._state.on_pool or task not in queued) and take(task)
+            future = super().submit(run_and_log)
+            future.cancel = lambda: False  # no caller takes it back
+            return future
 
-    def run_and_log(task):
-        if task in queued:
-            queued.discard(task)
-            ran.append(threading.get_ident())
-        run(task)
-
-    monkeypatch.setattr(T._Pool, "put", put_and_mark)
-    monkeypatch.setattr(T.Task, "_take", take_on_the_pool)
-    monkeypatch.setattr(T.Task, "_run", run_and_log)
+    monkeypatch.setattr(T, "ThreadPoolExecutor", PoolRunsAll)
+    monkeypatch.setattr(T, "_pool", None)
     return ran

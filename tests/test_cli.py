@@ -183,7 +183,7 @@ class TestTrain:
         """One batchnorm rule returns a NaN gamma gradient. Adam refuses it, on the pool at
         two workers, and the run stops in epoch 1, before its checkpoint and log row."""
         helpers.set_workers(monkeypatch, workers)
-        monkeypatch.setattr(T, "_pool", T._Pool())
+        monkeypatch.setattr(T, "_pool", None)
         monkeypatch.setattr(T, "FORK_MIN_WORK", 0)
         ran = helpers.pool_runs_every_queued_task(monkeypatch)
         models, poisoned, from_op = [], [], T._from_op

@@ -1,7 +1,13 @@
 """The engine's worker pool: forks, joins, and training that is bitwise the same at one
 and at two workers."""
 
+import os
+import subprocess
+import sys
 import threading
+import time
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +25,7 @@ from coopseg.train import Adam, train_epoch
 def workers(monkeypatch):
     """``workers(n)``: the engine has n workers, a pool of its own, and every fork is
     worth a hand-over (``FORK_MIN_WORK`` 0)."""
-    monkeypatch.setattr(T, "_pool", T._Pool())
+    monkeypatch.setattr(T, "_pool", None)
     monkeypatch.setattr(T, "FORK_MIN_WORK", 0)
     return lambda n: helpers.set_workers(monkeypatch, n)
 
@@ -53,6 +59,56 @@ class TestForkAndJoin:
         assert T.join(queued) == threading.get_ident()  # taken back: no wait behind the blocker
         release.set()
         T.join(blocker)
+
+    def test_a_taken_back_task_frees_its_arguments_behind_a_busy_pool(self, workers):
+        workers(2)
+        started, release = threading.Event(), threading.Event()
+        blocker = T.fork(1, lambda: (started.set(), release.wait(10)))
+        assert started.wait(10)  # the pool's one thread is busy
+        with helpers.cyclic_gc_disabled():
+            arg = np.ones(4)
+            ref = weakref.ref(arg)
+            task = T.fork(1, np.sum, arg)
+            assert T.join(task) == 4.0  # taken back; the pool still queues its entry
+            del arg, task
+            assert ref() is None
+        release.set()
+        T.join(blocker)
+
+    def test_threads_forking_at_once_make_one_pool(self, workers, monkeypatch):
+        workers(3)
+        made, executor = [], T.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            made.append(executor(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(T, "ThreadPoolExecutor", counted)
+        barrier = threading.Barrier(8)
+
+        def forker():
+            barrier.wait(10)
+            return [T.join(T.fork(1, int)) for _ in range(20)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=forker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert made == [T._pool]
+
+    def test_a_fork_after_the_pool_shut_down_runs_at_join(self, workers):
+        """At exit the pool shuts down before the host's non-daemon threads end."""
+        workers(2)
+        T.join(T.fork(1, int))
+        T._pool.shutdown()
+        assert T.join(T.fork(1, threading.get_ident)) == threading.get_ident()
 
     def test_a_task_a_pool_thread_started_is_waited_for(self, workers):
         workers(2)
@@ -88,7 +144,7 @@ class TestForkAndJoin:
         workers(1)
         ran = helpers.pool_runs_every_queued_task(monkeypatch)
         assert T.run_all(0, threading.get_ident, threading.get_ident) == [threading.get_ident()] * 2
-        assert ran == [] and T._pool._threads == 0
+        assert ran == [] and T._pool is None
 
     def test_conv_bands_on_two_threads_copy_windows_into_two_buffers(self, workers, monkeypatch):
         workers(2)
@@ -119,6 +175,26 @@ class TestForkAndJoin:
         with pytest.raises(ShapeError) as info:
             T.run_all(0, lambda: 1, fail(second), fail(third))
         assert info.value is second and sorted(map(str, finished)) == ["second", "third"]
+
+
+def test_a_process_that_used_the_pool_exits_cleanly():
+    """The pool's threads are joined at exit, not left as daemons, and a thread of the
+    host's that outlives the main thread still forks once the pool has shut down."""
+    code = ("import math, os, threading, time; from coopseg import tensor as T; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
+            "assert T.join(T.fork(math.inf, int)) == 0 and T._pool is not None; "
+            "assert T.run_all(math.inf, int, float) == [0, 0.0]; "
+            "late = lambda: (threading.main_thread().join(), time.sleep(0.2), "
+            "T.run_all(math.inf, int, float)); "
+            "threading.Thread(target=late).start()")
+    src = str(Path(T.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert time.monotonic() - start < 30
 
 
 class TestBitwiseAtOneAndTwoWorkers:

@@ -143,6 +143,17 @@ class TestSolveWeights:
         with pytest.raises(ValueError, match="lambda"):
             ViewWeights(w, 1.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_a_non_finite_lambda_is_rejected_before_the_solve(self, lam):
+        with pytest.raises(ValueError, match=f"lambda must be positive and finite, got {lam}"):
+            solve_weights([0.7, 0.9, 1.1], lam)
+
+    @pytest.mark.parametrize("w, lam", [([1.0, 0.0, 0.0], math.inf),
+                                        (np.full(3, 1.0 / 3.0), math.nan)])
+    def test_view_weights_reject_a_non_finite_lambda(self, w, lam):
+        with pytest.raises(ValueError, match=f"lambda must be positive and finite, got {lam}"):
+            ViewWeights(w, lam)
+
     def test_smaller_loss_never_gets_smaller_weight(self):
         rng = rng_of(6)
         for _ in range(20):
