@@ -520,31 +520,24 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
 
 
-def _blocks(count: int, item_elems: int, dtype, taps: int, least: int = 1):
+def _blocks(count: int, item_elems: int, dtype, taps: int, least: int = 1) -> list:
     """Bounds that cut ``count`` items of ``item_elems`` window elements each into as few
     even blocks as keep a block within ``WINDOW_BLOCK_BYTES``, but none under ``least``
-    items (one block when all fit), and one buffer for the largest block: every block's
-    windows are copied into it, so a conv makes one window allocation per thread that runs
-    its blocks, not one per block.
-    A kernel of one tap copies nothing (its windows are the input itself), so its items
-    stay one block, with no buffer."""
+    items (one block when all fit). A kernel of one tap copies nothing (its windows are
+    the input itself), so its items stay one block."""
     if taps == 1:
-        return [0, count], None
+        return [0, count]
     per = max(1, WINDOW_BLOCK_BYTES // (item_elems * np.dtype(dtype).itemsize))
     n = max(1, min(-(-count // per), count // least))
-    return [count * i // n for i in range(n + 1)], np.empty(-(-count // n) * item_elems, dtype)
+    return [count * i // n for i in range(n + 1)]
 
 
-def _gather(view: np.ndarray, buf) -> np.ndarray:
+def _gather(view: np.ndarray) -> np.ndarray:
     """A C x KH x KW x rows x W slice of ``_im2col``'s view as the (C*KH*KW) x (rows*W)
-    matrix, copied into the head of buf; with no buf (a 1x1 kernel's windows, the
-    contiguous input) it is reshaped without a copy."""
+    matrix: a copy of its own, which the caller drops after its one GEMM, or, for a 1x1
+    kernel's windows (the contiguous input), a view of the input."""
     c, kh, kw, rows, w = view.shape
-    if buf is None:
-        return view.reshape(c, rows * w)
-    cols = buf[: view.size].reshape(c * kh * kw, rows * w)
-    np.copyto(cols.reshape(view.shape), view)
-    return cols
+    return np.ascontiguousarray(view).reshape(c * kh * kw, rows * w)
 
 
 def _correlate(k2: np.ndarray, x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -558,15 +551,12 @@ def _correlate(k2: np.ndarray, x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     b, _, h, w = x.shape
     out = np.empty((b, k2.shape[0], h * w), np.result_type(k2, x))
     win = _im2col(x, kh, kw)
-    rows, buf = _blocks(h, k2.shape[1] * w, x.dtype, kh * kw)
+    rows = _blocks(h, k2.shape[1] * w, x.dtype, kh * kw)
     bands = [(n, r0, r1) for n in range(b) for r0, r1 in zip(rows, rows[1:])]
-    owner = threading.get_ident()
 
     def correlate(part):
-        # a part another thread runs at the same time copies its windows into a buffer of its own
-        own = buf if buf is None or threading.get_ident() == owner else np.empty_like(buf)
         for n, r0, r1 in part:
-            np.matmul(k2, _gather(win[n][..., r0:r1, :], own), out=out[n][:, r0 * w : r1 * w])
+            np.matmul(k2, _gather(win[n][..., r0:r1, :]), out=out[n][:, r0 * w : r1 * w])
 
     cut = (len(bands) + 1) // 2
     work = k2.size * w * sum(r1 - r0 for _, r0, r1 in bands[cut:])  # the later half's multiply-adds
@@ -580,10 +570,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     GEMM per image with the channel-major ``_im2col`` windows, landing in contiguous NCHW.
     Backward keeps only the operands and rebuilds the input's windows for the kernel gradient,
     in ``_blocks`` of at least 16 input channels (narrower GEMMs take another BLAS path and
-    change bits): each block's ``sum(g_n @ cols_n^T)`` over the images, in image order, fills
-    its columns of the gradient. Its input gradient correlates the upstream gradient, padded
-    the same way, with the flipped, channel-swapped kernel, on the pool while this thread
-    makes the kernel gradient (``run_all``); it is None when the input did not require grad."""
+    change bits): each block's ``sum(g_n @ cols_n^T)`` over the images, in image order, each
+    ``cols_n`` a ``_gather`` copy dropped after its product, fills its columns of the gradient.
+    Its input gradient correlates the upstream gradient, padded the same way, with the flipped,
+    channel-swapped kernel, on the pool while this thread makes the kernel gradient
+    (``run_all``); it is None when the input did not require grad."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
     b, cin, h, w = x.shape
@@ -604,11 +595,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         def kernel_grad():
             g3, win = g.reshape(b, cout, h * w), _im2col(xd, kh, kw)
             gw = np.empty((cout, cin * kh * kw), np.result_type(g, xd))
-            chans, buf = _blocks(cin, kh * kw * h * w, xd.dtype, kh * kw, least=16)
+            chans = _blocks(cin, kh * kw * h * w, xd.dtype, kh * kw, least=16)
             for c0, c1 in zip(chans, chans[1:]):
-                # each image's product is made before the next image's windows overwrite buf
                 gw[:, c0 * kh * kw : c1 * kh * kw] = sum(
-                    gi @ _gather(wn[c0:c1], buf).T for gi, wn in zip(g3, win))
+                    gi @ _gather(wn[c0:c1]).T for gi, wn in zip(g3, win))
             return gw.reshape(kd.shape)
 
         def input_grad():
@@ -1032,9 +1022,10 @@ def backward(loss: Tensor, sink=_accumulate) -> None:
     """Hand d(loss)/d(leaf) of every requires_grad leaf to ``sink(leaf, grad)``,
     which by default adds it into the leaf's ``.grad``.
 
-    The loss must be a scalar produced by taped ops inside a ``step()``, or a
-    ``requires_grad`` leaf. Nodes are visited in exact reverse execution
-    order; a node is skipped when no gradient has reached its output.
+    The loss must be a scalar produced by taped ops inside a ``step()``; a
+    leaf, even one that requires grad, has no graph. Nodes are visited in
+    exact reverse execution order; a node is skipped when no gradient has
+    reached its output.
     Pending gradients are keyed by the node that produced the array, or by
     the leaf tensor, so the replay needs no output or input tensor alive.
 
@@ -1056,10 +1047,7 @@ def backward(loss: Tensor, sink=_accumulate) -> None:
     if loss.data.size != 1:
         raise GradientError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss.node is None:
-        if not loss.requires_grad:
-            raise GradientError("backward: loss has no graph; ops record only inside `with step():`")
-        sink(loss, np.ones_like(loss.data))
-        return
+        raise GradientError("backward: loss has no graph; ops record only inside `with step():`")
     if loss.node.backward_fn is None:
         raise GradientError(
             f"backward: graph already released (its {loss.node.op!r} node was "

@@ -80,11 +80,6 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(x.grad, [5.0])
         assert c.grad is None
 
-    def test_requires_grad_leaf_loss_needs_no_step(self):
-        x = Tensor(2.0, requires_grad=True)
-        backward(x)
-        np.testing.assert_array_equal(x.grad, 1.0)
-
     def test_graphless_loss_raises_naming_step(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         loss = (x * 3.0).sum()  # outside any step: nothing recorded
@@ -97,6 +92,11 @@ class TestBackwardBasics:
             with pytest.raises(GradientError, match=r"step\(\)"):
                 backward(loss)
         assert x.grad is None
+        leaf, got = Tensor(2.0, requires_grad=True), []
+        for step in (T.step, nullcontext):  # a leaf has no graph, in a step or not
+            with step(), pytest.raises(GradientError, match=r"step\(\)"):
+                backward(leaf, sink=lambda t, g: got.append(t))
+        assert leaf.grad is None and got == []
 
 
 class TestStepScope:
@@ -280,12 +280,6 @@ class TestBackwardSink:
         # d's only consumer is the last node; a and b go once their first consumer, a * b,
         # has run; the dead-end mul is skipped
         assert order == ["mul", "sink", "sum", "mul", "add", "mul", "sink", "sink"]
-
-    def test_leaf_loss_goes_to_the_sink(self):
-        x = Tensor(2.0, requires_grad=True)
-        got = []
-        backward(x, sink=lambda leaf, g: got.append((leaf, g)))
-        assert len(got) == 1 and got[0][0] is x and got[0][1] == 1.0 and x.grad is None
 
 
 class TestTapeLifetime:

@@ -3,8 +3,11 @@ lookup; a renamed or deleted op, function or ``__call__`` would break
 ``perfbench/run.py --trace 1``. These tests install the tracer, check that
 every name it lists was found and wrapped, that its tape hooks still read
 the tape of a training step, and that restoring it leaves the package exactly
-as it was."""
+as it was. The workloads (perfbench/workloads.py) read and patch coopseg
+attributes by name too; their lookups are checked from the source."""
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -18,6 +21,7 @@ from coopseg.data import synth_dataset
 from coopseg.model import SegmentationModel
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
 
 
 def load_tracer():
@@ -100,3 +104,39 @@ def test_traced_train_step_counts_its_tape():
     assert tracer.max_saved_bytes > 0
     assert "tensor.conv2d.bwd" in tracer.names
     assert "train.epoch" in tracer.names
+
+
+def test_every_coopseg_name_the_workloads_look_up_exists():
+    """Every ``from coopseg... import`` of the workloads resolves, and so does every
+    attribute they read from a name it binds (``cli.main``, ``T.no_grad``,
+    ``SegmentationModel.__call__``) or patch by string (``hooks.set(cli, "_decide", ...)``)."""
+
+    def resolve(module, name):  # as ``from module import name`` does
+        try:
+            return getattr(importlib.import_module(module), name)
+        except AttributeError:
+            return importlib.import_module(f"{module}.{name}")
+
+    tree = ast.parse(WORKLOADS_PATH.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "coopseg":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = resolve(node.module, alias.name)
+    looked_up = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            looked_up.add((node.value.id, node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "set" and len(node.args) > 1
+              and isinstance(node.args[0], ast.Name) and isinstance(node.args[1], ast.Constant)):
+            looked_up.add((node.args[0].id, node.args[1].value))
+    looked_up = {(name, attr) for name, attr in looked_up if name in bound}
+    assert {("cli", "_decide"), ("train", "Adam"), ("T", "no_grad"),
+            ("SegmentationModel", "__call__")} <= looked_up
+
+    def has(obj, attr):  # a class's own MRO, not its metaclass: every class has type.__call__
+        return any(attr in vars(c) for c in obj.__mro__) if isinstance(obj, type) else hasattr(obj, attr)
+
+    missing = sorted(f"{name}.{attr}" for name, attr in looked_up if not has(bound[name], attr))
+    assert not missing

@@ -388,9 +388,9 @@ class TestConv2d:
         split = []
 
         def spy(count, *args, real=T._blocks, **kwargs):
-            bounds, buf = real(count, *args, **kwargs)
+            bounds = real(count, *args, **kwargs)
             split.append((count, len(bounds) - 1))
-            return bounds, buf
+            return bounds
 
         monkeypatch.setattr(T, "WINDOW_BLOCK_BYTES", 1)
         monkeypatch.setattr(T, "_blocks", spy)
@@ -403,6 +403,19 @@ class TestConv2d:
         assert err < gradcheck.TOL_DEFAULT
         assert (5, 5) in split  # forward and input gradient: one band per row
         assert (32, 2) in split  # kernel gradient: two blocks of 16 channels
+
+    def test_1x1_windows_are_the_input_not_a_copy(self, monkeypatch):
+        """The GLFF projections and the view heads are 1x1 convs: a forward band and a
+        kernel-gradient channel block of their windows are views of the input, however
+        small the block budget."""
+        monkeypatch.setattr(T, "WINDOW_BLOCK_BYTES", 1)
+        x = np.random.default_rng(24).standard_normal((2, 32, 6, 5)).astype(np.float32)
+        win = T._im2col(x, 1, 1)
+        (r0, r1), (c0, c1) = T._blocks(6, 32 * 5, x.dtype, 1), T._blocks(32, 30, x.dtype, 1, least=16)
+        assert (r0, r1, c0, c1) == (0, 6, 0, 32)
+        assert np.shares_memory(T._gather(win[1][..., r0:r1, :]), x)
+        assert np.shares_memory(T._gather(win[1][c0:c1]), x)
+        assert not np.shares_memory(T._gather(T._im2col(x, 3, 3)[1][..., 0:3, :]), x)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blocked_windows_hold_one_block_at_a_time(self, monkeypatch, workers):
