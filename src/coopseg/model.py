@@ -57,9 +57,10 @@ class SegmentationModel(Module):
         else:
             rng_t = rng_c = rng_f = _Zeros(dtype)
         # layers draw float64 parameters and the model casts them to the run's
-        # precision. The transformer holds four fifths of them, so it is cast
-        # before the rest is drawn: the whole float64 draw (226 MB at paper
-        # geometry) is never resident at once.
+        # precision. The transformer holds four fifths of them: it casts each
+        # encoder block as it draws it, and the model casts the rest of it before
+        # the other branches are drawn, so at most one block's float64 draw
+        # (14 MB at paper geometry, not the branch's 178 MB) is resident at once.
         self.transformer = TransformerBranch(cfg, rng_t).cast(dtype)
         self.head_t = ViewHead(TransformerBranch.T2_CHANNELS, rng_t)
         self.cnn = CnnBranch(cfg, rng_c)
@@ -109,8 +110,11 @@ class SegmentationModel(Module):
         return [self._views(x) for x in images]
 
     def _views(self, image: Tensor) -> ViewOutputs:
-        t_feats = self.transformer(image)
-        c_feats = self.cnn(image)
+        # the branches meet only in the fusion: the transformer, the longer at paper
+        # geometry, on this thread, and the CNN beside it on the engine's pool; a branch
+        # is always worth a thread
+        t_feats, c_feats = T.run_all(math.inf, partial(self.transformer, image),
+                                     partial(self.cnn, image))
         pre_t = self.head_t(t_feats.s4)
         pre_c = self.head_c(c_feats)
         f16, f8, f4 = self.fused_maps(t_feats, c_feats)

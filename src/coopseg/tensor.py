@@ -4,7 +4,8 @@ Tensors wrap numpy arrays. Inside a ``step()`` block every differentiable
 operation of the thread that opened it records a node on the step's gradient
 tape; ``backward`` replays the tape in exact reverse execution order and
 accumulates gradients into ``requires_grad`` leaves. Outside a step, and in
-every other thread, nothing is recorded.
+every other thread, nothing is recorded, except that each call of a ``run_all``
+made inside a step records on a child tape that the join splices onto the step's.
 Ops take Tensors: every tensor argument of an op is a ``Tensor``. The one
 exception is the other operand of ``+ - * /`` (``add``, ``sub``, ``mul``,
 ``div``), which may also be a Python number or an ndarray; it gets no gradient.
@@ -19,10 +20,14 @@ the caller's, sized once by the first fork it queues; its threads are joined at 
 Backward forks the second GEMM of each ``_matmul_grads`` pair (matmul, mlp, attention)
 and conv2d's input gradient while the caller computes the other; ``_correlate`` forks
 the later half of its (image, band) GEMMs and ``_normal_cdf`` the later half of its
-elements, in forward and backward; ``train.Adam`` forks its updates and the eval-mode
-model its images. Each forked piece is the one-thread call it would be alone, so results
-do not depend on the pool size. A caller joining a task no pool thread started runs it
-itself, and a fork on a pool thread runs inline, so no thread waits behind queued work.
+elements, in forward and backward; above ``FORK_MIN_WORK`` ``attention`` forks the later
+half of its heads, in forward and in backward's rebuild, and ``matmul`` and ``mlp`` the
+later half of each 2-d product's rows (``_halves``); ``train.Adam`` forks its updates, the
+model its CNN branch beside the transformer and the eval-mode model its images; backward
+replays the branches' segments side by side (``_replay_group``). Each forked piece is the
+one-thread call it would be alone, so results do not depend on the pool size. A caller
+joining a task no pool thread started runs it itself, and a fork on a pool thread runs
+inline, so no thread waits behind queued work.
 numpy's floating-point errors are ignored on the importing thread and on each pool thread
 from its start; a thread the host starts itself keeps numpy's default. coopseg's checks are
 the reports: ``train.ViewWeights``, the per-view loss, Adam's ``g·g``, the CLI's decision.
@@ -97,15 +102,45 @@ class TapeNode:
 
 
 class GradTape:
-    """Ordered record of executed ops, replayed in reverse by ``backward``."""
+    """Ordered record of executed ops, replayed in reverse by ``backward``.
 
-    __slots__ = ("nodes",)
+    A child tape (``parent`` set) records one call of a ``run_all`` made inside a step;
+    an op recording on it may read nodes of its own tape or of an ancestor, never of a
+    sibling. The join splices the children's nodes onto the parent in call order
+    (``splice``), the serial program's order, and ``groups`` keeps each join's segment
+    bounds in ``nodes``, so ``backward`` can replay the segments side by side. A
+    child's own groups are dropped at the splice: deeper joins replay in order.
+    """
 
-    def __init__(self):
+    __slots__ = ("nodes", "parent", "groups")
+
+    def __init__(self, parent: Optional["GradTape"] = None):
         self.nodes: list[TapeNode] = []
+        self.parent = parent
+        self.groups: list[list[int]] = []
 
     def __len__(self):
         return len(self.nodes)
+
+    def sees(self, tape: "GradTape") -> bool:
+        """Whether an op recording here may read a node of ``tape``: this tape or an ancestor."""
+        own = self
+        while own is not None and own is not tape:
+            own = own.parent
+        return own is not None
+
+    def splice(self, children: Sequence["GradTape"]):
+        """Move the children's nodes onto this tape, in order; two or more non-empty
+        segments make a group."""
+        bounds = [len(self.nodes)]
+        for child in children:
+            for node in child.nodes:
+                node.tape = self
+            self.nodes += child.nodes
+            child.nodes.clear()
+            bounds.append(len(self.nodes))
+        if sum(b > a for a, b in zip(bounds, bounds[1:])) > 1:
+            self.groups.append(bounds)
 
     def release(self):
         """Free the recorded graph by reference counting alone.
@@ -119,6 +154,7 @@ class GradTape:
         for node in self.nodes:
             node.release()
         self.nodes.clear()
+        self.groups.clear()
 
 
 class _EngineState(threading.local):
@@ -222,8 +258,14 @@ def run_all(work: float, *calls) -> list:
     """``[call() for call in calls]``: every call but the first is forked (``fork``), this
     thread runs the first, then joins the rest in order. Each call runs the same
     operations, on one thread, as it would alone, so the results do not depend on the
-    pool. If a call raises, the forks no thread has started are dropped and the running
-    ones waited for, and then the first error in call order is raised."""
+    pool. Inside a recording step each call records on a child tape of its own, and the
+    join splices them onto this thread's tape (``GradTape``). If a call raises, the forks
+    no thread has started are dropped and the running ones waited for, every child's
+    nodes are released, and then the first error in call order is raised."""
+    tape = _state.tape
+    children = [GradTape(tape) for _ in calls] if tape is not None else []
+    if children:
+        calls = [partial(_recording_on, child, call) for child, call in zip(children, calls)]
     tasks = [fork(work, call) for call in calls[1:]]
     try:
         results = [calls[0]()]
@@ -231,8 +273,34 @@ def run_all(work: float, *calls) -> list:
             results.append(join(task))
     except BaseException:
         wait([future for future, _ in tasks if not future.cancel()])
+        for child in children:
+            child.release()
         raise
+    if children:
+        tape.splice(children)
     return results
+
+
+def _recording_on(tape: GradTape, call):
+    prev, _state.tape = _state.tape, tape
+    try:
+        return call()
+    finally:
+        _state.tape = prev
+
+
+def _halves(work: float, fn, n: int) -> None:
+    """``fn(slice(0, n))``, or, when a half is worth a fork (``work``, the later half's
+    cost, reaches ``FORK_MIN_WORK``), ``fn`` on the first and on the later half of the
+    range, the later on the pool (``run_all``). Whether a range is cut depends on its
+    size alone, never on the pool. A GEMM's rows cut in two are bitwise the whole
+    product on the paper's shapes but not on every shape (README, "Parallelism"): so
+    the GEMM ops count the work of one 2-d product's half, smaller products stay one
+    call, and a range under 4 stays whole (a one-row product takes another BLAS path)."""
+    if work < FORK_MIN_WORK or n < 4:
+        fn(slice(0, n))
+        return
+    run_all(work, partial(fn, slice(0, n // 2)), partial(fn, slice(n // 2, n)))
 
 
 def recording() -> bool:
@@ -362,18 +430,24 @@ class Tensor:
         backward(self)
 
 
+def _records(inputs: Sequence[Optional[Tensor]]) -> bool:
+    """Whether an op on ``inputs`` records a node: this thread records and an input requires grad."""
+    return _state.tape is not None and any(t is not None and t.requires_grad for t in inputs)
+
+
 def _from_op(op: str, data: np.ndarray, inputs: Sequence[Optional[Tensor]], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _state.tape is not None and any(t is not None and t.requires_grad for t in inputs):
+    if _records(inputs):
         parents = []
         for t in inputs:
             node = t.node if t is not None else None
-            # a node replayed by backward, or recorded by another step, is one this
-            # step's backward never visits: the gradient would stop there unseen
-            if node is not None and (node.backward_fn is None or node.tape is not _state.tape):
+            # a node replayed by backward, or recorded by another step or a sibling call
+            # of run_all, is one this tape's backward never visits: the gradient would
+            # stop there unseen
+            if node is not None and (node.backward_fn is None or not _state.tape.sees(node.tape)):
                 raise GradientError(
-                    f"{op}: an input comes from another step or from a graph spent by backward; "
-                    "recompute it inside this step"
+                    f"{op}: an input comes from another step, a sibling call of run_all or a "
+                    "graph spent by backward; recompute it inside this step"
                 )
             parents.append(t if node is None else node)
         out.requires_grad = True
@@ -479,7 +553,8 @@ def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading axes, plus an optional
-    bias of shape (b.shape[-1],) added to every output row."""
+    bias of shape (b.shape[-1],) added to every output row. The two halves of a's rows
+    are two products (``_halves``), each written into its rows of the output."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -488,9 +563,17 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"matmul: bias must have shape ({b.shape[-1]},), got {bias.shape}")
     da, db = a.data, b.data
     bias_shape = bias.shape if bias is not None else None
-    out = np.matmul(da, db)
-    if bias is not None:
-        out += bias.data
+    rows, inner = da.shape[-2:]
+    lead = np.broadcast_shapes(da.shape[:-2], db.shape[:-2])
+    out = np.empty((*lead, rows, db.shape[-1]), np.result_type(da, db))
+
+    def product(r):
+        o = out[..., r, :]
+        np.matmul(da[..., r, :], db, out=o)
+        if bias is not None:
+            o += bias.data
+
+    _halves((rows - rows // 2) * inner * out.shape[-1], product, rows)  # per 2-d product
 
     def bw(g):
         gbias = _unbroadcast(g, bias_shape) if bias_shape is not None else None
@@ -750,7 +833,7 @@ def amax(a: Tensor, axis, keepdims: bool = False) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
-    mask = a.data > 0  # subgradient at 0 is defined as 0
+    mask = a.data > 0 if _records((a,)) else None  # subgradient at 0 is defined as 0
     return _from_op("relu", out, (a,), lambda g: (g * mask,))
 
 
@@ -771,24 +854,22 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     """The exact standard-normal CDF (erf form): the one expression gelu and mlp
     use in forward and again in backward, where they rebuild it. The later half of
-    the elements runs on the pool while this thread computes the first (``run_all``);
+    the elements runs on the pool while this thread computes the first (``_halves``);
     the expression is elementwise, so the bits are those of one call."""
-    flat = x.reshape(-1)
-    out = np.empty_like(flat)
+    # 0.5 * (1.0 + erf(x * c)), op by op in one contiguous output: no temporaries, and no
+    # copy of a strided x
+    out = np.multiply(x, _INV_SQRT2)
+    flat = out.reshape(-1)
 
     def cdf(part):
-        # 0.5 * (1.0 + erf(x * c)), op by op in the output slice: no temporaries
-        o = out[part]
-        np.multiply(flat[part], _INV_SQRT2, out=o)
+        o = flat[part]
         special.erf(o, out=o)
         o += 1.0
         o *= 0.5
 
-    half = flat.size // 2
     # scipy's erf takes about 13 ns per element: 650 one-thread multiply-adds' worth
-    run_all(650 * (flat.size - half), partial(cdf, slice(None, half)),
-            partial(cdf, slice(half, None)))
-    return out.reshape(x.shape)
+    _halves(650 * (flat.size - flat.size // 2), cdf, flat.size)
+    return out
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -808,9 +889,11 @@ def gelu(a: Tensor) -> Tensor:
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``gelu(x @ w1 + b1) @ w2 + b2`` for an input of shape (..., d_in), as one tape node.
 
-    The tape keeps x and the hidden pre-activation ``h = x @ w1 + b1``; backward rebuilds
-    the CDF and the GELU output ``h * cdf`` from h with the forward's own expression. Each
-    GEMM pair is matmul's own ``_matmul_grads`` on the operands of the composed chain
+    The forward runs the two halves of x's rows (axis -2) as two chains (``_halves``),
+    each writing its rows of h and of the output. The tape keeps x and the hidden
+    pre-activation ``h = x @ w1 + b1``; backward rebuilds the CDF and the GELU output
+    ``h * cdf`` from h with the forward's own expression. Each GEMM pair is matmul's own
+    ``_matmul_grads`` on the operands of the composed chain
     ``matmul(gelu(matmul(x, w1, b1)), w2, b2)``, so results are bitwise equal to that chain.
     """
     if (
@@ -823,10 +906,20 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             "do not chain as (..., d_in) @ (d_in, hidden) @ (hidden, d_out)"
         )
     xd, w1d, w2d, b1_shape, b2_shape = x.data, w1.data, w2.data, b1.shape, b2.shape
-    h = np.matmul(xd, w1d)
-    h += b1.data
-    out = np.matmul(h * _normal_cdf(h), w2d)
-    out += b2.data
+    h = np.empty((*xd.shape[:-1], w1d.shape[1]), np.result_type(xd, w1d))
+    out = np.empty((*xd.shape[:-1], w2d.shape[1]), np.result_type(h, w2d))
+
+    def chain(r):
+        hr, o = h[..., r, :], out[..., r, :]
+        np.matmul(xd[..., r, :], w1d, out=hr)
+        hr += b1.data
+        act = _normal_cdf(hr)
+        act *= hr  # the GELU output h * cdf, in the CDF's array
+        np.matmul(act, w2d, out=o)
+        o += b2.data
+
+    rows = xd.shape[-2]
+    _halves((rows - rows // 2) * (w1d.size + w2d.size), chain, rows)  # per 2-d product
 
     def bw(g):
         cdf = _normal_cdf(h)
@@ -859,11 +952,21 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _from_op("softmax_lastdim", out, (a,), lambda g: (_softmax_grad(g, out),))
 
 
-def _attention_rows(q: np.ndarray, k: np.ndarray, s: float):
-    """The scaled queries ``q * s``, the contiguous transposed keys and their softmax rows."""
-    qs, kt = q * s, np.ascontiguousarray(np.swapaxes(k, -1, -2))
-    att = np.matmul(qs, kt)
-    return qs, kt, _softmax_rows(att, att)
+def _attention_rows(q: np.ndarray, k: np.ndarray, s: float, work: float):
+    """The scaled queries ``q * s``, the contiguous transposed keys and their softmax rows,
+    the two halves of the heads as two calls (``_halves``, a half worth ``work``)."""
+    b, h, n, d = q.shape
+    qs, kt = np.empty_like(q), np.empty((b, h, d, n), k.dtype)
+    att = np.empty((b, h, n, n), np.result_type(q, k))
+
+    def rows(hs):
+        np.multiply(q[:, hs], s, out=qs[:, hs])
+        np.copyto(kt[:, hs], np.swapaxes(k[:, hs], -1, -2))
+        np.matmul(qs[:, hs], kt[:, hs], out=att[:, hs])
+        _softmax_rows(att[:, hs], att[:, hs])
+
+    _halves(work, rows, h)
+    return qs, kt, att
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -872,9 +975,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     The queries are scaled by 1/sqrt(d), a power of two when d is a power of four (16,
     64), so that rounds as scaling the scores would. The softmax runs in place on the
-    scores. The rule keeps the arrays of q, k and v only: backward rebuilds the softmax
-    rows from the scaled queries and transposed keys that its own gq and gk GEMMs take,
-    through the forward's expression. Both GEMM pairs are matmul's own ``_matmul_grads`` on the
+    scores. The two halves of the heads run as two calls (``_halves``), in forward and
+    in backward's rebuild; each head's products are the same calls either way. The rule
+    keeps the arrays of q, k and v only: backward rebuilds the softmax rows from the
+    scaled queries and transposed keys that its own gq and gk GEMMs take, through the
+    forward's expression. Both GEMM pairs are matmul's own ``_matmul_grads`` on the
     operands, in the layouts, of the composed chain
     ``softmax_lastdim((q * s) @ transpose(k)) @ v`` (BLAS may round a transposed operand
     differently), so results are bitwise equal to that chain.
@@ -884,16 +989,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     b, h, n, d = q.shape
     s = 1.0 / math.sqrt(d)
     qd, kd, vd = q.data, k.data, v.data
-    out = np.matmul(_attention_rows(qd, kd, s)[2], vd).transpose(0, 2, 1, 3).reshape(b, n, h * d)
+    work = b * (h - h // 2) * n * n * d  # a half's multiply-adds, per product
+    att = _attention_rows(qd, kd, s, work)[2]
+    out = np.empty((b, n, h, d), np.result_type(att, vd))
+    _halves(work, lambda hs: np.matmul(att[:, hs], vd[:, hs], out=out[:, :, hs].transpose(0, 2, 1, 3)), h)
 
     def bw(g):
-        qs, kt, att = _attention_rows(qd, kd, s)
+        qs, kt, att = _attention_rows(qd, kd, s, work)
         g = g.reshape(b, n, h, d).transpose(0, 2, 1, 3)
         gatt, gv = _matmul_grads(g, att, vd)
         gqs, gkt = _matmul_grads(_softmax_grad(gatt, att), qs, kt)
         return gqs * s, np.swapaxes(gkt, -1, -2), gv
 
-    return _from_op("attention", out, (q, k, v), bw)
+    return _from_op("attention", out.reshape(b, n, h * d), (q, k, v), bw)
 
 
 NORM_EPS = 1e-5  # added to the variance by both norms
@@ -1000,7 +1108,7 @@ def batchnorm_channel(
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(a.data, lo, hi)
-    mask = (a.data >= lo) & (a.data <= hi)
+    mask = (a.data >= lo) & (a.data <= hi) if _records((a,)) else None
     return _from_op("clip", out, (a,), lambda g: (g * mask,))
 
 
@@ -1022,22 +1130,29 @@ def backward(loss: Tensor, sink=_accumulate) -> None:
     """Hand d(loss)/d(leaf) of every requires_grad leaf to ``sink(leaf, grad)``,
     which by default adds it into the leaf's ``.grad``.
 
-    The loss must be a scalar produced by taped ops inside a ``step()``; a
-    leaf, even one that requires grad, has no graph. Nodes are visited in
-    exact reverse execution order; a node is skipped when no gradient has
-    reached its output.
+    The loss must be a scalar produced by taped ops inside a ``step()``, after
+    any ``run_all`` it came from has joined; a leaf, even one that requires
+    grad, has no graph. Nodes are visited in exact reverse execution order; a
+    node is skipped when no gradient has reached its output.
     Pending gradients are keyed by the node that produced the array, or by
     the leaf tensor, so the replay needs no output or input tensor alive.
+
+    A group of the tape (the segments of one ``run_all``, ``GradTape``) whose
+    segments share no outside node and no requires_grad leaf is replayed side
+    by side, each segment with its own pending gradients (``_replay_group``).
+    Every node's and every leaf's gradient then sums the same terms in the
+    same order as in the serial replay.
 
     Each leaf's complete gradient, summed over its uses, goes to the sink
     once, as soon as the last node that takes the leaf as an input has been
     replayed or skipped, and is not kept. A leaf that no gradient reaches
     never gets there. The sink may update the leaf's array in place
-    (``train.Adam`` does): a backward rule reads that array, or a view of
-    it, only if its node takes the leaf, or something computed from it, as
-    an input, and every such node was recorded after the leaf's first
-    consumer, so it has been replayed by then. A rule that raises mid-replay
-    leaves the leaves already handed over updated.
+    (``train.Adam`` does), and is called from the thread that replays that
+    node: a backward rule reads that array, or a view of it, only if its node
+    takes the leaf, or something computed from it, as an input, and every
+    such node was recorded after the leaf's first consumer, so it has been
+    replayed by then. A rule that raises mid-replay leaves the leaves already
+    handed over updated.
 
     The graph is spent afterwards: each node is released as soon as it has
     been visited, the rest of the tape when the replay ends, and a second
@@ -1054,6 +1169,9 @@ def backward(loss: Tensor, sink=_accumulate) -> None:
             "replayed or its step ended); recompute the loss"
         )
     tape = loss.node.tape
+    if tape.parent is not None:
+        raise GradientError("backward: the loss was recorded inside a call of run_all; "
+                            "call backward once run_all has returned")
     # uses left of each requires_grad leaf: its gradient is complete at 0
     uses: dict[Tensor, int] = {}
     for node in tape.nodes:
@@ -1062,7 +1180,19 @@ def backward(loss: Tensor, sink=_accumulate) -> None:
                 uses[src] = uses.get(src, 0) + 1
     # neither TapeNode nor Tensor defines __eq__, so both hash by identity
     pending: dict[TapeNode | Tensor, np.ndarray] = {loss.node: np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
+    end = len(tape.nodes)
+    for bounds in reversed(tape.groups):
+        _replay(tape.nodes[bounds[-1]:end], pending, uses, sink)
+        _replay_group([tape.nodes[a:b] for a, b in zip(bounds, bounds[1:])], pending, uses, sink)
+        end = bounds[0]
+    _replay(tape.nodes[:end], pending, uses, sink)
+    tape.release()
+
+
+def _replay(nodes: list[TapeNode], pending: dict, uses: dict, sink) -> None:
+    """Replay ``nodes`` in reverse: each node's rule maps its pending gradient to its
+    inputs', and each leaf whose uses run out goes to the sink."""
+    for node in reversed(nodes):
         inputs = node.inputs
         g = pending.pop(node, None)
         if g is not None:
@@ -1078,4 +1208,28 @@ def backward(loss: Tensor, sink=_accumulate) -> None:
                 uses[src] -= 1
                 if not uses[src] and src in pending:
                     sink(src, pending.pop(src))
-    tape.release()
+
+
+def _replay_group(segments: list[list[TapeNode]], pending: dict, uses: dict, sink) -> None:
+    """Replay one ``run_all``'s segments. When no two of them take one outside node or
+    one requires_grad leaf as an input, each segment replays on a thread of its own
+    (``run_all``, the first on this one) with its own parts of ``pending`` and ``uses``:
+    the entries of its nodes and of what it reads, which no other segment touches.
+    Otherwise the segments replay in reverse, one after the other, as the serial
+    program would."""
+    reads = []
+    for seg in segments:
+        own = set(seg)
+        reads.append({src for node in seg for src in node.inputs
+                      if (isinstance(src, TapeNode) and src not in own)
+                      or (isinstance(src, Tensor) and src.requires_grad)})
+    if sum(map(len, reads)) != len(set().union(*reads)):
+        _replay([node for seg in segments for node in seg], pending, uses, sink)
+        return
+    parts = [({key: pending.pop(key) for key in (*seg, *read) if key in pending},
+              {leaf: uses.pop(leaf) for leaf in read if leaf in uses}) for seg, read in zip(segments, reads)]
+    # a branch's backward is always worth a thread
+    run_all(math.inf, *(partial(_replay, seg, *part, sink) for seg, part in zip(segments, parts)))
+    for part, counts in parts:
+        pending.update(part)
+        uses.update(counts)

@@ -11,6 +11,7 @@ Adam step on the weighted loss with the weights held constant.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -176,31 +177,40 @@ class Adam:
         ``names`` maps each parameter to the name an error gives it. Every requires_grad
         leaf of the loss's graph must be one of the parameters.
 
-        An update worth a hand-over is forked to the engine's pool, at most one at a
-        time, and overlaps the rest of the replay; a smaller one runs at once. An
-        update's error reaches the caller unchanged, the first in hand-over order, and
-        this returns or raises only once no update is running."""
+        An update worth a hand-over is forked to the engine's pool and overlaps the rest
+        of the replay; a smaller one runs at once. Each thread that replays (backward may
+        replay a group's segments on two) keeps its own hand-over slot: it joins its
+        update in flight before it forks the next. An update's error reaches the caller
+        unchanged, the first in its thread's hand-over order; an update still in flight
+        when backward returns or raises is joined after it, and its error takes
+        backward's place. This returns or raises only once no update is running."""
         self._advance()
-        last = None  # the forked update in flight
+        last = {}  # each replaying thread's forked update in flight, by thread
 
         def sink(p, g):
-            nonlocal last
             # an element's update, 16 passes over the arrays, takes about as long as 200
             # one-thread GEMM multiply-adds (README, "Parallelism")
             work = 200 * g.size
             if work < T.FORK_MIN_WORK:  # too small to hand over: run now, beside the one in flight
                 self._update(p, g, names[p])
                 return
-            if last is not None:
-                task, last = last, None
+            thread = threading.get_ident()
+            task = last.pop(thread, None)
+            if task is not None:
                 T.join(task)
-            last = T.fork(work, self._update, p, g, names[p])
+            last[thread] = T.fork(work, self._update, p, g, names[p])
 
         try:
             T.backward(loss, sink=sink)
         finally:
-            if last is not None:  # an error it raises came first in hand-over order
-                T.join(last)
+            error = None
+            for task in last.values():  # every replaying thread has returned
+                try:
+                    T.join(task)
+                except BaseException as exc:
+                    error = error or exc
+            if error is not None:
+                raise error
 
     def zero_grad(self):
         for p in self.params:

@@ -85,7 +85,10 @@ class EncoderBlock(Module):
 
 class TransformerBranch(Module):
     """Encoder over patch tokens, then progressive conv+upsample back to
-    maps at 1/16 (d_model ch), 1/8 (128 ch), and 1/4 (64 ch) scales."""
+    maps at 1/16 (d_model ch), 1/8 (128 ch), and 1/4 (64 ch) scales.
+
+    Each encoder block is cast to ``cfg.dtype`` as it is drawn, so only one block's
+    float64 draw is resident at a time; the model casts the rest of the branch."""
 
     T1_CHANNELS = 128
     T2_CHANNELS = 64
@@ -93,7 +96,7 @@ class TransformerBranch(Module):
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.embed = PatchEmbed(cfg, rng)
-        self.blocks = [EncoderBlock(cfg, rng) for _ in range(cfg.depth)]
+        self.blocks = [EncoderBlock(cfg, rng).cast(cfg.dtype) for _ in range(cfg.depth)]
         self.conv_t1 = Conv2d(cfg.d_model, self.T1_CHANNELS, 3, rng)
         self.conv_t2 = Conv2d(self.T1_CHANNELS, self.T2_CHANNELS, 3, rng)
 

@@ -1,7 +1,9 @@
 """Whole-model wiring: three views, ablation switches, init isolation, and the
 eval-mode forward that runs each image alone, spread over the process's CPUs."""
 
+import dataclasses
 import gc
+import hashlib
 import os
 import threading
 import weakref
@@ -15,6 +17,7 @@ from coopseg.config import ConfigError, RunConfig, toy_config
 from coopseg.model import SegmentationModel, ViewOutputs
 from coopseg.tensor import ShapeError, Tensor, idle_cpus
 from coopseg.train import view_loss
+from coopseg.transformer import TransformerBranch
 
 
 def tiny_cfg(**kw):
@@ -163,6 +166,26 @@ class TestInitIsolation:
         for model in (m32, m64):
             assert all(b.dtype == np.float64 for _, b in model.named_buffers())
             assert model.cast(model.cfg.dtype) is model
+
+    def test_the_transformer_casts_each_block_as_it_is_drawn(self):
+        """The state hashes as the float64 draw cast all at once, and building the branch
+        never holds every encoder block's float64 draw: at most one block's, beside the
+        float32 blocks and the rest of the branch's float64 draw."""
+
+        def state_hash(model):
+            digest = hashlib.sha256()
+            for name, a in model.named_state():
+                digest.update(name.encode())
+                digest.update(a.tobytes())
+            return digest.hexdigest()
+
+        cfg = toy_config(depth=12)
+        cast_once = SegmentationModel(dataclasses.replace(cfg, dtype="float64")).cast(np.float32)
+        assert state_hash(SegmentationModel(cfg)) == state_hash(cast_once)
+        branch, peak = helpers.alloc_peak(lambda: TransformerBranch(cfg, np.random.default_rng(0)))
+        float32_blocks = sum(p.data.nbytes for block in branch.blocks for p in block.parameters())
+        assert all(p.data.dtype == np.float32 for block in branch.blocks for p in block.parameters())
+        assert peak < 2 * float32_blocks  # the blocks' float64 draw
 
     def test_dfm_toggle_swaps_decoder_for_plain_head(self):
         on = SegmentationModel(tiny_cfg(dfm_on=True))

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ import helpers
 from coopseg import tensor as T
 from coopseg.config import toy_config
 from coopseg.data import make_batches, synth_dataset
+from coopseg.cnn import CnnBranch
 from coopseg.model import SegmentationModel
-from coopseg.tensor import ShapeError, Tensor
+from coopseg.tensor import GradientError, ShapeError, Tensor
 from coopseg.train import Adam, train_epoch
 
 
@@ -268,6 +270,243 @@ class TestBitwiseAtOneAndTwoWorkers:
             assert len(set(ran)) == 1 and threading.get_ident() not in ran
 
 
+class TestPaperShapeSplits:
+    """At paper shapes the GEMM ops split above ``FORK_MIN_WORK``: attention its heads,
+    matmul and mlp the rows of each 2-d product. Output and gradients are bitwise those
+    of the unsplit call, at one and at two workers."""
+
+    OPS = {
+        "matmul": (T.matmul, [(1, 484, 384), (384, 1536), (1536,)]),
+        "projection": (T.matmul, [(1, 1, 484, 384), (6, 384, 64)]),
+        "mlp": (T.mlp, [(1, 484, 384), (384, 1536), (1536,), (1536, 384), (384,)]),
+        "attention": (T.attention, [(1, 6, 484, 64)] * 3),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(OPS))
+    def test_split_equals_the_unsplit_call(self, monkeypatch, name, dtype):
+        op, shapes = self.OPS[name]
+        run = partial(TestBitwiseAtOneAndTwoWorkers.output_and_gradients, op, shapes, dtype)
+        halves, cuts = T._halves, []
+
+        def spy(work, fn, n):
+            cuts.append(work >= T.FORK_MIN_WORK and n >= 4)
+            return halves(work, fn, n)
+
+        monkeypatch.setattr(T, "_pool", None)
+        helpers.set_workers(monkeypatch, 1)
+        monkeypatch.setattr(T, "_halves", lambda work, fn, n: fn(slice(0, n)))
+        unsplit = run()
+        monkeypatch.setattr(T, "_halves", spy)
+        assert run() == unsplit
+        helpers.set_workers(monkeypatch, 2)
+        ran = helpers.pool_runs_every_queued_task(monkeypatch)
+        assert run() == unsplit
+        assert any(cuts) and ran and threading.get_ident() not in ran
+
+
+class TestBranchesSideBySide:
+    """Inside a step, each call of ``run_all`` records on a child tape of its own; the
+    join splices them onto the step's tape in call order, and backward replays such a
+    group's segments side by side when they share no outside node and no
+    requires_grad leaf."""
+
+    @staticmethod
+    def leaf(seed, shape=(4, 4)):
+        return Tensor(np.random.default_rng(seed).standard_normal(shape), requires_grad=True)
+
+    @staticmethod
+    def replay_threads(monkeypatch):
+        """The thread of each ``_replay`` call, in call order."""
+        threads, replay = [], T._replay
+
+        def spy(nodes, *args):
+            threads.append(threading.get_ident())
+            return replay(nodes, *args)
+
+        monkeypatch.setattr(T, "_replay", spy)
+        return threads
+
+    @staticmethod
+    def cnn_threads(monkeypatch):
+        """The thread of each CNN branch forward, in call order."""
+        threads, call = [], CnnBranch.__call__
+
+        def spy(self, image):
+            threads.append(threading.get_ident())
+            return call(self, image)
+
+        monkeypatch.setattr(CnnBranch, "__call__", spy)
+        return threads
+
+    def test_the_branches_run_and_replay_on_two_threads_with_the_same_bits(self, workers,
+                                                                          monkeypatch):
+        cfg = tiny_cfg()
+        workers(1)
+        alone = TestBitwiseAtOneAndTwoWorkers().train(cfg, steps=1)
+        workers(2)
+        helpers.pool_runs_every_queued_task(monkeypatch)
+        cnn_threads, replays = self.cnn_threads(monkeypatch), self.replay_threads(monkeypatch)
+        assert TestBitwiseAtOneAndTwoWorkers().train(cfg, steps=1) == alone
+        here = threading.get_ident()
+        assert len(cnn_threads) == 2 and here not in cnn_threads  # one forward per batch
+        assert sum(thread != here for thread in replays) == 2  # the CNN segment of each
+
+    def test_an_eval_forward_runs_the_branches_side_by_side_with_the_same_bits(self, workers,
+                                                                              monkeypatch):
+        cfg = tiny_cfg()
+        model = SegmentationModel(cfg).eval()
+        image = tiny_batches(cfg)[0][0]
+        single = Tensor(image.data[:1])
+        workers(1)
+        alone = [v.data.tobytes() for v in model(single)]
+        workers(2)
+        ran = helpers.pool_runs_every_queued_task(monkeypatch)
+        cnn_threads = self.cnn_threads(monkeypatch)
+        assert [v.data.tobytes() for v in model(single)] == alone
+        assert cnn_threads == ran[:1] != [threading.get_ident()]
+
+    def test_a_call_reads_its_ancestors_nodes_and_the_join_splices_in_call_order(self, workers):
+        workers(2)
+        x = self.leaf(0)
+        with T.step() as tape:
+            y = x * 2.0
+            a, b = T.run_all(0, lambda: (y * 3.0).sum(), lambda: T.relu(y * 5.0))
+            assert [n.op for n in tape.nodes] == ["mul", "mul", "sum", "mul", "relu"]
+            assert all(n.tape is tape for n in tape.nodes) and tape.groups == [[1, 3, 5]]
+            assert a.node is tape.nodes[2] and b.node is tape.nodes[4]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_siblings_tensor_raises(self, workers, monkeypatch, n):
+        workers(n)
+        if n == 2:
+            helpers.pool_runs_every_queued_task(monkeypatch)
+        x, made, ready = self.leaf(0), [], threading.Event()
+
+        def first():
+            made.append(x * 2.0)
+            ready.set()
+
+        def second():
+            assert ready.wait(10)
+            return made[0] * 3.0
+
+        with T.step() as tape:
+            with pytest.raises(GradientError, match="sibling call of run_all"):
+                T.run_all(0, first, second)
+            assert len(tape) == 0 and made[0].node.backward_fn is None
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_in_one_call_lets_the_other_finish_and_records_nothing(
+            self, workers, monkeypatch, failing):
+        workers(2)
+        helpers.pool_runs_every_queued_task(monkeypatch)
+        x, finished, error = self.leaf(0), [], ShapeError("injected")
+
+        def ok():
+            time.sleep(0.05)
+            finished.append((x * 2.0).sum())
+
+        def bad():
+            x * 3.0
+            raise error
+
+        calls = [ok, bad] if failing else [bad, ok]
+        with T.step() as tape:
+            with pytest.raises(ShapeError) as info:
+                T.run_all(0, *calls)
+            assert info.value is error and len(finished) == 1
+            assert len(tape) == 0 and tape.groups == []
+            assert finished[0].node.backward_fn is None
+
+    def grads(self, share, grouped):
+        """Gradients of ``sum((x @ w1)^2) + sum((y @ w2)^2)``; with ``share`` the two
+        products take one weight leaf, and with ``grouped`` they run as two run_all calls."""
+        x, y, w1 = self.leaf(1, (8, 4)), self.leaf(2, (8, 4)), self.leaf(3)
+        w2 = w1 if share else self.leaf(4)
+        branches = [lambda: T.matmul(x, w1), lambda: T.matmul(y, w2)]
+        got = {}
+        with T.step():
+            a, b = T.run_all(0, *branches) if grouped else [f() for f in branches]
+            T.backward((a * a).sum() + (b * b).sum(), sink=got.__setitem__)
+        return [got[t].tobytes() for t in (x, y, w1, w2)]
+
+    @pytest.mark.parametrize("share", [False, True], ids=["disjoint", "shared-leaf"])
+    def test_a_group_replays_side_by_side_only_when_its_calls_share_no_leaf(
+            self, workers, monkeypatch, share):
+        workers(2)
+        serial = self.grads(share, grouped=False)
+        helpers.pool_runs_every_queued_task(monkeypatch)
+        threads = self.replay_threads(monkeypatch)
+        assert self.grads(share, grouped=True) == serial
+        assert (threading.get_ident() in threads) and (len(set(threads)) == 1) == share
+
+    def test_a_group_whose_calls_read_one_outside_node_replays_in_order(self, workers,
+                                                                        monkeypatch):
+        workers(2)
+        helpers.pool_runs_every_queued_task(monkeypatch)
+        x, w1, w2, got = self.leaf(1), self.leaf(2), self.leaf(3), {}
+        threads = self.replay_threads(monkeypatch)
+        with T.step():
+            h = T.relu(x)
+            a, b = T.run_all(0, lambda: T.matmul(h, w1), lambda: T.matmul(h, w2))
+            T.backward((a * b).sum(), sink=got.__setitem__)
+        assert threads == [threading.get_ident()] * 3 and set(got) == {x, w1, w2}
+
+    def test_many_segments_replay_at_once_with_the_serial_updates(self, workers, monkeypatch):
+        """Eight calls, each a chain through 24 weights of its own, replayed by seven pool
+        threads and the caller at a 1 us switch interval; Adam hands every update over from
+        the thread that replays its segment. Every weight gets the serial update, once."""
+
+        def step(grouped):
+            rng = np.random.default_rng(9)
+            chains = [[Tensor(rng.standard_normal((8, 8)) * 0.3, requires_grad=True)
+                       for _ in range(24)] for _ in range(8)]
+            x = Tensor(rng.standard_normal((2, 8)))
+
+            def branch(chain):
+                h = x
+                for w in chain:
+                    h = T.matmul(h, w)
+                return (h * h).sum()
+
+            weights = [w for chain in chains for w in chain]
+            opt = Adam(weights, lr=0.1)
+            calls = [partial(branch, chain) for chain in chains]
+            with T.step():
+                parts = T.run_all(0, *calls) if grouped else [f() for f in calls]
+                opt.backward(sum(parts[1:], parts[0]), {w: str(i) for i, w in enumerate(weights)})
+            return [w.data.tobytes() for w in weights]
+
+        counts, update = [], Adam._update
+
+        def counted(self, p, g, name):
+            counts.append(name)
+            return update(self, p, g, name)
+
+        monkeypatch.setattr(Adam, "_update", counted)
+        workers(1)
+        serial = step(grouped=False)
+        workers(8)
+        helpers.pool_runs_every_queued_task(monkeypatch)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                counts.clear()
+                assert step(grouped=True) == serial
+                assert sorted(counts) == sorted(str(i) for i in range(8 * 24))
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_backward_inside_a_call_raises(self, workers):
+        workers(1)
+        x = self.leaf(0)
+        with T.step():
+            with pytest.raises(GradientError, match="inside a call of run_all"):
+                T.run_all(0, lambda: T.backward((x * 2.0).sum()), int)
+
+
 class TestErrorsOnThePool:
     def test_a_worker_error_reaches_the_caller_unchanged(self, workers, monkeypatch):
         cfg = tiny_cfg()
@@ -297,9 +536,9 @@ class TestErrorsOnThePool:
         assert info.value is raised[0]
         # the step released its graph
         assert T._state.tape is None and nodes and all(n.backward_fn is None for n in nodes)
-        before = [p.data.copy() for p in opt.params]
+        before, steps = [p.data.copy() for p in opt.params], opt.step_count
         report = train_epoch(model, opt, batches, lam=1.0)  # the pool is not wedged
-        assert np.isfinite(report.losses).all() and opt.step_count == 2
+        assert np.isfinite(report.losses).all() and opt.step_count == steps + 1
         assert any((p.data != b).any() for p, b in zip(opt.params, before))
 
     @pytest.mark.parametrize("n", [1, 2])

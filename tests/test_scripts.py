@@ -5,6 +5,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,3 +27,14 @@ def test_ablation_grid_prints_one_row_per_combination(monkeypatch, capsys):
     out = run_script(monkeypatch, capsys, "run_ablation_grid")
     rows = [line.split()[:2] for line in out if re.match(r"\s*(True|False)\s+(True|False) \|", line)]
     assert rows == [["True", "True"], ["True", "False"], ["False", "True"], ["False", "False"]]
+
+
+def test_core_probe_prints_its_two_thread_to_serial_ratio(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    monkeypatch.setattr(sys, "argv", ["core_probe.py", "--repeats", "3"])
+    assert importlib.import_module("core_probe").main() == 0
+    [line] = capsys.readouterr().out.splitlines()
+    fields = line.split()
+    assert fields[0] == "core_probe" and fields[1::2] == ["serial_s", "two_thread_s", "ratio"]
+    serial, two, ratio = map(float, fields[2::2])
+    assert serial > 0 and two > 0 and ratio == pytest.approx(two / serial, abs=1e-3)

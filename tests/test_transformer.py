@@ -284,7 +284,7 @@ class TestViewHead:
 
 class TestBranchGradient:
     def test_end_to_end_sampled_params(self):
-        cfg = small_cfg(d_model=16, heads=2, depth=2, image_size=32)
+        cfg = small_cfg(d_model=16, heads=2, depth=2, image_size=32, dtype="float64")
         branch = TransformerBranch(cfg, rng_of(29))
         head = ViewHead(64, rng_of(30))
         img = Tensor(np.random.default_rng(31).standard_normal((1, 3, 32, 32)) * 0.3)
