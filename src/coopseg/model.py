@@ -57,11 +57,10 @@ class SegmentationModel(Module):
         else:
             rng_t = rng_c = rng_f = _Zeros(dtype)
         # layers draw float64 parameters and the model casts them to the run's
-        # precision. The transformer holds four fifths of them: it casts each
-        # encoder block as it draws it, and the model casts the rest of it before
-        # the other branches are drawn, so at most one block's float64 draw
-        # (14 MB at paper geometry, not the branch's 178 MB) is resident at once.
-        self.transformer = TransformerBranch(cfg, rng_t).cast(dtype)
+        # precision. The transformer, four fifths of them, casts each of its layers
+        # as it draws it, so at most one encoder block's float64 draw (14 MB at paper
+        # geometry, not the branch's 178 MB) is resident at once.
+        self.transformer = TransformerBranch(cfg, rng_t)
         self.head_t = ViewHead(TransformerBranch.T2_CHANNELS, rng_t)
         self.cnn = CnnBranch(cfg, rng_c)
         self.head_c = CnnViewHead(cfg, rng_c)

@@ -856,9 +856,9 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     use in forward and again in backward, where they rebuild it. The later half of
     the elements runs on the pool while this thread computes the first (``_halves``);
     the expression is elementwise, so the bits are those of one call."""
-    # 0.5 * (1.0 + erf(x * c)), op by op in one contiguous output: no temporaries, and no
-    # copy of a strided x
-    out = np.multiply(x, _INV_SQRT2)
+    # 0.5 * (1.0 + erf(x * c)), op by op in one C-ordered output, whatever x's layout:
+    # no temporaries, no copy of a strided x, and a flat view to split
+    out = np.multiply(x, _INV_SQRT2, order="C")
     flat = out.reshape(-1)
 
     def cdf(part):

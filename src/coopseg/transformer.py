@@ -87,18 +87,18 @@ class TransformerBranch(Module):
     """Encoder over patch tokens, then progressive conv+upsample back to
     maps at 1/16 (d_model ch), 1/8 (128 ch), and 1/4 (64 ch) scales.
 
-    Each encoder block is cast to ``cfg.dtype`` as it is drawn, so only one block's
-    float64 draw is resident at a time; the model casts the rest of the branch."""
+    Each layer is cast to ``cfg.dtype`` as it is drawn, so only one layer's float64
+    draw (an encoder block's, at most) is resident at a time."""
 
     T1_CHANNELS = 128
     T2_CHANNELS = 64
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.embed = PatchEmbed(cfg, rng)
+        self.embed = PatchEmbed(cfg, rng).cast(cfg.dtype)
         self.blocks = [EncoderBlock(cfg, rng).cast(cfg.dtype) for _ in range(cfg.depth)]
-        self.conv_t1 = Conv2d(cfg.d_model, self.T1_CHANNELS, 3, rng)
-        self.conv_t2 = Conv2d(self.T1_CHANNELS, self.T2_CHANNELS, 3, rng)
+        self.conv_t1 = Conv2d(cfg.d_model, self.T1_CHANNELS, 3, rng).cast(cfg.dtype)
+        self.conv_t2 = Conv2d(self.T1_CHANNELS, self.T2_CHANNELS, 3, rng).cast(cfg.dtype)
 
     def encode(self, image: Tensor) -> Tensor:
         x = self.embed(image)

@@ -167,10 +167,9 @@ class TestInitIsolation:
             assert all(b.dtype == np.float64 for _, b in model.named_buffers())
             assert model.cast(model.cfg.dtype) is model
 
-    def test_the_transformer_casts_each_block_as_it_is_drawn(self):
+    def test_the_transformer_casts_each_layer_as_it_is_drawn(self):
         """The state hashes as the float64 draw cast all at once, and building the branch
-        never holds every encoder block's float64 draw: at most one block's, beside the
-        float32 blocks and the rest of the branch's float64 draw."""
+        never holds its whole float64 draw: at most one layer's, beside the float32 layers."""
 
         def state_hash(model):
             digest = hashlib.sha256()
@@ -183,9 +182,9 @@ class TestInitIsolation:
         cast_once = SegmentationModel(dataclasses.replace(cfg, dtype="float64")).cast(np.float32)
         assert state_hash(SegmentationModel(cfg)) == state_hash(cast_once)
         branch, peak = helpers.alloc_peak(lambda: TransformerBranch(cfg, np.random.default_rng(0)))
-        float32_blocks = sum(p.data.nbytes for block in branch.blocks for p in block.parameters())
-        assert all(p.data.dtype == np.float32 for block in branch.blocks for p in block.parameters())
-        assert peak < 2 * float32_blocks  # the blocks' float64 draw
+        float32_bytes = sum(p.data.nbytes for p in branch.parameters())
+        assert all(p.data.dtype == np.float32 for p in branch.parameters())
+        assert peak < 2 * float32_bytes  # the branch's float64 draw
 
     def test_dfm_toggle_swaps_decoder_for_plain_head(self):
         on = SegmentationModel(tiny_cfg(dfm_on=True))

@@ -499,6 +499,38 @@ class TestBranchesSideBySide:
         finally:
             sys.setswitchinterval(switch)
 
+    def test_an_error_in_a_segment_replayed_on_the_pool_reaches_adams_caller_unchanged(
+            self, workers, monkeypatch):
+        """The second segment of a group replays on a pool thread and its backward rule
+        raises, while the first replays on the caller and hands its weight to Adam. The
+        error reaches ``Adam.backward``'s caller unchanged, once the first segment's
+        update has run; the failing segment's weight keeps its data and moments."""
+        workers(2)
+        ran = helpers.pool_runs_every_queued_task(monkeypatch)
+        x, y = (Tensor(self.leaf(seed, (8, 4)).data) for seed in (1, 2))
+        w1, w2 = self.leaf(3), self.leaf(4)
+        error, grads = ShapeError("injected in a segment on the pool"), T._matmul_grads
+        failed_on = []
+
+        def fails_on_the_pool(g, a, b):
+            if b is w2.data:
+                failed_on.append(threading.get_ident())
+                raise error
+            return grads(g, a, b)
+
+        monkeypatch.setattr(T, "_matmul_grads", fails_on_the_pool)
+        opt = Adam([w1, w2], lr=0.1)
+        saved = [w1.data.copy(), w2.data.copy()]
+        with T.step() as tape:
+            a, b = T.run_all(0, lambda: T.matmul(x, w1), lambda: T.matmul(y, w2))
+            assert tape.groups == [[0, 1, 2]]
+            with pytest.raises(ShapeError) as info:
+                opt.backward((a * a).sum() + (b * b).sum(), {w1: "w1", w2: "w2"})
+        assert info.value is error and failed_on[0] in ran
+        assert (w1.data != saved[0]).any() and opt._moments[w1][0].any()
+        np.testing.assert_array_equal(w2.data, saved[1])
+        assert not opt._moments[w2][0].any() and len(tape) == 0
+
     def test_backward_inside_a_call_raises(self, workers):
         workers(1)
         x = self.leaf(0)
@@ -508,19 +540,28 @@ class TestBranchesSideBySide:
 
 
 class TestErrorsOnThePool:
-    def test_a_worker_error_reaches_the_caller_unchanged(self, workers, monkeypatch):
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    def test_a_worker_error_reaches_the_caller_unchanged(self, workers, monkeypatch, phase):
+        """The first ``_correlate`` on a pool thread in the phase raises: in forward, in
+        the CNN branch beside the transformer; in backward, during the replay, once Adam
+        has advanced and while updates may be in flight."""
         cfg = tiny_cfg()
         workers(2)
         helpers.pool_runs_every_queued_task(monkeypatch)
-        raised, correlate = [], T._correlate
+        raised, correlate, backward, replaying = [], T._correlate, T.backward, []
 
         def fails_once_on_the_pool(*args):
-            if T._state.on_pool and not raised:
+            if T._state.on_pool and not raised and (phase == "forward" or replaying):
                 raised.append(ShapeError("injected on a pool thread"))
                 raise raised[0]
             return correlate(*args)
 
+        def replay(*args, **kwargs):
+            replaying.append(True)
+            return backward(*args, **kwargs)
+
         monkeypatch.setattr(T, "_correlate", fails_once_on_the_pool)
+        monkeypatch.setattr(T, "backward", replay)
         model = SegmentationModel(cfg)
         opt = Adam(model.parameters(), lr=cfg.lr)
         batches = tiny_batches(cfg, n=1)
@@ -534,11 +575,13 @@ class TestErrorsOnThePool:
         with pytest.raises(ShapeError) as info:
             train_epoch(model, opt, batches, lam=1.0)
         assert info.value is raised[0]
+        assert opt.step_count == {"forward": 0, "backward": 1}[phase]
         # the step released its graph
         assert T._state.tape is None and nodes and all(n.backward_fn is None for n in nodes)
-        before, steps = [p.data.copy() for p in opt.params], opt.step_count
+        before = [p.data.copy() for p in opt.params]
         report = train_epoch(model, opt, batches, lam=1.0)  # the pool is not wedged
-        assert np.isfinite(report.losses).all() and opt.step_count == steps + 1
+        assert np.isfinite(report.losses).all()
+        assert opt.step_count == {"forward": 1, "backward": 2}[phase]
         assert any((p.data != b).any() for p, b in zip(opt.params, before))
 
     @pytest.mark.parametrize("n", [1, 2])
