@@ -157,7 +157,8 @@ def _rand(rng, *shape):
 
 def _op_cases():
     """One named case per differentiable op; each returns (params, op), where
-    ``op()`` recomputes the op's output from ``params``."""
+    ``op()`` recomputes the op's output from ``params``. ``run_op_suite`` seeds a case
+    by its index, so a new case goes at the end."""
 
     def c_add(rng):
         a, b = _rand(rng, 3, 4), _rand(rng, 4)
@@ -289,13 +290,18 @@ def _op_cases():
         return [a, w, b], lambda: T.matmul(a, w, b)
 
     def c_attention(rng):
-        q, k, v = _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4)
-        return [q, k, v], lambda: T.attention(q, k, v)
+        x, g, b = _rand(rng, 2, 5, 4), _rand(rng, 4), _rand(rng, 4)
+        wq, wk, wv, wo = _rand(rng, 2, 4, 2), _rand(rng, 2, 4, 2), _rand(rng, 2, 4, 2), _rand(rng, 4, 4)
+        return [x, g, b, wq, wk, wv, wo], lambda: T.attention(x, g, b, wq, wk, wv, wo)
 
     def c_mlp(rng):
-        x, w1, b1 = _rand(rng, 2, 3, 4), _rand(rng, 4, 6), _rand(rng, 6)
-        w2, b2 = _rand(rng, 6, 4), _rand(rng, 4)
-        return [x, w1, b1, w2, b2], lambda: T.mlp(x, w1, b1, w2, b2)
+        x, g, b = _rand(rng, 2, 3, 4), _rand(rng, 4), _rand(rng, 4)
+        w1, b1, w2, b2 = _rand(rng, 4, 6), _rand(rng, 6), _rand(rng, 6, 4), _rand(rng, 4)
+        return [x, g, b, w1, b1, w2, b2], lambda: T.mlp(x, g, b, w1, b1, w2, b2)
+
+    def c_attention_heads(rng):
+        q, k, v = _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4), _rand(rng, 2, 2, 5, 4)
+        return [q, k, v], lambda: T.attention_heads(q, k, v)
 
     fns = [
         c_add, c_sub, c_mul, c_div, c_neg, c_matmul, c_matmul_batched,
@@ -304,6 +310,7 @@ def _op_cases():
         c_layernorm, c_batchnorm_train, c_batchnorm_eval, c_sum_axis,
         c_mean_axis, c_amax, c_reshape, c_transpose, c_clip, c_log,
         c_conv2d_bias, c_conv2d_7x7, c_matmul_bias, c_attention, c_mlp,
+        c_attention_heads,
     ]
     return [(f.__name__[2:], f) for f in fns]
 

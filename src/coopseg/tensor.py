@@ -20,9 +20,11 @@ the caller's, sized once by the first fork it queues; its threads are joined at 
 Backward forks the second GEMM of each ``_matmul_grads`` pair (matmul, mlp, attention)
 and conv2d's input gradient while the caller computes the other; ``_correlate`` forks
 the later half of its (image, band) GEMMs and ``_normal_cdf`` the later half of its
-elements, in forward and backward; above ``FORK_MIN_WORK`` ``attention`` forks the later
-half of its heads, in forward and in backward's rebuild, and ``matmul`` and ``mlp`` the
-later half of each 2-d product's rows (``_halves``); ``train.Adam`` forks its updates, the
+elements, in forward and backward; above ``FORK_MIN_WORK`` (``_halves``) ``attention``
+and ``attention_heads`` fork the later half of their heads, in forward and in backward's
+rebuild and softmax gradient, ``_gelu_grad`` (gelu, mlp) the later half of its elements,
+and ``matmul``, ``mlp`` and attention's projections the later half of each 2-d product's
+rows; ``train.Adam`` forks its updates, the
 model its CNN branch beside the transformer and the eval-mode model its images; backward
 replays the branches' segments side by side (``_replay_group``). Each forked piece is the
 one-thread call it would be alone, so results do not depend on the pool size. A caller
@@ -174,7 +176,7 @@ _state = _EngineState()
 
 
 # the least work, in one-thread GEMM multiply-adds or their time's worth (about 0.1 ms),
-# that a fork hands to the pool: below it a pool thread's wake-up (about 50 us) costs more
+# that a fork hands to the pool: below it a pool thread's wake-up (about 140 us) costs more
 # than running both halves at once saves (README, "Parallelism")
 FORK_MIN_WORK = 2**22
 
@@ -551,18 +553,10 @@ def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray):
     )
 
 
-def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes, plus an optional
-    bias of shape (b.shape[-1],) added to every output row. The two halves of a's rows
-    are two products (``_halves``), each written into its rows of the output."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    if bias is not None and bias.shape != (b.shape[-1],):
-        raise ShapeError(f"matmul: bias must have shape ({b.shape[-1]},), got {bias.shape}")
-    da, db = a.data, b.data
-    bias_shape = bias.shape if bias is not None else None
+def _product(da: np.ndarray, db: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """``da @ db`` over the last two axes, broadcasting leading axes, plus ``bias`` on
+    every row: the two halves of da's rows as two products (``_halves``), each written
+    into its rows of the output. The forward of matmul and of attention's projections."""
     rows, inner = da.shape[-2:]
     lead = np.broadcast_shapes(da.shape[:-2], db.shape[:-2])
     out = np.empty((*lead, rows, db.shape[-1]), np.result_type(da, db))
@@ -571,9 +565,24 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         o = out[..., r, :]
         np.matmul(da[..., r, :], db, out=o)
         if bias is not None:
-            o += bias.data
+            o += bias
 
     _halves((rows - rows // 2) * inner * out.shape[-1], product, rows)  # per 2-d product
+    return out
+
+
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product over the last two axes, broadcasting leading axes, plus an optional
+    bias of shape (b.shape[-1],) added to every output row (``_product``)."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
+    if bias is not None and bias.shape != (b.shape[-1],):
+        raise ShapeError(f"matmul: bias must have shape ({b.shape[-1]},), got {bias.shape}")
+    da, db = a.data, b.data
+    bias_shape = bias.shape if bias is not None else None
+    out = _product(da, db, bias.data if bias is not None else None)
 
     def bw(g):
         gbias = _unbroadcast(g, bias_shape) if bias_shape is not None else None
@@ -873,9 +882,24 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Gradient through x * Phi(x) given the upstream gradient g and Phi(x)."""
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return g * (cdf + x * pdf)
+    """Gradient through x * Phi(x) given the upstream gradient g and Phi(x) (C-ordered, as
+    ``_normal_cdf`` makes it), written into the CDF's array when g's dtype allows. The
+    later half of the elements runs on the pool while this thread computes the first
+    (``_halves``); the expression is elementwise, so the bits are those of one call."""
+    out = cdf if np.result_type(g, cdf) == cdf.dtype else np.empty(cdf.shape, np.result_type(g, cdf))
+    flat, gf, xf, cf = out.reshape(-1), g.reshape(-1), x.reshape(-1), cdf.reshape(-1)
+
+    def grad(part):
+        # g * (cdf + x * pdf), in pdf's array
+        xp = xf[part]
+        pdf = np.exp(-0.5 * xp * xp) * _INV_SQRT2PI
+        pdf *= xp
+        pdf += cf[part]
+        np.multiply(gf[part], pdf, out=flat[part])
+
+    # about 4 ns per element: 140 one-thread multiply-adds' worth
+    _halves(140 * (flat.size - flat.size // 2), grad, flat.size)
+    return out
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -886,15 +910,19 @@ def gelu(a: Tensor) -> Tensor:
     return _from_op("gelu", out, (a,), lambda g: (_gelu_grad(g, x, _normal_cdf(x)),))
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """``gelu(x @ w1 + b1) @ w2 + b2`` for an input of shape (..., d_in), as one tape node.
+def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The MLP half of a pre-norm encoder block, ``gelu(layernorm(x) @ w1 + b1) @ w2 + b2``
+    for an input of shape (..., d_in), as one tape node.
 
-    The forward runs the two halves of x's rows (axis -2) as two chains (``_halves``),
-    each writing its rows of h and of the output. The tape keeps x and the hidden
-    pre-activation ``h = x @ w1 + b1``; backward rebuilds the CDF and the GELU output
-    ``h * cdf`` from h with the forward's own expression. Each GEMM pair is matmul's own
-    ``_matmul_grads`` on the operands of the composed chain
-    ``matmul(gelu(matmul(x, w1, b1)), w2, b2)``, so results are bitwise equal to that chain.
+    The forward normalizes x as ``layernorm_lastdim`` does, then runs the two halves of
+    its rows (axis -2) as two chains (``_halves``), each writing its rows of h and of the
+    output. The tape keeps x, its per-row mean and inverse deviation, and the hidden
+    pre-activation ``h = layernorm(x) @ w1 + b1``. Backward rebuilds the CDF and the GELU
+    output ``h * cdf`` from h, and the normalized input from x, with the forward's own
+    expressions. Each GEMM pair is matmul's own ``_matmul_grads`` and the norm's rule is
+    layernorm's own, on the operands of the composed chain
+    ``matmul(gelu(matmul(layernorm_lastdim(x, gamma, beta), w1, b1)), w2, b2)``, so
+    results are bitwise equal to that chain.
     """
     if (
         x.ndim < 2 or w1.ndim != 2 or w2.ndim != 2
@@ -905,13 +933,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             f"mlp: shapes x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape} "
             "do not chain as (..., d_in) @ (d_in, hidden) @ (hidden, d_out)"
         )
-    xd, w1d, w2d, b1_shape, b2_shape = x.data, w1.data, w2.data, b1.shape, b2.shape
-    h = np.empty((*xd.shape[:-1], w1d.shape[1]), np.result_type(xd, w1d))
+    _check_norm("mlp", x, gamma, beta)
+    xd, gd, bd, w1d, w2d = x.data, gamma.data, beta.data, w1.data, w2.data
+    b1_shape, b2_shape = b1.shape, b2.shape
+    mu, inv = _row_stats(xd)
+    xn = _normalize(xd, mu, inv, gd, bd)
+    h = np.empty((*xd.shape[:-1], w1d.shape[1]), np.result_type(xn, w1d))
     out = np.empty((*xd.shape[:-1], w2d.shape[1]), np.result_type(h, w2d))
 
     def chain(r):
         hr, o = h[..., r, :], out[..., r, :]
-        np.matmul(xd[..., r, :], w1d, out=hr)
+        np.matmul(xn[..., r, :], w1d, out=hr)
         hr += b1.data
         act = _normal_cdf(hr)
         act *= hr  # the GELU output h * cdf, in the CDF's array
@@ -923,13 +955,15 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     def bw(g):
         cdf = _normal_cdf(h)
-        # the rebuilt GELU output lives only for the GEMM pair of the fc2 gradients
+        # the rebuilt GELU output lives only for the GEMM pair of the fc2 gradients, the
+        # rebuilt normalized input only for the pair of the fc1 gradients
         gh, gw2 = _matmul_grads(g, h * cdf, w2d)
         gh = _gelu_grad(gh, h, cdf)
-        return (*_matmul_grads(gh, xd, w1d), _unbroadcast(gh, b1_shape),
-                gw2, _unbroadcast(g, b2_shape))
+        gxn, gw1 = _matmul_grads(gh, _normalize(xd, mu, inv, gd, bd), w1d)
+        return (*_norm_grads(gxn, xd, mu, inv, gd, tuple(range(xd.ndim - 1)), -1, True),
+                gw1, _unbroadcast(gh, b1_shape), gw2, _unbroadcast(g, b2_shape))
 
-    return _from_op("mlp", out, (x, w1, b1, w2, b2), bw)
+    return _from_op("mlp", out, (x, gamma, beta, w1, b1, w2, b2), bw)
 
 
 def _softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -940,16 +974,20 @@ def _softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gradient through softmax rows ``out`` given the upstream gradient g."""
+def _softmax_grad(g: np.ndarray, out: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Gradient through softmax rows ``out`` given the upstream gradient g, written into
+    res (which may be g)."""
     dot = (g * out).sum(axis=-1, keepdims=True)
-    return (g - dot) * out
+    np.subtract(g, dot, out=res)
+    res *= out
+    return res
 
 
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Row-stable softmax along the last dimension."""
     out = _softmax_rows(a.data, np.empty_like(a.data))
-    return _from_op("softmax_lastdim", out, (a,), lambda g: (_softmax_grad(g, out),))
+    return _from_op("softmax_lastdim", out, (a,),
+                    lambda g: (_softmax_grad(g, out, np.empty(out.shape, np.result_type(g, out))),))
 
 
 def _attention_rows(q: np.ndarray, k: np.ndarray, s: float, work: float):
@@ -969,98 +1007,186 @@ def _attention_rows(q: np.ndarray, k: np.ndarray, s: float, work: float):
     return qs, kt, att
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+def _mix(att: np.ndarray, v: np.ndarray, work: float) -> np.ndarray:
+    """Each head's softmax rows times its values, heads concatenated into B x N x (heads*d),
+    the two halves of the heads as two calls (``_halves``, a half worth ``work``)."""
+    b, h, n, d = v.shape
+    out = np.empty((b, n, h, d), np.result_type(att, v))
+    _halves(work, lambda hs: np.matmul(att[:, hs], v[:, hs], out=out[:, :, hs].transpose(0, 2, 1, 3)), h)
+    return out.reshape(b, n, h * d)
+
+
+def _attention_grads(g, qs, kt, att, v, s: float, work: float):
+    """The gradients of q, k and v through ``_mix`` of the ``_attention_rows``, given the
+    upstream gradient g (B x N x (heads*d)). The softmax gradient runs in the scores'
+    gradient array, the two halves of the heads as two calls (``_halves``)."""
+    b, h, n, d = v.shape
+    gatt, gv = _matmul_grads(g.reshape(b, n, h, d).transpose(0, 2, 1, 3), att, v)
+    # about 6 ns per score: 200 one-thread multiply-adds' worth
+    _halves(200 * b * (h - h // 2) * n * n, lambda hs: _softmax_grad(gatt[:, hs], att[:, hs], gatt[:, hs]), h)
+    gqs, gkt = _matmul_grads(gatt, qs, kt)
+    return gqs * s, np.swapaxes(gkt, -1, -2), gv
+
+
+def _head_work(b: int, h: int, n: int, d: int) -> float:
+    return b * (h - h // 2) * n * n * d  # a half of the heads' multiply-adds, per product
+
+
+def attention_heads(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention of B x heads x N x d queries, keys and values,
-    heads concatenated into B x N x (heads*d), as one tape node.
+    heads concatenated into B x N x (heads*d), as one tape node: ``attention`` without
+    its norm and its projections.
 
     The queries are scaled by 1/sqrt(d), a power of two when d is a power of four (16,
     64), so that rounds as scaling the scores would. The softmax runs in place on the
     scores. The two halves of the heads run as two calls (``_halves``), in forward and
-    in backward's rebuild; each head's products are the same calls either way. The rule
-    keeps the arrays of q, k and v only: backward rebuilds the softmax rows from the
-    scaled queries and transposed keys that its own gq and gk GEMMs take, through the
-    forward's expression. Both GEMM pairs are matmul's own ``_matmul_grads`` on the
-    operands, in the layouts, of the composed chain
-    ``softmax_lastdim((q * s) @ transpose(k)) @ v`` (BLAS may round a transposed operand
-    differently), so results are bitwise equal to that chain.
+    in backward; each head's products are the same calls either way. The rule keeps the
+    arrays of q, k and v only: backward rebuilds the softmax rows from the scaled queries
+    and transposed keys that its own gq and gk GEMMs take, through the forward's
+    expression. Both GEMM pairs are matmul's own ``_matmul_grads`` on the operands, in
+    the layouts, of the composed chain ``softmax_lastdim((q * s) @ transpose(k)) @ v``
+    (BLAS may round a transposed operand differently), so on shapes where cutting a GEMM's
+    rows keeps its bits (README, "Parallelism") results are bitwise equal to that chain.
     """
     if q.ndim != 4 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention: q, k, v must share one 4-d shape, got {q.shape}, {k.shape}, {v.shape}")
-    b, h, n, d = q.shape
-    s = 1.0 / math.sqrt(d)
+    s, work = 1.0 / math.sqrt(q.shape[-1]), _head_work(*q.shape)
     qd, kd, vd = q.data, k.data, v.data
-    work = b * (h - h // 2) * n * n * d  # a half's multiply-adds, per product
-    att = _attention_rows(qd, kd, s, work)[2]
-    out = np.empty((b, n, h, d), np.result_type(att, vd))
-    _halves(work, lambda hs: np.matmul(att[:, hs], vd[:, hs], out=out[:, :, hs].transpose(0, 2, 1, 3)), h)
+    out = _mix(_attention_rows(qd, kd, s, work)[2], vd, work)
+    return _from_op("attention_heads", out, (q, k, v),
+                    lambda g: _attention_grads(g, *_attention_rows(qd, kd, s, work), vd, s, work))
+
+
+def attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+              wo: Tensor) -> Tensor:
+    """The attention half of a pre-norm encoder block as one tape node: B x N x d tokens
+    normalized as ``layernorm_lastdim`` does, projected to each head's queries, keys and
+    values by the heads x d x d_head weights ``wq``, ``wk`` and ``wv`` (``_product``, the
+    two halves of the rows as two products), ``attention_heads`` of those, then ``@ wo``.
+
+    The rule keeps x, its per-row mean and inverse deviation, and q, k and v. Backward
+    rebuilds, with the forward's own expressions, the softmax rows, the heads' output
+    from them, and the normalized input from x. Every GEMM pair is matmul's own
+    ``_matmul_grads``, the heads' rule is ``attention_heads``' own and the norm's
+    layernorm's own, on the operands, in the layouts, of the composed chain
+    ``xh = reshape(layernorm_lastdim(x, gamma, beta), (B, 1, N, d))``,
+    ``attention_heads(xh @ wq, xh @ wk, xh @ wv) @ wo``, and the normalized input's
+    gradient adds up in that chain's replay order, so results are bitwise equal to it.
+    """
+    if (x.ndim != 3 or wq.ndim != 3 or wk.shape != wq.shape or wv.shape != wq.shape
+            or wq.shape[1] != x.shape[-1] or wo.ndim != 2 or wo.shape[0] != wq.shape[0] * wq.shape[2]):
+        raise ShapeError(
+            f"attention: shapes x {x.shape}, wq {wq.shape}, wk {wk.shape}, wv {wv.shape}, wo {wo.shape} "
+            "do not chain as (B, N, d) @ (heads, d, d_head) three times, then (heads*d_head, d_out)"
+        )
+    _check_norm("attention", x, gamma, beta)
+    b, n, d = x.shape
+    h, _, dh = wq.shape
+    s, work = 1.0 / math.sqrt(dh), _head_work(b, h, n, dh)
+    xd, gd, bd, wqd, wkd, wvd, wod = (t.data for t in (x, gamma, beta, wq, wk, wv, wo))
+    mu, inv = _row_stats(xd)
+    xh = _normalize(xd, mu, inv, gd, bd).reshape(b, 1, n, d)
+    q, k, v = (_product(xh, w) for w in (wqd, wkd, wvd))
+    out = _product(_mix(_attention_rows(q, k, s, work)[2], v, work), wod)
 
     def bw(g):
-        qs, kt, att = _attention_rows(qd, kd, s, work)
-        g = g.reshape(b, n, h, d).transpose(0, 2, 1, 3)
-        gatt, gv = _matmul_grads(g, att, vd)
-        gqs, gkt = _matmul_grads(_softmax_grad(gatt, att), qs, kt)
-        return gqs * s, np.swapaxes(gkt, -1, -2), gv
+        qs, kt, att = _attention_rows(q, k, s, work)
+        # the rebuilt heads' output lives only for the GEMM pair of wo's gradients
+        gheads, gwo = _matmul_grads(g, _mix(att, v, work), wod)
+        gq, gk, gv = _attention_grads(gheads, qs, kt, att, v, s, work)
+        qs = kt = att = gheads = None
+        # the chain replays the v, k and q projections in that order, summing the
+        # normalized input's gradient as it goes
+        xh = _normalize(xd, mu, inv, gd, bd).reshape(b, 1, n, d)
+        gxh, gwv = _matmul_grads(gv, xh, wvd)
+        gxk, gwk = _matmul_grads(gk, xh, wkd)
+        gxh += gxk
+        gxq, gwq = _matmul_grads(gq, xh, wqd)
+        gxh += gxq
+        xh = gxk = gxq = None
+        return (*_norm_grads(gxh.reshape(b, n, d), xd, mu, inv, gd, (0, 1), -1, True),
+                gwq, gwk, gwv, gwo)
 
-    return _from_op("attention", out.reshape(b, n, h * d), (q, k, v), bw)
+    return _from_op("attention", out, (x, gamma, beta, wq, wk, wv, wo), bw)
 
 
 NORM_EPS = 1e-5  # added to the variance by both norms
 BN_MOMENTUM = 0.1  # batchnorm running-buffer update rate
 
 
+def _normalize(xd: np.ndarray, mu, inv, gamma_b, beta_b) -> np.ndarray:
+    """``(x - mu) * inv * gamma + beta`` op by op in one new array: the forward of both
+    norms, and the normalized input that attention and mlp rebuild in backward."""
+    out = xd - mu
+    out *= inv
+    out *= gamma_b
+    out += beta_b
+    return out
+
+
+def _norm_grads(g, xd, mu, inv, gamma_b, param_axes, stat_axes, batch_stats: bool):
+    """The gradients of x, gamma and beta through ``_normalize`` given the upstream
+    gradient g, in two input-sized arrays; the normalized input ``xhat`` is rebuilt from
+    x with the forward's own expression. ``batch_stats`` says mu and inv are x's own
+    statistics over ``stat_axes``, so the input gradient carries their terms; otherwise
+    it is ``g * gamma * inv``."""
+    # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)), its operations in its
+    # order, in two buffers: xhat's holds gxhat * xhat for its mean, then xhat again
+    xhat = xd - mu
+    xhat *= inv
+    gxhat = g * xhat
+    gg = gxhat.sum(axis=param_axes)
+    gb = g.sum(axis=param_axes)
+    np.multiply(g, gamma_b, out=gxhat)
+    if not batch_stats:
+        gxhat *= inv
+        return gxhat, gg, gb
+    m1 = gxhat.mean(axis=stat_axes, keepdims=True)
+    np.multiply(gxhat, xhat, out=xhat)
+    m2 = xhat.mean(axis=stat_axes, keepdims=True)
+    np.subtract(xd, mu, out=xhat)
+    xhat *= inv
+    gxhat -= m1
+    xhat *= m2
+    gxhat -= xhat
+    gxhat *= inv
+    return gxhat, gg, gb
+
+
 def _affine_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mu, inv, stat_axes, axis: int,
                  batch_stats: bool) -> Tensor:
-    """``(x - mu) * inv * gamma + beta`` as one tape node, with mu and inv broadcasting
-    against x and gamma and beta laid along ``axis``. The output is the only full-size
-    array made; backward rebuilds the normalized input ``xhat`` from x with the forward's
-    own expression and works in two input-sized arrays. ``batch_stats`` says mu and inv
-    are x's own statistics over ``stat_axes``, so the input gradient carries their terms;
-    otherwise it is ``g * gamma * inv``."""
+    """``_normalize`` as one tape node, with mu and inv broadcasting against x and gamma and
+    beta laid along ``axis``. The output is the only full-size array made; backward is
+    ``_norm_grads``."""
     shape = [1] * x.ndim
     shape[axis] = -1
     gamma_b, beta_b = gamma.data.reshape(shape), beta.data.reshape(shape)
     param_axes = tuple(i for i in range(x.ndim) if i != axis % x.ndim)
     xd = x.data
-    out = xd - mu
-    out *= inv
-    out *= gamma_b
-    out += beta_b
+    out = _normalize(xd, mu, inv, gamma_b, beta_b)
+    return _from_op(op, out, (x, gamma, beta),
+                    lambda g: _norm_grads(g, xd, mu, inv, gamma_b, param_axes, stat_axes, batch_stats))
 
-    def bw(g):
-        # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)), its operations in its
-        # order, in two buffers: xhat's holds gxhat * xhat for its mean, then xhat again
-        xhat = xd - mu
-        xhat *= inv
-        gxhat = g * xhat
-        gg = gxhat.sum(axis=param_axes)
-        gb = g.sum(axis=param_axes)
-        np.multiply(g, gamma_b, out=gxhat)
-        if not batch_stats:
-            gxhat *= inv
-            return gxhat, gg, gb
-        m1 = gxhat.mean(axis=stat_axes, keepdims=True)
-        np.multiply(gxhat, xhat, out=xhat)
-        m2 = xhat.mean(axis=stat_axes, keepdims=True)
-        np.subtract(xd, mu, out=xhat)
-        xhat *= inv
-        gxhat -= m1
-        xhat *= m2
-        gxhat -= xhat
-        gxhat *= inv
-        return gxhat, gg, gb
 
-    return _from_op(op, out, (x, gamma, beta), bw)
+def _row_stats(xd: np.ndarray):
+    """The per-row mean and inverse standard deviation of layer normalization over the
+    last axis, both kept as (..., 1)."""
+    mu = xd.mean(axis=-1, keepdims=True)
+    var = xd.var(axis=-1, keepdims=True)
+    return mu, 1.0 / np.sqrt(var + NORM_EPS)
+
+
+def _check_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"{op}: gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}")
 
 
 def layernorm_lastdim(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-token normalization over the last dim, then affine gamma/beta. The output is
     the only full-size array made; backward rebuilds the normalized input from x."""
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layernorm: gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    _check_norm("layernorm", x, gamma, beta)
+    mu, inv = _row_stats(x.data)
     return _affine_norm("layernorm_lastdim", x, gamma, beta, mu, inv, -1, -1, True)
 
 

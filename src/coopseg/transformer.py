@@ -36,10 +36,12 @@ class PatchEmbed(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    """Per-head Q/K/V projections, scaled dot-product attention, concat, W_o.
+    """Per-head Q/K/V projections, scaled dot-product attention, concat, W_o, on the
+    block's normalized input, as one ``T.attention`` tape node.
 
     The per-head matrices are stored stacked as (heads, d_model, d_head);
-    slicing along the first axis recovers each head's projection.
+    slicing along the first axis recovers each head's projection. The norm's
+    parameters stay in the block's ``LayerNorm``, which the call takes.
     """
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
@@ -50,27 +52,29 @@ class MultiHeadSelfAttention(Module):
         self.wq, self.wk, self.wv = proj(), proj(), proj()
         self.wo = Tensor(rng.standard_normal((h * dh, d)) * 0.02, requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        b, n, d = x.shape
-        xh = T.reshape(x, (b, 1, n, d))  # each projection is B x heads x N x d_head
-        return T.attention(xh @ self.wq, xh @ self.wk, xh @ self.wv) @ self.wo
+    def __call__(self, x: Tensor, norm: LayerNorm) -> Tensor:
+        return T.attention(x, norm.gamma, norm.beta, self.wq, self.wk, self.wv, self.wo)
 
 
 class MlpBlock(Module):
-    """fc1, GELU, fc2 as one ``T.mlp`` tape node; the two ``Linear`` modules hold
-    the parameters, so their names and the checkpoint layout are those of the chain."""
+    """fc1, GELU, fc2 on the block's normalized input, as one ``T.mlp`` tape node; the
+    two ``Linear`` modules hold the parameters, so their names and the checkpoint layout
+    are those of the chain. The norm's parameters stay in the block's ``LayerNorm``,
+    which the call takes."""
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         hidden = 4 * cfg.d_model
         self.fc1 = Linear(cfg.d_model, hidden, rng)
         self.fc2 = Linear(hidden, cfg.d_model, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.mlp(x, self.fc1.weight, self.fc1.bias, self.fc2.weight, self.fc2.bias)
+    def __call__(self, x: Tensor, norm: LayerNorm) -> Tensor:
+        return T.mlp(x, norm.gamma, norm.beta, self.fc1.weight, self.fc1.bias,
+                     self.fc2.weight, self.fc2.bias)
 
 
 class EncoderBlock(Module):
-    """Pre-norm residual block: x + MSA(LN(x)), then + MLP(LN(.))."""
+    """Pre-norm residual block: x + MSA(LN(x)), then + MLP(LN(.)). Each half, its norm
+    included, is one tape node."""
 
     def __init__(self, cfg: RunConfig, rng: np.random.Generator):
         self.norm1 = LayerNorm(cfg.d_model)
@@ -79,8 +83,8 @@ class EncoderBlock(Module):
         self.mlp = MlpBlock(cfg, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.norm1(x))
-        return x + self.mlp(self.norm2(x))
+        x = x + self.attn(x, self.norm1)
+        return x + self.mlp(x, self.norm2)
 
 
 class TransformerBranch(Module):

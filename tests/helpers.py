@@ -160,3 +160,16 @@ def pool_runs_every_queued_task(monkeypatch):
     monkeypatch.setattr(T, "ThreadPoolExecutor", PoolRunsAll)
     monkeypatch.setattr(T, "_pool", None)
     return ran
+
+
+def attention_chain(x, gamma, beta, wq, wk, wv, wo):
+    """``T.attention`` as the ops it fuses: the attention half of an encoder block."""
+    b, n, d = x.shape
+    xh = T.reshape(T.layernorm_lastdim(x, gamma, beta), (b, 1, n, d))
+    return T.attention_heads(xh @ wq, xh @ wk, xh @ wv) @ wo
+
+
+def mlp_chain(x, gamma, beta, w1, b1, w2, b2):
+    """``T.mlp`` as the ops it fuses: the MLP half of an encoder block."""
+    return T.matmul(T.gelu(T.matmul(T.layernorm_lastdim(x, gamma, beta), w1, b1)), w2, b2)
+

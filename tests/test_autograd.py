@@ -473,6 +473,19 @@ class TestOpSuite:
         failures = [f"{r.name}: {r.max_rel_err:.2e}" for r in results if not r.ok]
         assert not failures, "gradient mismatches: " + "; ".join(failures)
 
+    def test_case_indices_stay_put(self):
+        """``run_op_suite`` seeds each case with ``[seed, index, trial]``: a case that moved
+        would check other inputs, so a new case goes at the end."""
+        assert [name for name, _ in gradcheck._op_cases()] == [
+            "add", "sub", "mul", "div", "neg", "matmul", "matmul_batched",
+            "conv2d", "conv2d_1x1", "softmax", "upsample", "avgpool", "concat",
+            "elementwise_add", "elementwise_mul", "relu", "gelu", "sigmoid",
+            "layernorm", "batchnorm_train", "batchnorm_eval", "sum_axis",
+            "mean_axis", "amax", "reshape", "transpose", "clip", "log",
+            "conv2d_bias", "conv2d_7x7", "matmul_bias", "attention", "mlp",
+            "attention_heads",
+        ]
+
     def test_suite_covers_expected_ops(self):
         """Every op a toy training step records, under each GLFF/DFM setting, is
         recorded by some C1 case, so a new op in the model needs a case."""

@@ -201,13 +201,15 @@ def test_a_process_that_used_the_pool_exits_cleanly():
 
 class TestBitwiseAtOneAndTwoWorkers:
     @staticmethod
-    def output_and_gradients(op, shapes, dtype, seed=0):
+    def output_and_gradients(op, shapes, dtype, seed=0, residual=False):
+        """With ``residual`` the loss reads ``x + op(x, ...)``, as an encoder block does."""
         rng = np.random.default_rng(seed)
         leaves = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
         grads = {}
         with T.step():
             out = op(*leaves)
-            loss = (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum()
+            summed = leaves[0] + out if residual else out
+            loss = (summed * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum()
             T.backward(loss, sink=grads.__setitem__)
         return [out.data.tobytes()] + [grads[leaf].tobytes() for leaf in leaves]
 
@@ -215,8 +217,9 @@ class TestBitwiseAtOneAndTwoWorkers:
         "conv2d": (T.conv2d, [(2, 3, 6, 5), (4, 3, 3, 3), (4,)]),
         "conv2d_1x1": (T.conv2d, [(3, 4, 5, 5), (2, 4, 1, 1), (2,)]),
         "matmul": (T.matmul, [(2, 5, 7), (7, 3), (3,)]),
-        "mlp": (T.mlp, [(2, 5, 6), (6, 8), (8,), (8, 4), (4,)]),
-        "attention": (T.attention, [(1, 2, 5, 4)] * 3),
+        "mlp": (T.mlp, [(2, 5, 6), (6,), (6,), (6, 8), (8,), (8, 4), (4,)]),
+        "attention": (T.attention, [(1, 5, 8), (8,), (8,), (2, 8, 4), (2, 8, 4), (2, 8, 4), (8, 8)]),
+        "attention_heads": (T.attention_heads, [(1, 2, 5, 4)] * 3),
         "gelu": (T.gelu, [(3, 7)]),
     }
 
@@ -270,16 +273,23 @@ class TestBitwiseAtOneAndTwoWorkers:
             assert len(set(ran)) == 1 and threading.get_ident() not in ran
 
 
+ATTENTION_SHAPES = [(1, 484, 384), (384,), (384,), (6, 384, 64), (6, 384, 64), (6, 384, 64), (384, 384)]
+MLP_SHAPES = [(1, 484, 384), (384,), (384,), (384, 1536), (1536,), (1536, 384), (384,)]
+
+
 class TestPaperShapeSplits:
     """At paper shapes the GEMM ops split above ``FORK_MIN_WORK``: attention its heads,
-    matmul and mlp the rows of each 2-d product. Output and gradients are bitwise those
-    of the unsplit call, at one and at two workers."""
+    its projections the rows of each 2-d product, and so do matmul and mlp; the softmax
+    gradient splits by heads, the GELU gradient and the CDF by elements. Output and
+    gradients are bitwise those of the unsplit call, and the fused encoder halves those
+    of the ops they fuse, at one and at two workers."""
 
     OPS = {
         "matmul": (T.matmul, [(1, 484, 384), (384, 1536), (1536,)]),
         "projection": (T.matmul, [(1, 1, 484, 384), (6, 384, 64)]),
-        "mlp": (T.mlp, [(1, 484, 384), (384, 1536), (1536,), (1536, 384), (384,)]),
-        "attention": (T.attention, [(1, 6, 484, 64)] * 3),
+        "mlp": (T.mlp, MLP_SHAPES),
+        "attention": (T.attention, ATTENTION_SHAPES),
+        "attention_heads": (T.attention_heads, [(1, 6, 484, 64)] * 3),
     }
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -303,6 +313,31 @@ class TestPaperShapeSplits:
         ran = helpers.pool_runs_every_queued_task(monkeypatch)
         assert run() == unsplit
         assert any(cuts) and ran and threading.get_ident() not in ran
+
+    CHAINS = {
+        "attention": (T.attention, helpers.attention_chain, ATTENTION_SHAPES),
+        "mlp": (T.mlp, helpers.mlp_chain, MLP_SHAPES),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(CHAINS))
+    def test_a_fused_half_equals_the_ops_it_fuses(self, monkeypatch, name, dtype, workers):
+        fused, chain, shapes = self.CHAINS[name]
+
+        def run(op):
+            # weights scaled as drawn ones are, so the softmax rows are not one-hot
+            def scaled(x, gamma, beta, *weights):
+                return op(x, gamma, beta, *(w * 0.05 for w in weights))
+
+            return TestBitwiseAtOneAndTwoWorkers.output_and_gradients(
+                scaled, shapes, dtype, seed=1, residual=True)
+
+        monkeypatch.setattr(T, "_pool", None)
+        helpers.set_workers(monkeypatch, workers)
+        ran = helpers.pool_runs_every_queued_task(monkeypatch) if workers == 2 else None
+        assert run(fused) == run(chain)
+        assert ran is None or (ran and threading.get_ident() not in ran)
 
 
 class TestBranchesSideBySide:

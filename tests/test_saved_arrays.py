@@ -8,12 +8,13 @@ import pytest
 
 import helpers
 from coopseg import tensor as T
-from coopseg.config import toy_config
+from coopseg.config import RunConfig, toy_config
 from coopseg.data import make_batches, synth_dataset
 from coopseg.model import SegmentationModel
 from coopseg.nn import ConvUnit
 from coopseg.tensor import Tensor
 from coopseg.train import view_loss
+from coopseg.transformer import EncoderBlock
 
 # one toy-geometry step (batch 8) keeps 20.8 MB of non-leaf arrays; when every
 # node held its output and input tensors it kept 38.9 MB
@@ -75,6 +76,35 @@ def test_conv_unit_batchnorm_output_dies_before_backward(monkeypatch):
         assert len(refs) == 1 and refs[0]() is None
         T.backward(loss)
     assert unit.conv.weight.grad is not None and unit.bn.gamma.grad is not None
+
+
+def test_an_encoder_block_keeps_its_inputs_q_k_v_h_and_row_statistics_only():
+    # neither LayerNorm's output nor the attention heads' output: backward rebuilds both
+    rng = np.random.default_rng(7)
+    block = EncoderBlock(RunConfig(depth=1, d_model=8, heads=2), rng)
+    for norm in (block.norm1, block.norm2):
+        norm.gamma.data[...] = 1.0 + 0.5 * rng.standard_normal(8)
+        norm.beta.data[...] = 0.5 * rng.standard_normal(8)
+    leaf = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+    leaves = {id(p.data) for p in block.parameters()}
+    with T.step() as tape:
+        x = leaf + 0.0  # an input of its own, as a block's is
+        block(x)
+        assert [n.op for n in tape.nodes] == ["add", "attention", "add", "mlp", "add"]
+        held = {id(_root(v)): _root(v) for n in tape.nodes for v in helpers.closure_values(n)
+                if isinstance(v, np.ndarray)}
+    saved = [a for key, a in held.items() if key not in leaves]
+    assert sorted(a.shape for a in saved) == sorted(
+        [(2, 5, 8)] * 2 + [(2, 2, 5, 4)] * 3 + [(2, 5, 32)] + [(2, 5, 1)] * 4)
+    # the attention half's input x, and the MLP half's, x plus the attention half
+    [mid] = [a for a in saved if a.shape == (2, 5, 8) and a is not x.data]
+    assert any(a is x.data for a in saved)
+    attn = block.attn
+    xh = T.layernorm_lastdim(x, block.norm1.gamma, block.norm1.beta).data[:, None]
+    assert all(any(np.array_equal(a, xh @ w.data) for a in saved) for w in (attn.wq, attn.wk, attn.wv))
+    xn = T.layernorm_lastdim(Tensor(mid), block.norm2.gamma, block.norm2.beta).data
+    h = xn @ block.mlp.fc1.weight.data + block.mlp.fc1.bias.data
+    assert any(np.array_equal(a, h) for a in saved)
 
 
 def _leaf(rng, shape):

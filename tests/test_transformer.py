@@ -10,7 +10,7 @@ import helpers
 from coopseg import gradcheck
 from coopseg import tensor as T
 from coopseg.config import RunConfig
-from coopseg.nn import MultiScaleFeatures
+from coopseg.nn import LayerNorm, MultiScaleFeatures
 from coopseg.tensor import ShapeError, Tensor
 from coopseg.transformer import (
     EncoderBlock,
@@ -30,6 +30,21 @@ def small_cfg(**kw):
 
 def rng_of(seed):
     return np.random.default_rng(seed)
+
+
+def drawn_norm(d, seed):
+    """A LayerNorm with drawn gain and shift, so neither is the identity."""
+    norm = LayerNorm(d)
+    rng = rng_of(seed)
+    norm.gamma.data[...] = 1.0 + 0.5 * rng.standard_normal(d)
+    norm.beta.data[...] = 0.5 * rng.standard_normal(d)
+    return norm
+
+
+def normalized(x, norm):
+    """The normalized tokens an encoder half reads, from the closed form."""
+    mu = x.mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * norm.gamma.data + norm.beta.data
 
 
 class TestPatchEmbed:
@@ -74,36 +89,37 @@ class TestAttention:
     def test_single_token_ignores_qk(self):
         # one token: the softmax is 1 regardless of logits, so only V and Wo act
         cfg = small_cfg()
-        msa = MultiHeadSelfAttention(cfg, rng_of(2))
+        msa, norm = MultiHeadSelfAttention(cfg, rng_of(2)), drawn_norm(8, 2)
         x = rng_of(3).standard_normal((1, 1, 8))
-        out = msa(Tensor(x)).data
-        v = np.einsum("nd,hde->hne", x[0], msa.wv.data)  # heads x 1 x d_head
+        out = msa(Tensor(x), norm).data
+        v = np.einsum("nd,hde->hne", normalized(x, norm)[0], msa.wv.data)  # heads x 1 x d_head
         expected = v.transpose(1, 0, 2).reshape(1, -1) @ msa.wo.data
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
         # changing Wq/Wk must not change the single-token output
         msa.wq.data[...] = 0.0
         msa.wk.data[...] = 100.0
-        np.testing.assert_allclose(msa(Tensor(x)).data[0], expected, atol=1e-12)
+        np.testing.assert_allclose(msa(Tensor(x), norm).data[0], expected, atol=1e-12)
 
     def test_identical_tokens_identical_rows(self):
         msa = MultiHeadSelfAttention(small_cfg(), rng_of(4))
         row = rng_of(5).standard_normal(8)
         x = Tensor(np.tile(row, (1, 6, 1)))
-        out = msa(x).data[0]
+        out = msa(x, drawn_norm(8, 5)).data[0]
         np.testing.assert_allclose(out, np.tile(out[0], (6, 1)), atol=1e-12)
 
     def test_matches_per_head_loop_oracle(self):
         cfg = small_cfg(d_model=8, heads=2)
-        msa = MultiHeadSelfAttention(cfg, rng_of(6))
+        msa, norm = MultiHeadSelfAttention(cfg, rng_of(6)), drawn_norm(8, 6)
         x = rng_of(7).standard_normal((1, 4, 8))
-        out = msa(Tensor(x)).data[0]
+        out = msa(Tensor(x), norm).data[0]
 
         # unbatched reference: loop heads explicitly, 2-d matmuls only
+        xn = normalized(x, norm)[0]
         heads = []
         for i in range(2):
-            q = x[0] @ msa.wq.data[i]
-            k = x[0] @ msa.wk.data[i]
-            v = x[0] @ msa.wv.data[i]
+            q = xn @ msa.wq.data[i]
+            k = xn @ msa.wk.data[i]
+            v = xn @ msa.wv.data[i]
             logits = q @ k.T / math.sqrt(cfg.d_model // cfg.heads)
             att = np.exp(logits - logits.max(axis=-1, keepdims=True))
             att /= att.sum(axis=-1, keepdims=True)
@@ -117,7 +133,7 @@ class TestAttention:
         xh = Tensor(rng_of(9).standard_normal((2, 1, 4, 8)))
         q, k = xh @ msa.wq, xh @ msa.wk
         v = Tensor(np.broadcast_to(np.eye(4), (2, 2, 4, 4)))
-        out = T.attention(q, k, v)
+        out = T.attention_heads(q, k, v)
         assert out.shape == (2, 4, 8)
         maps = out.data.reshape(2, 4, 2, 4).transpose(0, 2, 1, 3)
         sums = maps.sum(axis=-1)
@@ -127,19 +143,20 @@ class TestAttention:
     def test_query_scaling_matches_score_scaling_bitwise(self, dtype):
         # d_head 16: the scale 1/4 is a power of two, so scaling q or q @ k^T rounds alike
         msa = MultiHeadSelfAttention(small_cfg(d_model=32, heads=2), rng_of(13)).cast(dtype)
+        norm = drawn_norm(32, 13).cast(dtype)
         x = rng_of(14).standard_normal((2, 5, 32)).astype(dtype)
         g = rng_of(15).standard_normal((2, 5, 32)).astype(dtype)
-        params = [msa.wq, msa.wk, msa.wv, msa.wo]
+        params = [norm.gamma, norm.beta, msa.wq, msa.wk, msa.wv, msa.wo]
 
         def scores_scaled(xt):
-            xh = T.reshape(xt, (2, 1, 5, 32))
+            xh = T.reshape(norm(xt), (2, 1, 5, 32))
             q, k, v = xh @ msa.wq, xh @ msa.wk, xh @ msa.wv
             logits = (q @ T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(16))
             mixed = T.softmax_lastdim(logits) @ v
             return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (2, 5, 32)) @ msa.wo
 
         results = []
-        for fn in (scores_scaled, msa):
+        for fn in (scores_scaled, lambda xt: msa(xt, norm)):
             xt = Tensor(x, requires_grad=True)
             with T.step():
                 out = fn(xt)
@@ -157,9 +174,9 @@ class TestAttention:
         # B x N x hidden arrays are the MLPs' pre-activations, one per block
         pre_activations = []
 
-        def mlp(x, w1, b1, *rest, inner=T.mlp):
-            pre_activations.append(x.data @ w1.data + b1.data)
-            return inner(x, w1, b1, *rest)
+        def mlp(x, gamma, beta, w1, b1, *rest, inner=T.mlp):
+            pre_activations.append(T.layernorm_lastdim(x, gamma, beta).data @ w1.data + b1.data)
+            return inner(x, gamma, beta, w1, b1, *rest)
 
         monkeypatch.setattr(T, "mlp", mlp)
         blocks = [EncoderBlock(small_cfg(), rng_of(s)) for s in (16, 17)]
@@ -181,11 +198,11 @@ class TestAttention:
             np.testing.assert_array_equal(a, h)
 
     def test_permutation_equivariance(self):
-        msa = MultiHeadSelfAttention(small_cfg(), rng_of(10))
+        msa, norm = MultiHeadSelfAttention(small_cfg(), rng_of(10)), drawn_norm(8, 10)
         x = rng_of(11).standard_normal((1, 7, 8))
         perm = rng_of(12).permutation(7)
-        out = msa(Tensor(x)).data[0]
-        out_perm = msa(Tensor(x[:, perm])).data[0]
+        out = msa(Tensor(x), norm).data[0]
+        out_perm = msa(Tensor(x[:, perm]), norm).data[0]
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
 
@@ -195,11 +212,11 @@ class TestMlpBlock:
         assert [name for name, _ in mlp.named_parameters()] == [
             "fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias",
         ]
-        x = Tensor(rng_of(20).standard_normal((2, 5, 8)), requires_grad=True)
+        x, norm = Tensor(rng_of(20).standard_normal((2, 5, 8)), requires_grad=True), drawn_norm(8, 20)
         with T.step() as tape:
-            out = mlp(x)
+            out = mlp(x, norm)
             assert [n.op for n in tape.nodes] == ["mlp"]
-        chain = mlp.fc2(T.gelu(mlp.fc1(x)))
+        chain = mlp.fc2(T.gelu(mlp.fc1(norm(x))))
         np.testing.assert_array_equal(out.data, chain.data)
 
 
@@ -219,6 +236,35 @@ class TestEncoderBlock:
         for b in blocks:
             x = b(x)
             assert x.shape == (2, 4, 8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_half_is_one_node_and_the_block_equals_the_ops_it_fuses_bitwise(self, dtype):
+        block = EncoderBlock(small_cfg(), rng_of(21))
+        block.norm1, block.norm2 = drawn_norm(8, 22), drawn_norm(8, 23)
+        block.cast(dtype)
+        attn, mlp = block.attn, block.mlp
+
+        def unfused(x):
+            b, n, d = x.shape
+            xh = T.reshape(block.norm1(x), (b, 1, n, d))
+            x = x + T.attention_heads(xh @ attn.wq, xh @ attn.wk, xh @ attn.wv) @ attn.wo
+            return x + mlp.fc2(T.gelu(mlp.fc1(block.norm2(x))))
+
+        x = rng_of(24).standard_normal((2, 5, 8)).astype(dtype)
+        g = rng_of(25).standard_normal((2, 5, 8)).astype(dtype)
+        results = []
+        for fn in (unfused, block):
+            xt = Tensor(x, requires_grad=True)
+            grads = {}
+            with T.step() as tape:
+                out = fn(xt)
+                ops = [n.op for n in tape.nodes]
+                T.backward((out * Tensor(g)).sum(), sink=grads.__setitem__)
+            results.append([out.data, grads[xt]] + [grads[p] for p in block.parameters()])
+        assert ops == ["attention", "add", "mlp", "add"]
+        for ref, new in zip(*results):
+            assert new.dtype == dtype
+            np.testing.assert_array_equal(new, ref)
 
     def test_gradient_vs_finite_differences(self):
         block = EncoderBlock(small_cfg(), rng_of(16))
